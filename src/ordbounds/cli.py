@@ -324,8 +324,6 @@ def _add_common(p):
     p.add_argument("--out", help="write JSON to this file instead of stdout")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: ORDBOUNDS_SEED env var, then 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for replicate-level parallelism")
 
 
 def _add_margins(p):

@@ -26,7 +26,14 @@ from .bounds import (
 )
 from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
 from .exceptions import OrdBoundsError, ReplicateFailure
-from .noncompliance import complier_bounds, em_fit, em_fit_with_covariates
+from .noncompliance import (
+    _cells,
+    _fit_counts,
+    complier_bounds,
+    complier_mle,
+    em_fit,
+    em_fit_with_covariates,
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,8 @@ class IntervalReport:
     n_failed: int = 0
 
     def __post_init__(self):
-        assert self.ci_low <= self.ci_high + 1e-9
+        if not self.ci_low <= self.ci_high + 1e-9:
+            raise ValueError(f"inverted interval: ci_low {self.ci_low} > ci_high {self.ci_high}")
 
 
 def _pair_from_report(report, estimand, lower: str = "bound"):
@@ -149,44 +157,29 @@ def _fast_randomized(records, estimand, lower, J, n_boot, level, seed, point, me
     return _finish(point, lows, highs, n_boot, 0, level, seed, method)
 
 
-def _fast_complier(records, estimand, J, n_boot, level, seed, point, method, options):
+def _fast_complier(records, estimand, J, n_boot, level, seed, method, options):
     """Complier bootstrap on (d, y) cell counts: arm-stratified unit
-    resampling equals a multinomial redraw of each arm's cell counts.  EM
-    replicates warm-start from the full-sample fit."""
-    from .noncompliance import _cells, _em_from_counts, em_fit
-
-    monotonicity = options.get("monotonicity", "standard")
+    resampling equals a multinomial redraw of each arm's cell counts.  One
+    full-sample fit gives the point bounds and the EM warm start of the
+    boundary replicates; all replicates go through complier_mle at once."""
     if J is None:
         J = max(r.y for r in records) + 1
     counts = _cells(records, J)
+    fit, _ = _fit_counts(counts, options.get("monotonicity", "standard"))
+    point = _pair_from_report(complier_bounds(fit).complier, estimand)
     n1, n0 = counts[1].sum(), counts[0].sum()
-    fit = em_fit(records, monotonicity=monotonicity, J=J)
-    pi0 = np.array([fit.pi_a, fit.pi_c, fit.pi_n])
-    init = (fit.a_marginal.as_array(), fit.n_marginal.as_array(),
-            fit.c_treated.as_array(), fit.c_control.as_array())
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws1 = rng.multinomial(int(n1), counts[1].ravel() / n1, size=n_boot)
     draws0 = rng.multinomial(int(n0), counts[0].ravel() / n0, size=n_boot)
-    c1s, c0s = [], []
-    n_failed = 0
-    for r in range(n_boot):
-        bc = np.stack([draws0[r].reshape(2, J), draws1[r].reshape(2, J)]).astype(float)
-        try:
-            # near-boundary resamples can need many cheap iterations
-            _, _, _, c1, c0, _ = _em_from_counts(bc, pi0.copy(), *[v.copy() for v in init],
-                                                 max_iter=20000, tol=1e-8)
-        except OrdBoundsError:
-            n_failed += 1
-            continue
-        c1s.append(c1)
-        c0s.append(c0)
-    p1 = np.array(c1s)
-    p0 = np.array(c0s)
-    if estimand == "tau":
-        lows, highs = tau_bounds_array(p1, p0)
-    else:
-        lows, highs = eta_bounds_array(p1, p0)
-    return _finish(point, lows, highs, n_boot, n_failed, level, seed, method)
+    stack = np.stack([draws0, draws1], axis=1).reshape(n_boot, 2, 2, J).astype(float)
+    init = (np.array([fit.pi_a, fit.pi_c, fit.pi_n]), fit.a_marginal.as_array(),
+            fit.n_marginal.as_array(), fit.c_treated.as_array(), fit.c_control.as_array())
+    # near-boundary resamples can need many cheap iterations
+    boot = complier_mle(stack, init=init, max_iter=20000)
+    ok = boot.converged
+    bounds = tau_bounds_array if estimand == "tau" else eta_bounds_array
+    lows, highs = bounds(boot.c1[ok], boot.c0[ok])
+    return _finish(point, lows, highs, n_boot, int(n_boot - ok.sum()), level, seed, method)
 
 
 def bootstrap_bounds_ci(records, estimator: str = "randomized", estimand: str = "tau",
@@ -206,13 +199,13 @@ def bootstrap_bounds_ci(records, estimator: str = "randomized", estimand: str = 
         raise ValueError("n_boot must be at least 100")
     if estimand not in ("tau", "eta"):
         raise ValueError(f"unknown estimand {estimand!r}")
+    if estimator == "complier" and lower == "bound":
+        return _fast_complier(records, estimand, J, n_boot, level, seed, method, options)
     pair_fn = _make_pair_fn(estimator, estimand, J, lower, options)
     point = pair_fn(records)
 
     if estimator == "randomized":
         return _fast_randomized(records, estimand, lower, J, n_boot, level, seed, point, method)
-    if estimator == "complier" and lower == "bound":
-        return _fast_complier(records, estimand, J, n_boot, level, seed, point, method, options)
 
     scheme = "whole" if estimator == "ipw" else "stratified"
     streams = np.random.SeedSequence(seed).spawn(n_boot)

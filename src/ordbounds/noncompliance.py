@@ -6,14 +6,19 @@ always-takers).  Under these, always-takers and never-takers have equal
 potential outcomes across arms, so the causal question reduces to the
 compliers, whose treated/control marginals are identified as mixtures.
 
-Estimation is by moments (direct mixture subtraction) or maximum likelihood
-via EM, optionally with covariate models (multinomial logit for the stratum,
-proportional odds for the outcomes).
+Estimation is by moments (direct mixture subtraction) or maximum likelihood.
+Without covariates the model is just-identified (4J - 2 parameters for
+4J - 2 free cells), so wherever mixture subtraction leaves no negative cell
+the moment solution is the MLE and is used in closed form; EM runs only on
+the tables at that finite-sample boundary, batched over a stack of count
+tables (complier_mle).  With covariates (multinomial logit for the stratum,
+proportional odds for the outcomes) the MLE is always fitted by EM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,18 +125,53 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
 
 
 def _cells(records, J):
-    """Counts n[z][d][y]."""
-    counts = np.zeros((2, 2, J))
-    for r in records:
-        if r.d is None:
-            raise ValueError("records must carry the treatment-received field d")
-        counts[int(r.z), int(r.d), int(r.y)] += 1
-    return counts
+    """Counts n[z][d][y] as a (2, 2, J) array."""
+    try:
+        zdy = np.array([(r.z, r.d, r.y) for r in records], dtype=np.int64).reshape(-1, 3)
+    except TypeError:
+        raise ValueError("records must carry the treatment-received field d") from None
+    z, d, y = zdy.T
+    if ((z != 0) & (z != 1)).any() or ((d != 0) & (d != 1)).any() or ((y < 0) | (y >= J)).any():
+        raise ValueError(f"z and d must be 0 or 1 and y in 0..{J - 1}")
+    return np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
 
 
 def _freq(v):
-    t = v.sum()
-    return v / t if t > 0 else np.full(len(v), 1.0 / len(v))
+    """Normalise along the last axis; an all-zero vector becomes uniform."""
+    t = v.sum(axis=-1, keepdims=True)
+    return np.where(t > 0, v / np.where(t > 0, t, 1.0), 1.0 / v.shape[-1])
+
+
+def _moments(counts):
+    """Mixture-subtraction solution on a stack of count tables (B, 2, 2, J).
+
+    Returns pi (B, 3) ordered (pi_a, pi_c, pi_n); the marginals a, n, c1, c0
+    (B, J), with negative complier cells clipped to 0 and renormalised; and
+    the per-table flag of tables that had a complier cell below -1e-12.
+    """
+    n1 = counts[:, 1].sum(axis=(1, 2))
+    n0 = counts[:, 0].sum(axis=(1, 2))
+    pi_a = counts[:, 0, 1].sum(axis=1) / n0
+    pi_n = counts[:, 1, 0].sum(axis=1) / n1
+    a = _freq(counts[:, 0, 1])
+    n = _freq(counts[:, 1, 0])
+    # mixture subtraction in the two mixed cells
+    c1 = counts[:, 1, 1] / n1[:, None] - pi_a[:, None] * a
+    c0 = counts[:, 0, 0] / n0[:, None] - pi_n[:, None] * n
+    clipped = (c1 < -1e-12).any(axis=1) | (c0 < -1e-12).any(axis=1)
+    pi = np.stack([pi_a, 1 - pi_a - pi_n, pi_n], axis=1)
+    return pi, a, n, _freq(np.clip(c1, 0.0, None)), _freq(np.clip(c0, 0.0, None)), clipped
+
+
+def _strata_model(pi, a, n, c1, c0, negative_cells_clipped=False) -> StrataModel:
+    return StrataModel(
+        pi_a=float(pi[0]), pi_c=float(pi[1]), pi_n=float(pi[2]),
+        a_marginal=MarginalDistribution(tuple(a)),
+        n_marginal=MarginalDistribution(tuple(n)),
+        c_treated=MarginalDistribution(tuple(c1)),
+        c_control=MarginalDistribution(tuple(c0)),
+        negative_cells_clipped=negative_cells_clipped,
+    )
 
 
 def moment_identify(records, monotonicity: str = "standard", J: int | None = None) -> StrataModel:
@@ -146,129 +186,187 @@ def moment_identify(records, monotonicity: str = "standard", J: int | None = Non
     if J is None:
         J = max(r.y for r in records) + 1
     counts = _cells(records, J)
-    n1 = counts[1].sum()
-    n0 = counts[0].sum()
     if monotonicity == "strong" and counts[0, 1].sum() > 0:
         raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
-    pi_a = counts[0, 1].sum() / n0
-    pi_n = counts[1, 0].sum() / n1
-    pi_c = 1 - pi_a - pi_n
-    if pi_c <= 0:
-        raise NoCompliers(f"moment estimate pi_c = {pi_c} <= 0")
-    a_m = _freq(counts[0, 1])
-    n_m = _freq(counts[1, 0])
-    # mixture subtraction in the two mixed cells
-    c1 = counts[1, 1] / n1 - pi_a * a_m
-    c0 = counts[0, 0] / n0 - pi_n * n_m
-    clipped = bool((c1 < -1e-12).any() or (c0 < -1e-12).any())
-    c1 = np.clip(c1, 0.0, None)
-    c0 = np.clip(c0, 0.0, None)
-    return StrataModel(
-        pi_a=float(pi_a), pi_c=float(pi_c), pi_n=float(pi_n),
-        a_marginal=MarginalDistribution(tuple(a_m)),
-        n_marginal=MarginalDistribution(tuple(n_m)),
-        c_treated=MarginalDistribution(tuple(_freq(c1))),
-        c_control=MarginalDistribution(tuple(_freq(c0))),
-        negative_cells_clipped=clipped,
-    )
+    pi, a, n, c1, c0, clipped = (v[0] for v in _moments(counts[None]))
+    if pi[1] <= 0:
+        raise NoCompliers(f"moment estimate pi_c = {pi[1]} <= 0")
+    return _strata_model(pi, a, n, c1, c0, negative_cells_clipped=bool(clipped))
+
+
+def _mixture(pi, a, n, c1, c0):
+    """Cell probabilities of a stack of parameters: always-taker (z=0, d=1),
+    never-taker (z=1, d=0) and the two mixed cells (z=1, d=1), (z=0, d=0)."""
+    pa = pi[:, :1] * a
+    pn = pi[:, 2:] * n
+    return pa, pn, pa + pi[:, 1:2] * c1, pn + pi[:, 1:2] * c0
+
+
+def _loglik(counts, pa, pn, mix1, mix0):
+    """Observed-data log-likelihood of each table of a (B, 2, 2, J) stack
+    from its _mixture cell probabilities."""
+    cells = np.stack([mix0, pa, pn, mix1], axis=1)   # (z, d) = 00, 01, 10, 11
+    logp = np.log(np.maximum(cells, 1e-300))
+    return (counts.reshape(logp.shape) * logp).sum(axis=(1, 2))
 
 
 def em_loglik(counts: np.ndarray, pi, a, n, c1, c0) -> float:
     """Observed-data log-likelihood of the cell parameters (up to the
     assignment-probability constant)."""
-    pi_a, pi_c, pi_n = pi
-    eps = 1e-300
-    ll = 0.0
-    ll += counts[1, 0] @ np.log(np.maximum(pi_n * n, eps))
-    ll += counts[0, 1] @ np.log(np.maximum(pi_a * a, eps))
-    ll += counts[1, 1] @ np.log(np.maximum(pi_a * a + pi_c * c1, eps))
-    ll += counts[0, 0] @ np.log(np.maximum(pi_n * n + pi_c * c0, eps))
-    return float(ll)
+    counts, *params = (np.asarray(v, dtype=float)[None] for v in (counts, pi, a, n, c1, c0))
+    return float(_loglik(counts, *_mixture(*params))[0])
+
+
+class CellFit(NamedTuple):
+    """Complier MLE of a stack of B count tables.
+
+    pi is (B, 3) ordered (pi_a, pi_c, pi_n); a, n, c1, c0 are (B, J).
+    interior marks the tables solved in closed form, converged the tables
+    with an MLE (all interior ones and the boundary ones whose EM met its
+    stopping rule), and trace is the EM log-likelihood trace of the boundary
+    tables in stack order (see _em_from_counts).
+    """
+
+    pi: np.ndarray
+    a: np.ndarray
+    n: np.ndarray
+    c1: np.ndarray
+    c0: np.ndarray
+    interior: np.ndarray
+    converged: np.ndarray
+    trace: list
+
+
+def complier_mle(counts, init=None, max_iter: int = 1000, tol: float = 1e-8) -> CellFit:
+    """Maximum-likelihood strata fit of a stack of (z, d, y) count tables,
+    shape (B, 2, 2, J).
+
+    Without covariates the strata model is just-identified: it has 4J - 2
+    parameters for 4J - 2 free cells.  Wherever mixture subtraction leaves
+    pi_c > 0 and no complier cell below -1e-12 (an interior table), the
+    moment solution reproduces the observed cell frequencies and so is the
+    MLE; it is returned without iterating.  The other (boundary) tables run
+    through one vectorised EM, started from init, a tuple (pi, a, n, c1, c0)
+    broadcast over the stack, or by default from the moment proportions and
+    uniform marginals.
+    """
+    counts = np.asarray(counts, dtype=float)
+    pi, a, n, c1, c0, clipped = _moments(counts)
+    interior = (pi[:, 1] > 0) & ~clipped
+    converged = interior.copy()
+    trace = []
+    edge = np.flatnonzero(~interior)
+    if edge.size:
+        if init is None:
+            start = _default_init(counts[edge], pi[edge])
+        else:
+            start = [np.broadcast_to(np.asarray(v, dtype=float), (len(counts), np.shape(v)[-1]))[edge]
+                     for v in init]
+        *fitted, trace, ok = _em_from_counts(counts[edge], *start, max_iter=max_iter, tol=tol)
+        for p, q in zip((pi, a, n, c1, c0), fitted):
+            p[edge] = q
+        converged[edge] = ok
+    return CellFit(pi, a, n, c1, c0, interior, converged, trace)
+
+
+def _default_init(counts, pi):
+    """EM start from the moment proportions and uniform marginals."""
+    if (pi[:, 1] <= 0).any():
+        raise NoCompliers(f"moment estimate pi_c = {pi[:, 1].min()} <= 0")
+    pi = pi.copy()
+    # clip interior zeros away, but keep structurally absent strata at 0
+    for g, cell in ((0, counts[:, 0, 1]), (2, counts[:, 1, 0])):
+        pi[:, g] = np.where((pi[:, g] < 0.01) & (cell.sum(axis=1) > 0), 0.01, pi[:, g])
+    pi /= pi.sum(axis=1, keepdims=True)
+    uniform = np.full((len(counts), counts.shape[-1]), 1.0 / counts.shape[-1])
+    return pi, uniform, uniform, uniform, uniform
+
+
+def _fit_counts(counts, monotonicity: str = "standard", init: StrataModel | None = None,
+                max_iter: int = 1000, tol: float = 1e-8):
+    """complier_mle on one (2, 2, J) table: the StrataModel and the
+    log-likelihood trace, or NonConvergence."""
+    if monotonicity not in ("standard", "strong"):
+        raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
+    if monotonicity == "strong" and counts[0, 1].sum() > 0:
+        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
+    if init is not None:
+        pi = np.array([init.pi_a, init.pi_c, init.pi_n], dtype=float)
+        if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
+            raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
+        init = (pi, init.a_marginal.as_array(), init.n_marginal.as_array(),
+                init.c_treated.as_array(), init.c_control.as_array())
+    fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
+    if not fit.converged[0]:
+        raise NonConvergence(f"EM did not converge in {max_iter} iterations")
+    params = [v[0] for v in fit[:5]]
+    if fit.interior[0]:
+        trace = [em_loglik(counts, *params)]
+    else:
+        trace = [float(row[0]) for row in fit.trace]
+    return _strata_model(*params), trace
 
 
 def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = None,
            max_iter: int = 1000, tol: float = 1e-8, J: int | None = None,
            track_loglik: bool = False):
-    """Maximum-likelihood strata fit by EM on the four (z, d) cells.
+    """Maximum-likelihood strata fit on the four (z, d) cells.
 
-    Returns the fitted StrataModel (and the per-iteration log-likelihood
-    trace when track_loglik is True).
+    The MLE is the moment solution whenever that is interior (pi_c > 0 and
+    no negative complier cell); it is then returned in closed form, init is
+    not used, and the log-likelihood trace is the single value at the
+    solution.  Only a boundary table runs EM, from init or by default from
+    the moment proportions and uniform marginals, until the log-likelihood
+    changes by less than tol; NonConvergence if that takes more than
+    max_iter iterations.
+
+    Returns the fitted StrataModel (and the log-likelihood trace when
+    track_loglik is True).
     """
     if J is None:
         J = max(r.y for r in records) + 1
-    counts = _cells(records, J)
-    if monotonicity == "strong" and counts[0, 1].sum() > 0:
-        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
-    N = counts.sum()
-
-    if init is None:
-        mom = moment_identify(records, monotonicity=monotonicity, J=J)
-        pi = np.array([mom.pi_a, mom.pi_c, mom.pi_n])
-        # clip interior zeros away, but keep structurally absent strata at 0
-        for g, cell in ((0, counts[0, 1]), (2, counts[1, 0])):
-            if pi[g] < 0.01 and cell.sum() > 0:
-                pi[g] = 0.01
-        pi = pi / pi.sum()
-        a = np.full(J, 1.0 / J)
-        n = np.full(J, 1.0 / J)
-        c1 = np.full(J, 1.0 / J)
-        c0 = np.full(J, 1.0 / J)
-    else:
-        pi = np.array([init.pi_a, init.pi_c, init.pi_n])
-        if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
-            raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
-        a = init.a_marginal.as_array()
-        n = init.n_marginal.as_array()
-        c1 = init.c_treated.as_array()
-        c0 = init.c_control.as_array()
-
-    pi, a, n, c1, c0, trace = _em_from_counts(counts, pi, a, n, c1, c0, max_iter, tol)
-
-    model = StrataModel(
-        pi_a=float(pi[0]), pi_c=float(pi[1]), pi_n=float(pi[2]),
-        a_marginal=MarginalDistribution(tuple(a)),
-        n_marginal=MarginalDistribution(tuple(n)),
-        c_treated=MarginalDistribution(tuple(c1)),
-        c_control=MarginalDistribution(tuple(c0)),
-    )
+    model, trace = _fit_counts(_cells(records, J), monotonicity, init, max_iter, tol)
     return (model, trace) if track_loglik else model
 
 
 def _em_from_counts(counts, pi, a, n, c1, c0, max_iter, tol):
-    """Core EM loop on the (z, d, y) count tensor; returns the final
-    parameter arrays and the log-likelihood trace."""
-    N = counts.sum()
+    """EM on a stack of (z, d, y) count tables, shape (B, 2, 2, J).
+
+    Each table stops, its parameters frozen, once its log-likelihood changes
+    by less than tol.  Returns the final parameters, the log-likelihood trace
+    (one length-B array per iteration, nan for tables that have stopped) and
+    the per-table convergence mask; a table still moving after max_iter
+    iterations is returned at its last iterate with the mask False.
+    """
+    params = [np.array(v, dtype=float) for v in (pi, a, n, c1, c0)]
+    N = counts.sum(axis=(1, 2, 3))[:, None]
+    x00, x01, x10, x11 = counts[:, 0, 0], counts[:, 0, 1], counts[:, 1, 0], counts[:, 1, 1]
+    probs = _mixture(*params)
+    ll_old = _loglik(counts, *probs)
+    live = np.ones(len(counts), dtype=bool)
     trace = []
-    ll_old = em_loglik(counts, pi, a, n, c1, c0)
     for _ in range(max_iter):
         # E-step: posterior stratum weights in the two mixed cells
-        num_a = pi[0] * a
-        num_c1 = pi[1] * c1
-        den1 = np.maximum(num_a + num_c1, 1e-300)
-        w_a = num_a / den1
-        num_n = pi[2] * n
-        num_c0 = pi[1] * c0
-        den0 = np.maximum(num_n + num_c0, 1e-300)
-        w_n = num_n / den0
+        pa, pn, mix1, mix0 = probs
+        w_a = pa / np.maximum(mix1, 1e-300)
+        w_n = pn / np.maximum(mix0, 1e-300)
+        # expected counts of a, n, c1, c0
+        ex = np.stack([x01 + x11 * w_a, x10 + x00 * w_n, x11 * (1 - w_a), x00 * (1 - w_n)], axis=1)
 
-        ea = counts[0, 1] + counts[1, 1] * w_a
-        en = counts[1, 0] + counts[0, 0] * w_n
-        ec1 = counts[1, 1] * (1 - w_a)
-        ec0 = counts[0, 0] * (1 - w_n)
+        # M-step: weighted-frequency updates, applied to the live tables only
+        tot = ex.sum(axis=2)
+        pi = np.stack([tot[:, 0], tot[:, 2] + tot[:, 3], tot[:, 1]], axis=1) / N
+        step = [pi, *_freq(ex).transpose(1, 0, 2)]
+        params = [np.where(live[:, None], q, p) for p, q in zip(params, step)]
 
-        # M-step: weighted-frequency updates
-        pi = np.array([ea.sum(), ec1.sum() + ec0.sum(), en.sum()]) / N
-        a = _freq(ea)
-        n = _freq(en)
-        c1 = _freq(ec1)
-        c0 = _freq(ec0)
-
-        ll = em_loglik(counts, pi, a, n, c1, c0)
-        trace.append(ll)
-        if abs(ll - ll_old) < tol:
-            return pi, a, n, c1, c0, trace
+        probs = _mixture(*params)
+        ll = _loglik(counts, *probs)
+        trace.append(np.where(live, ll, np.nan))
+        live &= ~(np.abs(ll - ll_old) < tol)   # a nan log-likelihood keeps going
+        if not live.any():
+            break
         ll_old = ll
-    raise NonConvergence(f"EM did not converge in {max_iter} iterations")
+    return (*params, trace, ~live)
 
 
 # -- EM with covariates ------------------------------------------------------

@@ -192,6 +192,24 @@ class TestAnalyzeIV:
         payload = json.loads(out)
         assert payload["pi"]["complier"] == pytest.approx(0.5, abs=0.05)
 
+    def test_interior_fit_is_the_moment_solution(self, capsys, tmp_path):
+        path = self.make_iv_data(tmp_path)
+        _, em = run_cli(capsys, "analyze-iv", "--data", str(path))
+        _, mom = run_cli(capsys, "analyze-iv", "--data", str(path), "--moment")
+        em, mom = json.loads(em), json.loads(mom)
+        for key in ("always_taker", "complier", "never_taker"):
+            assert em["pi"][key] == pytest.approx(mom["pi"][key], abs=1e-12)
+        for name in ("tau", "eta"):
+            for part in ("lower", "independent", "upper"):
+                assert em["complier"][name][part] == pytest.approx(
+                    mom["complier"][name][part], abs=1e-12)
+
+    def test_assignment_out_of_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "iv.csv"
+        write_csv(path, [(0, 0, 0), (1, 1, 1), (2, 1, 0), (0, 1, 1)], ("z", "d", "y"))
+        code, _ = run_cli(capsys, "analyze-iv", "--data", str(path))
+        assert code == 2
+
     def test_strong_monotonicity_with_always_takers_exits_2(self, capsys, tmp_path):
         path = self.make_iv_data(tmp_path)
         code, _ = run_cli(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ordbounds import (
+    IntervalReport,
     UnitRecord,
     bootstrap_bounds_ci,
     bootstrap_pair_ci_with_independent,
@@ -45,6 +46,11 @@ class TestBasics:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             bootstrap_bounds_ci(sample_records(), n_boot=100, method="bca")
+
+    def test_inverted_interval_rejected(self):
+        with pytest.raises(ValueError):
+            IntervalReport(point_lower=0.2, point_upper=0.6, ci_low=0.7, ci_high=0.5,
+                           level=0.95, n_boot=100, seed=0)
 
 
 class TestLevels:

@@ -18,8 +18,15 @@ from ordbounds.exceptions import (
     DefiersObserved,
     InconsistentInputs,
     NoCompliers,
+    NonConvergence,
 )
-from ordbounds.noncompliance import _cells, em_loglik
+from ordbounds.noncompliance import (
+    _cells,
+    _em_from_counts,
+    complier_mle,
+    em_loglik,
+)
+from ordbounds.simulation import generate_study2
 
 from conftest import frac_pair, random_pair
 
@@ -248,6 +255,128 @@ class TestEMFit:
             np.array(m.c_control.probs),
         )
         assert ll == pytest.approx(trace[-1], abs=1e-9)
+
+
+# the n=400 study-2 draws generate_study2(1 + s % 6, 400, seed=s) on which
+# EM iterated from the moment proportions and uniform marginals stopped short
+# of its stopping rule in 1000 iterations; all have an interior moment solution
+SLOW_EM_SEEDS = (13, 37, 59, 98, 107, 125, 179, 218, 399, 422, 549, 650, 654, 715)
+
+# tiny sample whose mixture subtraction goes negative: always-takers all
+# have y=0, and the (1,1) cell has less mass at 0
+BOUNDARY_RECORDS = (
+    [UnitRecord(z=0, y=0, d=1)] * 4
+    + [UnitRecord(z=0, y=1, d=0)] * 4
+    + [UnitRecord(z=1, y=1, d=1)] * 7
+    + [UnitRecord(z=1, y=0, d=1)] * 1
+    + [UnitRecord(z=1, y=0, d=0)] * 2
+)
+
+
+def study2_counts(seeds):
+    return np.array([_cells(generate_study2(1 + s % 6, 400, seed=s), 3) for s in seeds])
+
+
+def model_arrays(m):
+    return ([m.pi_a, m.pi_c, m.pi_n], m.a_marginal.probs, m.n_marginal.probs,
+            m.c_treated.probs, m.c_control.probs)
+
+
+def table_traces(trace):
+    """Per-table log-likelihood traces of a stacked EM trace."""
+    return [col[~np.isnan(col)] for col in np.array(trace).T]
+
+
+class TestCells:
+    def test_matches_loop_count(self):
+        rng = np.random.default_rng(76)
+        recs = [UnitRecord(z=int(z), d=int(d), y=int(y))
+                for z, d, y in zip(rng.integers(0, 2, 300), rng.integers(0, 2, 300),
+                                   rng.integers(0, 4, 300))]
+        want = np.zeros((2, 2, 5))
+        for r in recs:
+            want[r.z, r.d, r.y] += 1
+        assert np.array_equal(_cells(recs, 5), want)
+
+    def test_missing_d_rejected(self):
+        with pytest.raises(ValueError):
+            _cells([UnitRecord(z=0, y=0, d=1), UnitRecord(z=1, y=0)], 2)
+
+    @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (0, -1, 0), (1, 1, -1), (1, 0, 3)])
+    def test_out_of_range_rejected(self, z, d, y):
+        with pytest.raises(ValueError):
+            _cells([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)], 3)
+
+
+class TestComplierMLE:
+    @pytest.mark.parametrize("s", SLOW_EM_SEEDS)
+    def test_slow_em_draws_fit_in_closed_form(self, s):
+        recs = generate_study2(1 + s % 6, 400, seed=s)
+        m = em_fit(recs)
+        mom = moment_identify(recs)
+        assert not m.negative_cells_clipped and not mom.negative_cells_clipped
+        for got, want in zip(model_arrays(m), model_arrays(mom)):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12
+
+    def test_boundary_em_beats_clipped_moments(self):
+        mom = moment_identify(BOUNDARY_RECORDS)
+        assert mom.negative_cells_clipped
+        counts = _cells(BOUNDARY_RECORDS, 2)
+        assert not complier_mle(counts[None]).interior[0]
+        m, trace = em_fit(BOUNDARY_RECORDS, track_loglik=True)
+        assert len(trace) > 1
+        assert (np.diff(trace) >= -1e-9).all()
+        ll_em = em_loglik(counts, *model_arrays(m))
+        assert ll_em == pytest.approx(trace[-1], abs=1e-9)
+        assert ll_em >= em_loglik(counts, *model_arrays(mom))
+
+    def test_stack_matches_single_table_fits(self):
+        # seeds 116..125 hold both boundary (116, 121, 122) and interior draws
+        seeds = range(116, 126)
+        stack = study2_counts(seeds)
+        fit = complier_mle(stack)
+        assert fit.interior.any() and not fit.interior.all()
+        assert fit.converged.all()
+        for k, s in enumerate(seeds):
+            m = em_fit(generate_study2(1 + s % 6, 400, seed=s))
+            for got, want in zip((fit.pi, fit.a, fit.n, fit.c1, fit.c0), model_arrays(m)):
+                assert np.abs(got[k] - np.asarray(want)).max() <= 1e-10
+
+    def test_warm_started_boundary_em_is_monotone(self):
+        # the bootstrap's start: every table from one full-sample fit
+        stack = study2_counts(range(116, 126))
+        warm = model_arrays(em_fit(generate_study2(1, 400, seed=0)))
+        fit = complier_mle(stack, init=warm, max_iter=20000)
+        assert fit.converged.all()
+        edge = np.flatnonzero(~fit.interior)
+        traces = table_traces(fit.trace)
+        assert len(traces) == len(edge) == 3
+        for k, tr in zip(edge, traces):
+            assert len(tr) > 1
+            assert (np.diff(tr) >= -1e-9).all()
+            assert tr[-1] >= em_loglik(stack[k], *warm)
+
+    def test_em_from_closed_form_gains_nothing(self):
+        stack = study2_counts(range(20))
+        fit = complier_mle(stack)
+        inner = np.flatnonzero(fit.interior)
+        start = [v[inner] for v in fit[:5]]
+        *_, trace, converged = _em_from_counts(stack[inner], *start, max_iter=1000, tol=1e-8)
+        assert converged.all()
+        ll0 = np.array([em_loglik(stack[i], *(v[i] for v in fit[:5])) for i in inner])
+        assert (np.nanmax(np.array(trace), axis=0) - ll0).max() <= 1e-9
+
+    def test_interior_trace_is_the_closed_form_loglik(self):
+        recs = generate_study2(1, 400, seed=13)
+        m, trace = em_fit(recs, track_loglik=True)
+        assert trace == [em_loglik(_cells(recs, 3), *model_arrays(m))]
+
+    def test_nonconvergence_reported_per_table(self):
+        stack = study2_counts(range(116, 123))
+        fit = complier_mle(stack, max_iter=1)
+        assert (fit.converged == fit.interior).all()
+        with pytest.raises(NonConvergence):
+            em_fit(BOUNDARY_RECORDS, max_iter=1)
 
 
 class TestCovariateEM:
