@@ -104,23 +104,29 @@ def _read_unit_csv(path: str, J: int | None):
     except OSError as e:
         raise OrdBoundsError(f"cannot open {path}: {e}") from None
     with f:
-        reader = csv.DictReader(f)
-        cols = reader.fieldnames or []
+        reader = csv.reader(f)
+        cols = next(reader, [])
         if "z" not in cols or "y" not in cols:
             raise OrdBoundsError(f"{path}: CSV must have 'z' and 'y' columns, found {cols}")
-        has_d = "d" in cols
+        at = {c: i for i, c in enumerate(cols)}   # a repeated name reads its last column
+        iz, iy, i_d = at["z"], at["y"], at.get("d")
         covs = [c for c in cols if c not in ("z", "d", "y")]
+        ix = [at[c] for c in covs]
         records = []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue
             try:
+                if len(row) < len(cols):
+                    raise ValueError(f"{len(row)} fields, header has {len(cols)}")
                 records.append(UnitRecord(
-                    z=int(row["z"]),
-                    y=int(row["y"]),
-                    d=int(row["d"]) if has_d else None,
-                    x=tuple(float(row[c]) for c in covs) if covs else None,
+                    z=int(row[iz]),
+                    y=int(row[iy]),
+                    d=None if i_d is None else int(row[i_d]),
+                    x=tuple(float(row[i]) for i in ix) if ix else None,
                 ))
-            except (TypeError, ValueError) as e:
-                raise OrdBoundsError(f"{path}:{i}: bad row: {e}") from None
+            except ValueError as e:
+                raise OrdBoundsError(f"{path}:{reader.line_num}: bad row: {e}") from None
     if not records:
         raise OrdBoundsError(f"{path}: no data rows")
     if J is not None and any(r.y >= J for r in records):
@@ -171,7 +177,7 @@ def cmd_construct(args):
 
 def cmd_analyze(args):
     from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
-    from .inference import bootstrap_bounds_ci
+    from .inference import bootstrap_replicates, interval_from_replicates
 
     records, covs = _read_unit_csv(args.data, args.categories)
     if args.design == "randomized":
@@ -191,15 +197,15 @@ def cmd_analyze(args):
     }
     if args.bootstrap:
         seed = _seed(args)
+        reps = bootstrap_replicates(
+            records, estimator=args.design, n_boot=args.bootstrap, seed=seed,
+            J=args.categories, **({"strata": args.strata} if args.design == "adjusted" else {}),
+        )
         ci = {}
         for estimand in ("tau", "eta"):
             for lower, label in (("bound", estimand), ("independent", estimand + "_independent")):
-                ir = bootstrap_bounds_ci(
-                    records, estimator=args.design, estimand=estimand,
-                    n_boot=args.bootstrap, level=args.alpha_level, seed=seed,
-                    J=args.categories, lower=lower, method=args.ci_method,
-                    **({"strata": args.strata} if args.design == "adjusted" else {}),
-                )
+                ir = interval_from_replicates(reps, estimand, lower, level=args.alpha_level,
+                                              method=args.ci_method)
                 ci[label] = {"low": ir.ci_low, "high": ir.ci_high}
         payload["ci"] = ci
         payload["n_boot"] = args.bootstrap
@@ -209,7 +215,7 @@ def cmd_analyze(args):
 
 
 def cmd_analyze_iv(args):
-    from .inference import bootstrap_bounds_ci
+    from .inference import bootstrap_replicates, interval_from_replicates
     from .noncompliance import (
         complier_bounds,
         em_fit,
@@ -247,13 +253,13 @@ def cmd_analyze_iv(args):
         payload["complier_adjusted"] = _report_payload(rep)
     if args.bootstrap:
         seed = _seed(args)
+        reps = bootstrap_replicates(records, estimator="complier", n_boot=args.bootstrap,
+                                    seed=seed, J=args.categories,
+                                    monotonicity=args.monotonicity)
         ci = {}
         for estimand in ("tau", "eta"):
-            ir = bootstrap_bounds_ci(records, estimator="complier", estimand=estimand,
-                                     n_boot=args.bootstrap, level=args.alpha_level,
-                                     seed=seed, J=args.categories,
-                                     method=args.ci_method,
-                                     monotonicity=args.monotonicity)
+            ir = interval_from_replicates(reps, estimand, level=args.alpha_level,
+                                          method=args.ci_method)
             ci[estimand] = {"low": ir.ci_low, "high": ir.ci_high}
         payload["ci"] = ci
         payload["n_boot"] = args.bootstrap

@@ -1,20 +1,31 @@
 """Bootstrap confidence intervals for (lower, upper) bound pairs.
 
+One bootstrap serves every interval of a data set: bootstrap_replicates
+resamples once and returns, for the full sample and for each replicate that
+succeeded, the row (tau_L, tau_I, tau_U, eta_L, eta_I, eta_U).  An interval
+is then a pure function of that array (interval_from_replicates), so the
+intervals for (tau_L, tau_U), (tau_I, tau_U), (eta_L, eta_U) and
+(eta_I, eta_U) all come from the same resamples.
+
 The interval is the percentile-pair construction: the (1-level)/2 quantile of
 the bootstrapped lower bound paired with the (1+level)/2 quantile of the
 bootstrapped upper bound, so the resulting interval is designed to cover the
 whole identified set.
 
-Resampling matches the design: arm-stratified with replacement for
-randomized-experiment estimators (arm sizes preserved), whole-sample with a
-propensity refit per replicate for the inverse-propensity estimator.
-Replicate r draws from a dedicated stream spawned from (seed, r), so serial
-and parallel execution give identical results.
+Resampling matches the design: arm-stratified with replacement (arm sizes
+preserved) for every estimator but inverse-propensity weighting, which
+resamples the whole sample and refits the propensity per replicate.  For the
+randomized and complier estimators an arm-stratified resample is a
+multinomial redraw of each arm's counts, and all replicates are evaluated as
+one stack.  The other estimators refit each replicate; replicate r draws
+from a dedicated stream spawned from (seed, r), so serial and parallel
+execution give identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +42,10 @@ from .noncompliance import (
     _fit_counts,
     complier_bounds,
     complier_mle,
-    em_fit,
     em_fit_with_covariates,
 )
+
+COLUMNS = ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U")
 
 
 @dataclass(frozen=True)
@@ -52,68 +64,171 @@ class IntervalReport:
             raise ValueError(f"inverted interval: ci_low {self.ci_low} > ci_high {self.ci_high}")
 
 
-def _pair_from_report(report, estimand, lower: str = "bound"):
-    if estimand == "tau":
-        lo = report.tau_I if lower == "independent" else report.tau_L
-        return lo, report.tau_U
-    if estimand == "eta":
-        lo = report.eta_I if lower == "independent" else report.eta_L
-        return lo, report.eta_U
-    raise ValueError(f"unknown estimand {estimand!r}")
+class Replicates(NamedTuple):
+    """One bootstrap of one data set.
+
+    point is the full-sample row and rows the (k, 6) array of the k
+    replicates that succeeded, both with columns COLUMNS; n_failed counts
+    the replicates that raised an OrdBoundsError or did not converge.
+    """
+
+    point: np.ndarray
+    rows: np.ndarray
+    n_failed: int
+    seed: int
+
+    @property
+    def n_boot(self) -> int:
+        return len(self.rows) + self.n_failed
 
 
-def _make_pair_fn(estimator, estimand, J, lower, options):
-    """Returns records -> (lower, upper) for the requested estimator."""
-    opts = dict(options)
+def _columns(estimand, lower):
+    """Column indices of the (lower, upper) pair of an estimand."""
+    if estimand not in ("tau", "eta"):
+        raise ValueError(f"unknown estimand {estimand!r}")
+    upper = 2 if estimand == "tau" else 5
+    return upper - (1 if lower == "independent" else 2), upper
 
-    if estimator == "randomized":
+
+def _report_row(report):
+    return np.array([float(getattr(report, c)) for c in COLUMNS])
+
+
+def _kernel_rows(p1, p0):
+    """COLUMNS of stacked marginal pairs (k, J) by the array kernels."""
+    tl, tu = tau_bounds_array(p1, p0)
+    el, eu = eta_bounds_array(p1, p0)
+    return np.stack([tl, independent_tau_array(p1, p0), tu,
+                     el, independent_eta_array(p1, p0), eu], axis=1)
+
+
+def _randomized(records, n_boot, seed, J):
+    """Resampling units within arms is a multinomial redraw of the
+    within-arm counts."""
+    point = _report_row(estimate_randomized(records, J=J).report)
+    y1 = np.array([r.y for r in records if r.z == 1])
+    y0 = np.array([r.y for r in records if r.z == 0])
+    if J is None:
+        J = int(max(y1.max(), y0.max())) + 1
+    n1, n0 = len(y1), len(y0)
+    f1 = np.bincount(y1, minlength=J) / n1
+    f0 = np.bincount(y0, minlength=J) / n0
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    p1 = rng.multinomial(n1, f1, size=n_boot) / n1
+    p0 = rng.multinomial(n0, f0, size=n_boot) / n0
+    return point, _kernel_rows(p1, p0), 0
+
+
+def _complier(records, n_boot, seed, J, monotonicity):
+    """Complier bootstrap on (z, d, y) cell counts: arm-stratified unit
+    resampling is a multinomial redraw of each arm's cell counts.  One
+    full-sample fit gives the point row and the EM warm start of the
+    boundary replicates; all replicates go through complier_mle at once."""
+    if J is None:
+        J = max(r.y for r in records) + 1
+    counts = _cells(records, J)
+    fit, _ = _fit_counts(counts, monotonicity)
+    point = _report_row(complier_bounds(fit).complier)
+    n1, n0 = counts[1].sum(), counts[0].sum()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws1 = rng.multinomial(int(n1), counts[1].ravel() / n1, size=n_boot)
+    draws0 = rng.multinomial(int(n0), counts[0].ravel() / n0, size=n_boot)
+    stack = np.stack([draws0, draws1], axis=1).reshape(n_boot, 2, 2, J).astype(float)
+    init = (np.array([fit.pi_a, fit.pi_c, fit.pi_n]), fit.a_marginal.as_array(),
+            fit.n_marginal.as_array(), fit.c_treated.as_array(), fit.c_control.as_array())
+    # near-boundary resamples can need many cheap iterations
+    boot = complier_mle(stack, init=init, max_iter=20000)
+    ok = boot.converged
+    return point, _kernel_rows(boot.c1[ok], boot.c0[ok]), int(n_boot - ok.sum())
+
+
+def _report_fn(estimator, J, options):
+    """records -> BoundsReport of the estimators refitted per replicate."""
+    if estimator == "ipw":
         def fn(records):
-            return _pair_from_report(estimate_randomized(records, J=J).report, estimand, lower)
-    elif estimator == "ipw":
-        def fn(records):
-            est = estimate_ipw(records, propensity=opts.get("propensity"), J=J,
-                               trim=opts.get("trim", 0.01))
-            return _pair_from_report(est.report, estimand, lower)
+            return estimate_ipw(records, propensity=options.get("propensity"), J=J,
+                                trim=options.get("trim", 0.01)).report
     elif estimator == "adjusted":
         def fn(records):
-            est = estimate_adjusted(records, strata=opts.get("strata", "discrete"), J=J)
-            return _pair_from_report(est.report, estimand, lower)
-    elif estimator == "complier":
-        def fn(records):
-            fit = em_fit(records, monotonicity=opts.get("monotonicity", "standard"), J=J)
-            rep = complier_bounds(fit).complier
-            return _pair_from_report(rep, estimand, lower)
+            return estimate_adjusted(records, strata=options.get("strata", "discrete"), J=J).report
     elif estimator == "complier_adjusted":
         def fn(records):
             fit = em_fit_with_covariates(
-                records, monotonicity=opts.get("monotonicity", "standard"),
-                init=opts.get("init"), J=J,
+                records, monotonicity=options.get("monotonicity", "standard"),
+                init=options.get("init"), J=J,
             )
-            X = np.array([np.atleast_1d(r.x) for r in records], dtype=float)
-            rep = fit.complier_report(X)
-            return _pair_from_report(rep, estimand, lower)
+            return fit.complier_report(np.array([np.atleast_1d(r.x) for r in records], dtype=float))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return fn
 
 
-def _resample_indices(rng, records, scheme):
+def _resampler(records, scheme):
+    """rng -> resample indices, whole-sample or within each arm."""
     n = len(records)
     if scheme == "whole":
-        return rng.integers(0, n, size=n)
-    arm1 = np.nonzero([r.z == 1 for r in records])[0]
-    arm0 = np.nonzero([r.z == 0 for r in records])[0]
-    return np.concatenate([
-        arm1[rng.integers(0, len(arm1), size=len(arm1))],
-        arm0[rng.integers(0, len(arm0), size=len(arm0))],
-    ])
+        return lambda rng: rng.integers(0, n, size=n)
+    z = np.array([r.z for r in records])
+    arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
+    return lambda rng: np.concatenate([arm[rng.integers(0, len(arm), size=len(arm))]
+                                       for arm in arms])
 
 
-def _finish(point, lows, highs, n_boot, n_failed, level, seed, method):
+def _refitted(records, estimator, n_boot, seed, J, options):
+    report_fn = _report_fn(estimator, J, options)
+    point = _report_row(report_fn(records))
+    draw = _resampler(records, "whole" if estimator == "ipw" else "stratified")
+    rows = []
+    for ss in np.random.SeedSequence(seed).spawn(n_boot):
+        sample = [records[i] for i in draw(np.random.default_rng(ss))]
+        try:
+            rows.append(_report_row(report_fn(sample)))
+        except OrdBoundsError:
+            continue
+    return point, np.array(rows).reshape(-1, len(COLUMNS)), n_boot - len(rows)
+
+
+def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1000,
+                         seed: int = 0, J: int | None = None, **options) -> Replicates:
+    """Bootstrap the rows (tau_L, tau_I, tau_U, eta_L, eta_I, eta_U) of an
+    estimator once; every interval of the data set is built from the result
+    by interval_from_replicates.
+
+    estimator is "randomized", "ipw", "adjusted", "complier" or
+    "complier_adjusted"; options go to the estimator (propensity and trim
+    for ipw, strata for adjusted, monotonicity for the complier estimators,
+    init for complier_adjusted).  A full-sample failure raises; a replicate
+    failure is counted in n_failed.
+    """
+    if n_boot < 100:
+        raise ValueError("n_boot must be at least 100")
+    if estimator == "randomized":
+        point, rows, n_failed = _randomized(records, n_boot, seed, J)
+    elif estimator == "complier":
+        point, rows, n_failed = _complier(records, n_boot, seed, J,
+                                          options.get("monotonicity", "standard"))
+    else:
+        point, rows, n_failed = _refitted(records, estimator, n_boot, seed, J, options)
+    return Replicates(point, rows, n_failed, seed)
+
+
+def interval_from_replicates(replicates: Replicates, estimand: str = "tau",
+                             lower: str = "bound", level: float = 0.95,
+                             method: str = "percentile") -> IntervalReport:
+    """CI for the (lower, upper) pair of estimand from one bootstrap.
+
+    ReplicateFailure if more than 5% of the replicates failed.
+    method="percentile" pairs the lower quantile of the bootstrapped lower
+    bound with the upper quantile of the bootstrapped upper bound;
+    method="normal" widens the point bounds by z * bootstrap standard error.
+    The interval is clipped to [0, 1].
+    """
+    i, j = _columns(estimand, lower)
+    n_boot, n_failed = replicates.n_boot, replicates.n_failed
     if n_failed > 0.05 * n_boot:
         raise ReplicateFailure(f"{n_failed} of {n_boot} bootstrap replicates failed")
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
+    point = replicates.point[[i, j]]
+    lows, highs = replicates.rows[:, i], replicates.rows[:, j]
     if method == "percentile":
         alpha = (1 - level) / 2
         lo = float(np.quantile(lows, alpha))
@@ -129,100 +244,24 @@ def _finish(point, lows, highs, n_boot, n_failed, level, seed, method):
     return IntervalReport(
         point_lower=float(point[0]), point_upper=float(point[1]),
         ci_low=max(lo, 0.0), ci_high=min(hi, 1.0),
-        level=level, n_boot=n_boot, seed=seed, n_failed=n_failed,
+        level=level, n_boot=n_boot, seed=replicates.seed, n_failed=n_failed,
     )
-
-
-def _fast_randomized(records, estimand, lower, J, n_boot, level, seed, point, method):
-    """Vectorized bootstrap for the randomized estimator: resampling units
-    within arms is a multinomial redraw of the within-arm counts."""
-    y1 = np.array([r.y for r in records if r.z == 1])
-    y0 = np.array([r.y for r in records if r.z == 0])
-    if J is None:
-        J = int(max(y1.max(), y0.max())) + 1
-    n1, n0 = len(y1), len(y0)
-    f1 = np.bincount(y1, minlength=J) / n1
-    f0 = np.bincount(y0, minlength=J) / n0
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p1 = rng.multinomial(n1, f1, size=n_boot) / n1
-    p0 = rng.multinomial(n0, f0, size=n_boot) / n0
-    if estimand == "tau":
-        tl, tu = tau_bounds_array(p1, p0)
-        lows = independent_tau_array(p1, p0) if lower == "independent" else tl
-        highs = tu
-    else:
-        el, eu = eta_bounds_array(p1, p0)
-        lows = independent_eta_array(p1, p0) if lower == "independent" else el
-        highs = eu
-    return _finish(point, lows, highs, n_boot, 0, level, seed, method)
-
-
-def _fast_complier(records, estimand, J, n_boot, level, seed, method, options):
-    """Complier bootstrap on (d, y) cell counts: arm-stratified unit
-    resampling equals a multinomial redraw of each arm's cell counts.  One
-    full-sample fit gives the point bounds and the EM warm start of the
-    boundary replicates; all replicates go through complier_mle at once."""
-    if J is None:
-        J = max(r.y for r in records) + 1
-    counts = _cells(records, J)
-    fit, _ = _fit_counts(counts, options.get("monotonicity", "standard"))
-    point = _pair_from_report(complier_bounds(fit).complier, estimand)
-    n1, n0 = counts[1].sum(), counts[0].sum()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws1 = rng.multinomial(int(n1), counts[1].ravel() / n1, size=n_boot)
-    draws0 = rng.multinomial(int(n0), counts[0].ravel() / n0, size=n_boot)
-    stack = np.stack([draws0, draws1], axis=1).reshape(n_boot, 2, 2, J).astype(float)
-    init = (np.array([fit.pi_a, fit.pi_c, fit.pi_n]), fit.a_marginal.as_array(),
-            fit.n_marginal.as_array(), fit.c_treated.as_array(), fit.c_control.as_array())
-    # near-boundary resamples can need many cheap iterations
-    boot = complier_mle(stack, init=init, max_iter=20000)
-    ok = boot.converged
-    bounds = tau_bounds_array if estimand == "tau" else eta_bounds_array
-    lows, highs = bounds(boot.c1[ok], boot.c0[ok])
-    return _finish(point, lows, highs, n_boot, int(n_boot - ok.sum()), level, seed, method)
 
 
 def bootstrap_bounds_ci(records, estimator: str = "randomized", estimand: str = "tau",
                         n_boot: int = 1000, level: float = 0.95, seed: int = 0,
                         J: int | None = None, lower: str = "bound",
                         method: str = "percentile", **options) -> IntervalReport:
-    """Bootstrap CI for the identified set of tau or eta.
-
-    method="percentile" pairs the lower quantile of the bootstrapped lower
-    bound with the upper quantile of the bootstrapped upper bound;
-    method="normal" widens the point bounds by z * bootstrap standard error.
+    """Bootstrap CI for the identified set of tau or eta: one interval of
+    bootstrap_replicates (see interval_from_replicates for method).
 
     lower="independent" replaces the lower bound with the independent-coupling
     value, giving the CI for (tau_I, tau_U) or (eta_I, eta_U).
     """
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
-    if estimand not in ("tau", "eta"):
-        raise ValueError(f"unknown estimand {estimand!r}")
-    if estimator == "complier" and lower == "bound":
-        return _fast_complier(records, estimand, J, n_boot, level, seed, method, options)
-    pair_fn = _make_pair_fn(estimator, estimand, J, lower, options)
-    point = pair_fn(records)
-
-    if estimator == "randomized":
-        return _fast_randomized(records, estimand, lower, J, n_boot, level, seed, point, method)
-
-    scheme = "whole" if estimator == "ipw" else "stratified"
-    streams = np.random.SeedSequence(seed).spawn(n_boot)
-    lows, highs = [], []
-    n_failed = 0
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        idx = _resample_indices(rng, records, scheme)
-        sample = [records[i] for i in idx]
-        try:
-            lo, hi = pair_fn(sample)
-        except OrdBoundsError:
-            n_failed += 1
-            continue
-        lows.append(lo)
-        highs.append(hi)
-    return _finish(point, lows, highs, n_boot, n_failed, level, seed, method)
+    _columns(estimand, lower)
+    reps = bootstrap_replicates(records, estimator=estimator, n_boot=n_boot, seed=seed,
+                                J=J, **options)
+    return interval_from_replicates(reps, estimand, lower, level=level, method=method)
 
 
 def bootstrap_pair_ci_with_independent(records, estimator: str = "randomized",

@@ -28,6 +28,7 @@ from .estimation import UnitRecord, conditional_report_from_models
 from .exceptions import (
     DefiersObserved,
     DegenerateInit,
+    EmptyArm,
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
@@ -125,7 +126,8 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
 
 
 def _cells(records, J):
-    """Counts n[z][d][y] as a (2, 2, J) array."""
+    """Counts n[z][d][y] as a (2, 2, J) array; EmptyArm if either assignment
+    arm has no units (the mixture subtraction divides by the arm sizes)."""
     try:
         zdy = np.array([(r.z, r.d, r.y) for r in records], dtype=np.int64).reshape(-1, 3)
     except TypeError:
@@ -133,7 +135,10 @@ def _cells(records, J):
     z, d, y = zdy.T
     if ((z != 0) & (z != 1)).any() or ((d != 0) & (d != 1)).any() or ((y < 0) | (y >= J)).any():
         raise ValueError(f"z and d must be 0 or 1 and y in 0..{J - 1}")
-    return np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
+    counts = np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
+    if not counts[0].any() or not counts[1].any():
+        raise EmptyArm("both assignment arms (z=0 and z=1) are required")
+    return counts
 
 
 def _freq(v):

@@ -1,16 +1,24 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from ordbounds.cli import main
+from ordbounds import bootstrap_bounds_ci
+from ordbounds.cli import _read_unit_csv, main
+from ordbounds.estimation import UnitRecord
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def write_csv(path, rows, header):
@@ -154,6 +162,38 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["j"] == 4
 
+    def test_short_row_exits_2_with_its_line(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("z,y,x\n1,0,0.5\n0,1\n")
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path))
+        assert code == 2
+        assert f"{path}:3: bad row" in err
+
+    def test_non_numeric_cell_exits_2_with_its_line(self, capsys, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("z,y,x\n1,0,0.5\n0,1,0.25\n1,1,n/a\n")
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path))
+        assert code == 2
+        assert f"{path}:4: bad row" in err
+
+    def test_reader_matches_dict_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = [(int(z), float(a), int(d), int(y), float(b))
+                for z, a, d, y, b in zip(rng.integers(0, 2, 50), rng.random(50),
+                                         rng.integers(0, 2, 50), rng.integers(0, 4, 50),
+                                         rng.normal(size=50))]
+        path = tmp_path / "units.csv"
+        write_csv(path, rows, ("z", "a", "d", "y", "b"))
+        with open(path, "a") as f:
+            f.write("\n1,0.5,1,2,-1.5\n")   # a blank line is skipped
+        with open(path, newline="") as f:
+            want = [UnitRecord(z=int(r["z"]), y=int(r["y"]), d=int(r["d"]),
+                               x=(float(r["a"]), float(r["b"])))
+                    for r in csv.DictReader(f)]
+        records, covs = _read_unit_csv(str(path), None)
+        assert covs == ["a", "b"]
+        assert records == want and len(records) == 51
+
     def test_categories_too_small_exits_2(self, capsys, tmp_path):
         path = tmp_path / "units.csv"
         write_csv(path, [(1, 3), (0, 0)], ("z", "y"))
@@ -161,6 +201,47 @@ class TestAnalyze:
             capsys, "analyze", "--data", str(path), "--categories", "2"
         )
         assert code == 2
+
+
+def covariate_csv(tmp_path, rows):
+    path = tmp_path / "cov.csv"
+    write_csv(path, [(r.z, r.y, r.x[0]) for r in rows], ("z", "y", "x"))
+    return path
+
+
+class TestAnalyzeBootstrap:
+    """One bootstrap per job: the four intervals of the ci block are the
+    four separate bootstrap_bounds_ci calls on the same resamples."""
+
+    @pytest.mark.parametrize("design, options", [
+        ("randomized", {}), ("ipw", {}), ("adjusted", {"strata": "model"}),
+    ])
+    @pytest.mark.parametrize("method", ["percentile", "normal"])
+    def test_ci_block_equals_separate_calls(self, capsys, tmp_path, design, options, method):
+        from test_inference import covariate_records
+
+        path = covariate_csv(tmp_path, covariate_records(41, n=200))
+        code, out = run_cli(capsys, "analyze", "--data", str(path), "--design", design,
+                            "--bootstrap", "100", "--seed", "6", "--ci-method", method,
+                            "--alpha-level", "0.9")
+        assert code == 0
+        ci = json.loads(out)["ci"]
+        records, _ = _read_unit_csv(str(path), None)
+        for estimand in ("tau", "eta"):
+            for lower, label in (("bound", estimand), ("independent", estimand + "_independent")):
+                ir = bootstrap_bounds_ci(records, estimator=design, estimand=estimand,
+                                         n_boot=100, level=0.9, seed=6, lower=lower,
+                                         method=method, **options)
+                assert ci[label] == {"low": ir.ci_low, "high": ir.ci_high}
+
+    def test_replicate_failures_exit_3(self, capsys, tmp_path):
+        from test_inference import rare_stratum_records
+
+        path = covariate_csv(tmp_path, rare_stratum_records())
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path), "--design", "adjusted",
+                                "--strata", "discrete", "--bootstrap", "100", "--seed", "3")
+        assert code == 3
+        assert "ReplicateFailure" in err
 
 
 class TestAnalyzeIV:
@@ -209,6 +290,35 @@ class TestAnalyzeIV:
         write_csv(path, [(0, 0, 0), (1, 1, 1), (2, 1, 0), (0, 1, 1)], ("z", "d", "y"))
         code, _ = run_cli(capsys, "analyze-iv", "--data", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("method", ["percentile", "normal"])
+    def test_ci_block_equals_separate_calls(self, capsys, tmp_path, method):
+        path = self.make_iv_data(tmp_path)
+        code, out = run_cli(capsys, "analyze-iv", "--data", str(path), "--bootstrap", "100",
+                            "--seed", "8", "--ci-method", method)
+        assert code == 0
+        ci = json.loads(out)["ci"]
+        records, _ = _read_unit_csv(str(path), None)
+        for estimand in ("tau", "eta"):
+            ir = bootstrap_bounds_ci(records, estimator="complier", estimand=estimand,
+                                     n_boot=100, seed=8, method=method)
+            assert ci[estimand] == {"low": ir.ci_low, "high": ir.ci_high}
+
+    @pytest.mark.parametrize("cmd", ["analyze", "analyze-iv"])
+    def test_too_few_replicates_exits_2(self, capsys, tmp_path, cmd):
+        path = self.make_iv_data(tmp_path)
+        code, _ = run_cli(capsys, cmd, "--data", str(path), "--bootstrap", "50")
+        assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--moment"], ["--bootstrap", "100"]])
+    def test_empty_arm_exits_2(self, capsys, tmp_path, extra):
+        path = tmp_path / "iv.csv"
+        write_csv(path, [(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0)], ("z", "d", "y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "analyze-iv", "--data", str(path), *extra)
+        assert code == 2
+        assert out == ""
 
     def test_strong_monotonicity_with_always_takers_exits_2(self, capsys, tmp_path):
         path = self.make_iv_data(tmp_path)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ordbounds import (
 )
 from ordbounds.exceptions import (
     DefiersObserved,
+    EmptyArm,
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
@@ -306,6 +308,17 @@ class TestCells:
     def test_out_of_range_rejected(self, z, d, y):
         with pytest.raises(ValueError):
             _cells([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)], 3)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("fit", [_cells, moment_identify, em_fit])
+    def test_empty_arm_rejected(self, arm, fit):
+        # without the check the mixture subtraction divides by the empty
+        # arm's size: numpy warnings, then nan strata or EM on nan
+        recs = [r for r in draw_iv_records(TRUTH, 200, np.random.default_rng(77)) if r.z != arm]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyArm):
+                fit(recs, 3) if fit is _cells else fit(recs)
 
 
 class TestComplierMLE:
