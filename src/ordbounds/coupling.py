@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import eta_bounds, tau_bounds  # noqa: F401 (used by tests/demos)
 from .distributions import JointDistribution, MarginalPair, delta_effects
 from .exceptions import DominanceViolated, LengthMismatch
 

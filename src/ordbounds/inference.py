@@ -17,9 +17,14 @@ preserved) for every estimator but inverse-propensity weighting, which
 resamples the whole sample and refits the propensity per replicate.  For the
 randomized and complier estimators an arm-stratified resample is a
 multinomial redraw of each arm's counts, and all replicates are evaluated as
-one stack.  The other estimators refit each replicate; replicate r draws
-from a dedicated stream spawned from (seed, r), so serial and parallel
-execution give identical results.
+one stack.  The ipw and adjusted estimators draw replicate r's unit indices
+from a dedicated stream spawned from (seed, r), turn each resample into a
+row of unit counts, and fit and evaluate all rows at once: one stacked
+propensity logit (ipw), stacked per-arm proportional-odds fits grouped by
+the top category each arm-resample observed (adjusted, strata="model"), or
+per-stratum counts (adjusted, strata="discrete").  Each replicate's rows
+and failures equal those of refitting it alone.  Only complier_adjusted
+still refits each replicate in a loop (one covariate EM per replicate).
 """
 
 from __future__ import annotations
@@ -37,6 +42,12 @@ from .bounds import (
 )
 from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
 from .exceptions import OrdBoundsError, ReplicateFailure
+from .models import (
+    _sigmoid,
+    cumulative_logit_proba,
+    fit_cumulative_logit_rows,
+    fit_logit_rows,
+)
 from .noncompliance import (
     _cells,
     _fit_counts,
@@ -69,13 +80,16 @@ class Replicates(NamedTuple):
 
     point is the full-sample row and rows the (k, 6) array of the k
     replicates that succeeded, both with columns COLUMNS; n_failed counts
-    the replicates that raised an OrdBoundsError or did not converge.
+    the replicates that failed (an OrdBoundsError or no convergence) and
+    failures names them as (replicate index, exception name) pairs in
+    index order, so one failure can be replayed from its spawned stream.
     """
 
     point: np.ndarray
     rows: np.ndarray
     n_failed: int
     seed: int
+    failures: tuple = ()
 
     @property
     def n_boot(self) -> int:
@@ -95,11 +109,12 @@ def _report_row(report):
 
 
 def _kernel_rows(p1, p0):
-    """COLUMNS of stacked marginal pairs (k, J) by the array kernels."""
+    """COLUMNS (..., 6) of stacked marginal pairs (..., J) by the array
+    kernels."""
     tl, tu = tau_bounds_array(p1, p0)
     el, eu = eta_bounds_array(p1, p0)
     return np.stack([tl, independent_tau_array(p1, p0), tu,
-                     el, independent_eta_array(p1, p0), eu], axis=1)
+                     el, independent_eta_array(p1, p0), eu], axis=-1)
 
 
 def _randomized(records, n_boot, seed, J):
@@ -116,7 +131,7 @@ def _randomized(records, n_boot, seed, J):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p1 = rng.multinomial(n1, f1, size=n_boot) / n1
     p0 = rng.multinomial(n0, f0, size=n_boot) / n0
-    return point, _kernel_rows(p1, p0), 0
+    return point, _kernel_rows(p1, p0), ()
 
 
 def _complier(records, n_boot, seed, J, monotonicity):
@@ -139,28 +154,8 @@ def _complier(records, n_boot, seed, J, monotonicity):
     # near-boundary resamples can need many cheap iterations
     boot = complier_mle(stack, init=init, max_iter=20000)
     ok = boot.converged
-    return point, _kernel_rows(boot.c1[ok], boot.c0[ok]), int(n_boot - ok.sum())
-
-
-def _report_fn(estimator, J, options):
-    """records -> BoundsReport of the estimators refitted per replicate."""
-    if estimator == "ipw":
-        def fn(records):
-            return estimate_ipw(records, propensity=options.get("propensity"), J=J,
-                                trim=options.get("trim", 0.01)).report
-    elif estimator == "adjusted":
-        def fn(records):
-            return estimate_adjusted(records, strata=options.get("strata", "discrete"), J=J).report
-    elif estimator == "complier_adjusted":
-        def fn(records):
-            fit = em_fit_with_covariates(
-                records, monotonicity=options.get("monotonicity", "standard"),
-                init=options.get("init"), J=J,
-            )
-            return fit.complier_report(np.array([np.atleast_1d(r.x) for r in records], dtype=float))
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return fn
+    failures = tuple((int(i), "NonConvergence") for i in np.flatnonzero(~ok))
+    return point, _kernel_rows(boot.c1[ok], boot.c0[ok]), failures
 
 
 def _resampler(records, scheme):
@@ -174,18 +169,185 @@ def _resampler(records, scheme):
                                        for arm in arms])
 
 
-def _refitted(records, estimator, n_boot, seed, J, options):
-    report_fn = _report_fn(estimator, J, options)
-    point = _report_row(report_fn(records))
-    draw = _resampler(records, "whole" if estimator == "ipw" else "stratified")
-    rows = []
-    for ss in np.random.SeedSequence(seed).spawn(n_boot):
-        sample = [records[i] for i in draw(np.random.default_rng(ss))]
+def _index_stack(records, scheme, n_boot, seed):
+    """(n_boot, n) resample indices; row r comes from the stream spawned
+    from (seed, r)."""
+    draw = _resampler(records, scheme)
+    return np.stack([draw(np.random.default_rng(ss))
+                     for ss in np.random.SeedSequence(seed).spawn(n_boot)])
+
+
+def _sums_by_label(w, labels, m):
+    """(k, m) sums of the weight rows w (k, n) over units with each label
+    0..m-1."""
+    k = len(w)
+    at = (labels + m * np.arange(k)[:, None]).ravel()
+    return np.bincount(at, weights=w.ravel(), minlength=k * m).reshape(k, m)
+
+
+def _drop(why, live, failed, names):
+    """Record names as the failure of the replicates live[failed]; return
+    the replicates still live."""
+    why[live[failed]] = names
+    return live[~failed]
+
+
+def _drop_fit_failures(why, live, error):
+    """_drop for the per-row failures of a stacked fit; also returns the
+    mask of the rows that converged."""
+    ok = np.array([e is None for e in error], dtype=bool)
+    return _drop(why, live, ~ok, [type(e).__name__ for e in error[~ok]]), ok
+
+
+def _weighted_rank(M, W):
+    """Rank of the resampled design: M with each unit repeated W[k] times
+    has the singular values of sqrt(W[k]) M."""
+    return np.linalg.matrix_rank(np.sqrt(W)[:, :, None] * M)
+
+
+def _ipw_rows(records, J, propensity=None, trim=0.01):
+    """W -> (rows, why) of the inverse-propensity estimator: one stacked
+    propensity logit, the trim check on resampled units, Hajek marginals."""
+    z = np.array([r.z for r in records], dtype=float)
+    y = np.array([r.y for r in records])
+    inside = y < J
+    n = len(z)
+    if propensity is None:
+        X = np.array([r.x for r in records], dtype=float).reshape(n, -1)
+        M = np.hstack([np.ones((n, 1)), X])
+
+    def rows_fn(W):
+        why = np.full(len(W), None, dtype=object)
+        live = np.arange(len(W))
+        n1 = W @ z
+        live = _drop(why, live, (n1 == 0) | (n1 == n), "EmptyArm")
+        if propensity is None:
+            live = _drop(why, live, _weighted_rank(M, W[live]) < M.shape[1], "RankDeficient")
+            coef, error = fit_logit_rows(z, M, W[live])
+            live, ok = _drop_fit_failures(why, live, error)
+            e = _sigmoid(coef[ok] @ M.T)
+        else:
+            e = np.broadcast_to(np.asarray(propensity, dtype=float), (len(live), n))
+        Wl = W[live]
+        extreme = (((e < trim) | (e > 1 - trim)) & (Wl > 0)).any(axis=1)
+        live = _drop(why, live, extreme, "ExtremePropensity")
+        e, Wl = e[~extreme], Wl[~extreme]
+        # units outside the resample may have e at 0 or 1
+        w1 = np.divide(Wl * z, e, out=np.zeros_like(Wl), where=Wl > 0)
+        w0 = np.divide(Wl * (1 - z), 1 - e, out=np.zeros_like(Wl), where=Wl > 0)
+        # as ipw_marginals, outcomes outside 0..J-1 are left out
+        p1, p0 = (_sums_by_label(w[:, inside], y[inside], J) for w in (w1, w0))
+        rows = np.full((len(W), len(COLUMNS)), np.nan)
+        rows[live] = _kernel_rows(p1 / p1.sum(axis=1, keepdims=True),
+                                  p0 / p0.sum(axis=1, keepdims=True))
+        return rows, why
+
+    return rows_fn
+
+
+def _model_rows(records, J):
+    """W -> (rows, why) of the adjusted estimator with per-arm
+    proportional-odds fits.  A fit infers its J from the top category its
+    arm-resample observed, so the rows of each arm are fitted in groups of
+    equal J; cutpoints above a group's top are +inf (probability 0)."""
+    X = np.array([r.x for r in records], dtype=float)
+    X = X.reshape(len(X), -1)
+    y = np.array([r.y for r in records])
+    z = np.array([r.z for r in records])
+    n, d = X.shape
+    arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
+
+    def rows_fn(W):
+        why = np.full(len(W), None, dtype=object)
+        live = np.arange(len(W))
+        cut = np.full((2, len(W), J - 1), np.inf)
+        slope = np.zeros((2, len(W), d))
+        for arm, units in enumerate(arms):
+            ya, Xa = y[units], X[units]
+            Wa = W[live][:, units]
+            observed = (_sums_by_label(Wa, ya, J) > 0).sum(axis=1)
+            live = _drop(why, live, observed < 2, "TooFewCategories")
+            Wa = Wa[observed >= 2]
+            if d:
+                low = _weighted_rank(Xa, Wa) < d
+                live = _drop(why, live, low, "RankDeficient")
+                Wa = Wa[~low]
+            Ja = np.where(Wa > 0, ya, -1).max(axis=1, initial=-1) + 1
+            error = np.full(len(live), None, dtype=object)
+            for Jg in np.unique(Ja):
+                g = np.flatnonzero(Ja == Jg)
+                c, s, error[g] = fit_cumulative_logit_rows(np.minimum(ya, Jg - 1), Xa, Wa[g], Jg)
+                cut[arm, live[g], : Jg - 1] = c
+                slope[arm, live[g]] = s
+            live, _ = _drop_fit_failures(why, live, error)
+        p1 = cumulative_logit_proba(cut[0, live], slope[0, live], X)
+        p0 = cumulative_logit_proba(cut[1, live], slope[1, live], X)
+        rows = np.full((len(W), len(COLUMNS)), np.nan)
+        rows[live] = np.einsum("kn,kni->ki", W[live] / n, _kernel_rows(p1, p0))
+        return rows, why
+
+    return rows_fn
+
+
+def _discrete_rows(records, J):
+    """W -> (rows, why) of the adjusted estimator with discrete strata:
+    per-stratum, per-arm outcome counts by one bincount."""
+    labels = {}
+    s = np.array([labels.setdefault(r.x, len(labels)) for r in records])
+    z = np.array([r.z for r in records])
+    y = np.array([r.y for r in records])
+    S, n = len(labels), len(records)
+    cells = (2 * s + z) * J + y
+
+    def rows_fn(W):
+        why = np.full(len(W), None, dtype=object)
+        counts = _sums_by_label(W, cells, S * 2 * J).reshape(len(W), S, 2, J)
+        size = counts.sum(axis=3)                                   # (k, S, 2)
+        missing = ((size.sum(axis=2) > 0) & (size == 0).any(axis=2)).any(axis=1)
+        live = _drop(why, np.arange(len(W)), missing, "StratumMissingArm")
+        freq = counts[live] / np.maximum(size[live], 1)[..., None]
+        share = size[live].sum(axis=2) / n
+        rows = np.full((len(W), len(COLUMNS)), np.nan)
+        rows[live] = np.einsum("ks,ksi->ki", share, _kernel_rows(freq[:, :, 1], freq[:, :, 0]))
+        return rows, why
+
+    return rows_fn
+
+
+# elements of one (replicates x units x categories) block of a stacked bootstrap
+_BLOCK = 2 ** 20
+
+
+def _stacked(records, scheme, n_boot, seed, J, rows_fn):
+    """Rows and failures of every replicate, fitted and evaluated as stacks
+    of resample counts, in blocks of replicates that bound memory."""
+    n = len(records)
+    idx = _index_stack(records, scheme, n_boot, seed)
+    parts = [rows_fn(_sums_by_label(np.ones(b.shape), b, n))
+             for b in np.array_split(idx, -(-n_boot * n * J // _BLOCK))]
+    rows = np.concatenate([r for r, _ in parts])
+    why = np.concatenate([w for _, w in parts])
+    failed = np.flatnonzero([w is not None for w in why])
+    return np.delete(rows, failed, axis=0), tuple((int(i), why[i]) for i in failed)
+
+
+def _complier_adjusted(records, n_boot, seed, J, options):
+    """The covariate complier estimator refits covariate EM per replicate."""
+    def report(sample):
+        fit = em_fit_with_covariates(
+            sample, monotonicity=options.get("monotonicity", "standard"),
+            init=options.get("init"), J=J,
+        )
+        return fit.complier_report(np.array([np.atleast_1d(r.x) for r in sample], dtype=float))
+
+    point = _report_row(report(records))
+    rows, failures = [], []
+    for r, idx in enumerate(_index_stack(records, "stratified", n_boot, seed)):
         try:
-            rows.append(_report_row(report_fn(sample)))
-        except OrdBoundsError:
-            continue
-    return point, np.array(rows).reshape(-1, len(COLUMNS)), n_boot - len(rows)
+            rows.append(_report_row(report([records[i] for i in idx])))
+        except OrdBoundsError as e:
+            failures.append((r, type(e).__name__))
+    return point, np.array(rows).reshape(-1, len(COLUMNS)), tuple(failures)
 
 
 def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1000,
@@ -198,18 +360,33 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     "complier_adjusted"; options go to the estimator (propensity and trim
     for ipw, strata for adjusted, monotonicity for the complier estimators,
     init for complier_adjusted).  A full-sample failure raises; a replicate
-    failure is counted in n_failed.
+    failure is counted in n_failed and named in failures.
     """
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
     if estimator == "randomized":
-        point, rows, n_failed = _randomized(records, n_boot, seed, J)
+        point, rows, failures = _randomized(records, n_boot, seed, J)
     elif estimator == "complier":
-        point, rows, n_failed = _complier(records, n_boot, seed, J,
+        point, rows, failures = _complier(records, n_boot, seed, J,
                                           options.get("monotonicity", "standard"))
+    elif estimator == "complier_adjusted":
+        point, rows, failures = _complier_adjusted(records, n_boot, seed, J, options)
+    elif estimator == "ipw":
+        propensity, trim = options.get("propensity"), options.get("trim", 0.01)
+        point = _report_row(estimate_ipw(records, propensity=propensity, J=J, trim=trim).report)
+        Jr = J or max(r.y for r in records) + 1
+        rows, failures = _stacked(records, "whole", n_boot, seed, Jr,
+                                  _ipw_rows(records, Jr, propensity, trim))
+    elif estimator == "adjusted":
+        strata = options.get("strata", "discrete")
+        point = _report_row(estimate_adjusted(records, strata=strata, J=J).report)
+        # the fits may see more categories than J; extra ones are padding
+        Jr = max(J or 0, max(r.y for r in records) + 1)
+        make = _model_rows if strata == "model" else _discrete_rows
+        rows, failures = _stacked(records, "stratified", n_boot, seed, Jr, make(records, Jr))
     else:
-        point, rows, n_failed = _refitted(records, estimator, n_boot, seed, J, options)
-    return Replicates(point, rows, n_failed, seed)
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return Replicates(point, rows, len(failures), seed, failures)
 
 
 def interval_from_replicates(replicates: Replicates, estimand: str = "tau",

@@ -10,9 +10,17 @@ Conventions
 * Cumulative logit uses logit pr(Y <= j | x) = alpha_j + x' beta, with
   strictly increasing cutpoints alpha_0 < ... < alpha_{J-2} enforced by the
   (alpha_0, log-gap) reparameterization.
-* Optimization is Newton-Raphson with step-halving; convergence requires
-  gradient sup-norm < 1e-8 within 200 iterations.  Intercept-only fits use
-  the closed forms directly.
+* Every log-likelihood has an analytic gradient and Hessian (the cumulative
+  logit's through the (alpha_0, log-gap) chain rule).
+* Optimization is one Newton-Raphson with step-halving over a (B, p) stack
+  of parameter rows, each fitted under its own row of data weights (a
+  bootstrap resample is a row of counts on the original units).  Every row
+  converges when its gradient sup-norm is below 1e-8 within 200 iterations
+  and otherwise gets a per-row status (NonConvergence or
+  SeparationDetected) instead of stopping the stack.  fit_logit,
+  fit_cumulative_logit and fit_multinomial_logit are the one-row case and
+  raise that status; fit_logit_rows and fit_cumulative_logit_rows return
+  it.  Intercept-only fits use the closed forms directly.
 """
 
 from __future__ import annotations
@@ -82,10 +90,8 @@ class CumulativeLogitModel:
             raise DimensionMismatch(
                 f"model has {len(self.slope)} covariates, got {X.shape[1]}"
             )
-        u = X @ np.array(self.slope) if self.slope else np.zeros(X.shape[0])
-        cum = _sigmoid(np.add.outer(u, np.array(self.cutpoints)))
-        cum = np.hstack([np.zeros((len(u), 1)), cum, np.ones((len(u), 1))])
-        return np.diff(cum, axis=1)
+        slope = np.array(self.slope).reshape(1, -1)
+        return cumulative_logit_proba(np.array([self.cutpoints]), slope, X)[0]
 
 
 def predict_marginal(model: CumulativeLogitModel, x) -> MarginalDistribution:
@@ -127,46 +133,192 @@ class MultinomialLogitModel:
         return e / e.sum(axis=1, keepdims=True)
 
 
+# -- stacked Newton-Raphson --------------------------------------------------
+
+def _gram(c, M):
+    """sum_i c[k, i] M[i] M[i]' for each row k of c: (k, q, q)."""
+    return (M.T * c[:, None, :]) @ M
+
+
+def _ascent_direction(grad, hess):
+    """Newton direction of each row; the gradient scaled to sup-norm <= 1
+    where the Hessian is singular or the Newton step does not ascend."""
+    A = hess - 1e-10 * np.eye(grad.shape[1])
+    try:
+        step = np.linalg.solve(A, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:   # some row is singular: solve row by row
+        step = np.zeros_like(grad)  # a zero step falls back to the gradient
+        for k in range(len(grad)):
+            try:
+                step[k] = np.linalg.solve(A[k], grad[k])
+            except np.linalg.LinAlgError:
+                pass
+    direction = -step
+    back = (grad * direction).sum(axis=1) <= 0
+    g = grad[back]
+    direction[back] = g / np.maximum(np.abs(g).max(axis=1), 1.0)[:, None]
+    return direction
+
+
+def _newton(f, theta, cap_slice=slice(None), grad_tol=GRAD_TOL, max_iter=MAX_ITER):
+    """Newton-Raphson with step-halving on a (B, p) stack of parameter rows.
+
+    f(theta, rows) returns the log-likelihood (k,), gradient (k, p) and
+    analytic Hessian (k, p, p) of the stack rows ``rows`` at the (k, p)
+    parameters theta.  Every row follows the one-fit rules on its own: it
+    converges when its gradient sup-norm is below grad_tol, fails with
+    NonConvergence when 40 step halvings do not improve its log-likelihood
+    or it is still iterating after max_iter steps, and with
+    SeparationDetected when a coefficient in cap_slice exceeds COEF_CAP.
+    A finished row leaves the stack, so f only sees the rows still running.
+
+    Returns the final (B, p) rows and a length-B object array holding None
+    for each row that converged and the exception of each row that failed.
+    """
+    theta = np.array(theta, dtype=float)
+    error = np.full(len(theta), None, dtype=object)
+    live = np.arange(len(theta))
+    ll, grad, hess = f(theta, live)
+    for _ in range(max_iter):
+        going = np.abs(grad).max(axis=1) >= grad_tol
+        live, ll, grad, hess = live[going], ll[going], grad[going], hess[going]
+        if not len(live):
+            return theta, error
+        direction = _ascent_direction(grad, hess)
+        todo, scale = np.arange(len(live)), 1.0
+        for _ in range(40):
+            cand = theta[live[todo]] + scale * direction[todo]
+            ll_c, grad_c, hess_c = f(cand, live[todo])
+            up = np.isfinite(ll_c) & (ll_c >= ll[todo] - 1e-12)
+            done = todo[up]
+            theta[live[done]] = cand[up]
+            ll[done], grad[done], hess[done] = ll_c[up], grad_c[up], hess_c[up]
+            todo = todo[~up]
+            if not len(todo):
+                break
+            scale *= 0.5
+        stuck = np.zeros(len(live), dtype=bool)
+        stuck[todo] = True
+        for r in live[stuck]:
+            error[r] = NonConvergence("line search failed to improve log-likelihood")
+        capped = ~stuck & (np.abs(theta[live][:, cap_slice]).max(axis=1, initial=0.0) > COEF_CAP)
+        for r in live[capped]:
+            error[r] = SeparationDetected(f"coefficient norm exceeded {COEF_CAP}")
+        going = ~(stuck | capped)
+        live, ll, grad, hess = live[going], ll[going], grad[going], hess[going]
+    for r, g in zip(live, np.abs(grad).max(axis=1, initial=0.0)):
+        if g >= grad_tol:
+            error[r] = NonConvergence(f"gradient norm {g:.2e} after {max_iter} iterations")
+    return theta, error
+
+
+def _raise_failure(error):
+    """Raise the failure of a one-row fit, if any."""
+    if error[0] is not None:
+        raise error[0]
+
+
 # -- cumulative logit --------------------------------------------------------
 
-def _cumlogit_unpack(theta, J, d):
-    a0 = theta[0]
-    gaps = np.exp(theta[1 : J - 1])
-    cut = a0 + np.concatenate([[0.0], np.cumsum(gaps)])
-    beta = theta[J - 1 :]
-    return cut, gaps, beta
+def _cumlogit_cuts(theta, J):
+    """Cutpoints (k, J-1) and gaps (k, J-2) of (a0, log-gap) rows."""
+    gaps = np.exp(theta[:, 1 : J - 1])
+    cut = theta[:, :1] + np.hstack([np.zeros((len(theta), 1)), np.cumsum(gaps, axis=1)])
+    return cut, gaps
+
+
+def cumulative_logit_proba(cut, slope, X) -> np.ndarray:
+    """Category probabilities (B, n, J) of B proportional-odds parameter rows,
+    cutpoints (B, J-1) and slopes (B, d), at the covariate rows X (n, d).  A
+    cutpoint of +inf gives its category and every one above it probability 0.
+    """
+    F = _sigmoid((slope @ X.T)[:, :, None] + cut[:, None, :])
+    return np.diff(F, axis=2, prepend=0.0, append=1.0)
+
+
+def _cumlogit_derivs(theta, y, X, w, J):
+    """Mean log-likelihood (k,), gradient (k, p) and Hessian (k, p, p) of the
+    proportional-odds model at (a0, log-gap, slope) rows theta (k, p),
+    p = J-1+d, under weight rows w (k, n) on one data set (y < J, X).
+
+    Each unit's log p_y depends on eta_hi = alpha_y + x'beta (absent for
+    y = J-1) and eta_lo = alpha_{y-1} + x'beta (absent for y = 0).  Its
+    derivatives in (eta_hi, eta_lo) are carried to (alpha, beta) by one-hot
+    indicators and then to (a0, log-gaps) by alpha = A (a0, gaps); the
+    curvature of the exp in the gaps adds the gap gradient to the diagonal.
+    """
+    k = len(theta)
+    n = len(y)
+    cut, gaps = _cumlogit_cuts(theta, J)
+    u = theta[:, J - 1 :] @ X.T
+    hi, lo = y <= J - 2, y >= 1
+    Yhi = (y[:, None] == np.arange(J - 1)).astype(float)       # alpha_y, (n, J-1)
+    Ylo = (y[:, None] - 1 == np.arange(J - 1)).astype(float)   # alpha_{y-1}
+    F_hi = np.ones((k, n))
+    F_hi[:, hi] = _sigmoid(u[:, hi] + cut[:, y[hi]])
+    F_lo = np.zeros((k, n))
+    F_lo[:, lo] = _sigmoid(u[:, lo] + cut[:, y[lo] - 1])
+    p = np.clip(F_hi - F_lo, 1e-300, None)
+    a = w / w.sum(axis=1, keepdims=True)
+    ll = (a * np.log(p)).sum(axis=1)
+
+    f_hi, f_lo = F_hi * (1.0 - F_hi), F_lo * (1.0 - F_lo)      # 0 without the cutpoint
+    g_hi, g_lo = f_hi / p, -f_lo / p                           # d log p / d eta
+    # d f / d eta = f (1 - 2F)
+    h_hi = a * (f_hi * (1.0 - 2.0 * F_hi) / p - g_hi * g_hi)
+    h_lo = a * (-f_lo * (1.0 - 2.0 * F_lo) / p - g_lo * g_lo)
+    h_x = a * (-g_hi * g_lo)
+    g_hi, g_lo = a * g_hi, a * g_lo
+
+    grad_cut = g_hi @ Yhi + g_lo @ Ylo
+    H_cc = np.zeros((k, J - 1, J - 1))
+    i = np.arange(J - 1)
+    H_cc[:, i, i] = h_hi @ Yhi + h_lo @ Ylo
+    off = (h_x @ Yhi)[:, 1:]                                   # alpha_m with alpha_{m-1}
+    H_cc[:, i[1:], i[:-1]] = off
+    H_cc[:, i[:-1], i[1:]] = off
+    H_cb = (Yhi.T * (h_hi + h_x)[:, None, :]) @ X + (Ylo.T * (h_lo + h_x)[:, None, :]) @ X
+    H_bb = _gram(h_hi + 2.0 * h_x + h_lo, X)
+
+    # alpha_m = a0 + sum_{r <= m} gap_r
+    A = np.tril(np.ones((J - 1, J - 1))) * np.hstack([np.ones((k, 1)), gaps])[:, None, :]
+    At = A.transpose(0, 2, 1)
+    grad_t = (At @ grad_cut[:, :, None])[:, :, 0]
+    H_tt = At @ H_cc @ A
+    H_tt[:, i[1:], i[1:]] += grad_t[:, 1:]
+    H_tb = At @ H_cb
+    grad = np.hstack([grad_t, (g_hi + g_lo) @ X])
+    hess = np.concatenate([np.concatenate([H_tt, H_tb], axis=2),
+                           np.concatenate([H_tb.transpose(0, 2, 1), H_bb], axis=2)], axis=1)
+    return ll, grad, hess
 
 
 def _cumlogit_loglik_grad(theta, y, X, w, J):
-    n, d = X.shape
-    cut, gaps, beta = _cumlogit_unpack(theta, J, d)
-    u = X @ beta if d else np.zeros(n)
-    F = _sigmoid(np.add.outer(u, cut))                    # (n, J-1)
-    Ffull = np.hstack([np.zeros((n, 1)), F, np.ones((n, 1))])
-    p = np.clip(np.diff(Ffull, axis=1), 1e-300, None)     # (n, J)
-    wtot = w.sum()
-    py = p[np.arange(n), y]
-    ll = float(w @ np.log(py)) / wtot
+    """Mean log-likelihood and gradient at one parameter vector."""
+    ll, grad, _ = _cumlogit_derivs(theta[None], y, X, w[None], J)
+    return float(ll[0]), grad[0]
 
-    f = F * (1.0 - F)                                     # logistic density terms
-    # d log p_y / d alpha_m: +f_m at m == y, -f_m at m == y-1
-    galpha = np.zeros((n, J - 1))
-    mask_hi = y <= J - 2
-    idx = np.arange(n)
-    galpha[idx[mask_hi], y[mask_hi]] = f[idx[mask_hi], y[mask_hi]]
-    mask_lo = y >= 1
-    galpha[idx[mask_lo], y[mask_lo] - 1] -= f[idx[mask_lo], y[mask_lo] - 1]
-    galpha = galpha / py[:, None] * (w / wtot)[:, None]
-    gu = galpha.sum(axis=1)                               # d log p / du == sum over alphas
-    grad_cut = galpha.sum(axis=0)                         # (J-1,)
-    # chain rule to (a0, log-gaps)
-    grad = np.empty_like(theta)
-    grad[0] = grad_cut.sum()
-    for r in range(1, J - 1):
-        grad[r] = grad_cut[r:].sum() * gaps[r - 1]
-    if d:
-        grad[J - 1 :] = X.T @ gu
-    return ll, grad
+
+def fit_cumulative_logit_rows(y, X, W, J):
+    """Proportional-odds MLE for each weight row of W (B, n) on one data set:
+    cutpoints (B, J-1), slopes (B, d) and the per-row failures of _newton.
+
+    Every y must be below J; the caller checks categories and rank.  Without
+    covariates the closed form is returned.
+    """
+    cum = W @ (y[:, None] <= np.arange(J - 1)) / W.sum(axis=1, keepdims=True)
+    cum = np.clip(cum, 1e-9, 1 - 1e-9)
+    tied = (np.diff(cum, axis=1) <= 0).any(axis=1)  # ties from empty categories
+    cum[tied] = np.maximum.accumulate(cum[tied] + 1e-10 * np.arange(J - 1), axis=1)
+    cuts = _logit(cum)
+    d = X.shape[1]
+    if d == 0:
+        return cuts, np.empty((len(W), 0)), np.full(len(W), None, dtype=object)
+    theta = np.hstack([cuts[:, :1], np.log(np.maximum(np.diff(cuts, axis=1), 1e-6)),
+                       np.zeros((len(W), d))])
+    theta, error = _newton(lambda t, rows: _cumlogit_derivs(t, y, X, W[rows], J), theta,
+                           cap_slice=slice(J - 1, None))
+    return _cumlogit_cuts(theta, J)[0], theta[:, J - 1 :], error
 
 
 def fit_cumulative_logit(y, X=None, weights=None) -> CumulativeLogitModel:
@@ -186,76 +338,37 @@ def fit_cumulative_logit(y, X=None, weights=None) -> CumulativeLogitModel:
     if len(observed) < 2:
         raise TooFewCategories("need at least 2 observed outcome categories")
     _check_rank(X)
-
-    # closed-form start (and exact solution when there are no covariates)
-    cum = np.array([w[y <= j].sum() for j in range(J - 1)]) / w.sum()
-    cum = np.clip(cum, 1e-9, 1 - 1e-9)
-    if np.any(np.diff(cum) <= 0):  # ties from empty categories
-        cum = np.maximum.accumulate(cum + 1e-10 * np.arange(J - 1))
-    cuts = _logit(cum)
-    if X.shape[1] == 0:
-        return CumulativeLogitModel(tuple(cuts), ())
-
-    d = X.shape[1]
-    theta = np.concatenate([[cuts[0]], np.log(np.maximum(np.diff(cuts), 1e-6)), np.zeros(d)])
-    theta = _newton(
-        lambda t: _cumlogit_loglik_grad(t, y, X, w, J),
-        theta,
-        cap_slice=slice(J - 1, None),
-    )
-    cut, _, beta = _cumlogit_unpack(theta, J, d)
-    return CumulativeLogitModel(tuple(cut), tuple(beta))
-
-
-def _newton(f, theta, cap_slice=slice(None), grad_tol=GRAD_TOL, max_iter=MAX_ITER):
-    """Newton-Raphson with step-halving; Hessian from central differences of
-    the analytic gradient."""
-    ll, grad = f(theta)
-    p = len(theta)
-    for _ in range(max_iter):
-        if np.abs(grad).max() < grad_tol:
-            return theta
-        H = np.empty((p, p))
-        h = 1e-5
-        for j in range(p):
-            tp = theta.copy(); tp[j] += h
-            tm = theta.copy(); tm[j] -= h
-            H[:, j] = (f(tp)[1] - f(tm)[1]) / (2 * h)
-        H = 0.5 * (H + H.T)
-        try:
-            step = np.linalg.solve(H - 1e-10 * np.eye(p), grad)
-        except np.linalg.LinAlgError:
-            step = grad / max(np.abs(grad).max(), 1.0)
-        direction = -step
-        if grad @ direction <= 0:       # not an ascent direction; fall back
-            direction = grad / max(np.abs(grad).max(), 1.0)
-        scale = 1.0
-        for _ in range(40):
-            cand = theta + scale * direction
-            ll_new, grad_new = f(cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            raise NonConvergence("line search failed to improve log-likelihood")
-        theta, ll, grad = cand, ll_new, grad_new
-        if np.abs(theta[cap_slice]).max(initial=0.0) > COEF_CAP:
-            raise SeparationDetected(f"coefficient norm exceeded {COEF_CAP}")
-    if np.abs(grad).max() < grad_tol:
-        return theta
-    raise NonConvergence(f"gradient norm {np.abs(grad).max():.2e} after {max_iter} iterations")
+    cut, slope, error = fit_cumulative_logit_rows(y, X, w[None], J)
+    _raise_failure(error)
+    return CumulativeLogitModel(tuple(cut[0]), tuple(slope[0]))
 
 
 # -- binary logit ------------------------------------------------------------
 
+def _logit_derivs(theta, d, M, w):
+    """Mean log-likelihood (k,), gradient (k, q) and Hessian (k, q, q) of the
+    logit at coefficient rows theta (k, q) under weight rows w (k, n)."""
+    p = _sigmoid(theta @ M.T)
+    a = w / w.sum(axis=1, keepdims=True)
+    ll = (a * (d * np.log(np.clip(p, 1e-300, None))
+               + (1 - d) * np.log(np.clip(1 - p, 1e-300, None)))).sum(axis=1)
+    grad = (a * (d - p)) @ M
+    hess = -_gram(a * p * (1 - p), M)
+    return ll, grad, hess
+
+
 def _logit_loglik_grad(theta, d, M, w):
-    eta = M @ theta
-    p = _sigmoid(eta)
-    wtot = w.sum()
-    ll = float(w @ (d * np.log(np.clip(p, 1e-300, None))
-                    + (1 - d) * np.log(np.clip(1 - p, 1e-300, None)))) / wtot
-    grad = M.T @ (w * (d - p)) / wtot
-    return ll, grad
+    """Mean log-likelihood and gradient at one parameter vector."""
+    ll, grad, _ = _logit_derivs(theta[None], d, M, w[None])
+    return float(ll[0]), grad[0]
+
+
+def fit_logit_rows(d, M, W):
+    """Binary-logit MLE for each weight row of W (B, n) on the design M
+    (intercept column first): coefficient rows (B, q) and the per-row
+    failures of _newton.  The caller checks rank."""
+    return _newton(lambda t, rows: _logit_derivs(t, d, M, W[rows]),
+                   np.zeros((len(W), M.shape[1])))
 
 
 def fit_logit(d, X=None, weights=None) -> LogitModel:
@@ -271,28 +384,40 @@ def fit_logit(d, X=None, weights=None) -> LogitModel:
         return LogitModel((float(_logit(pbar)),))
     M = np.hstack([np.ones((n, 1)), X])
     _check_rank(M)
-    theta = np.zeros(M.shape[1])
-    theta = _newton(lambda t: _logit_loglik_grad(t, d, M, w), theta)
-    return LogitModel(tuple(theta))
+    theta, error = fit_logit_rows(d, M, w[None])
+    _raise_failure(error)
+    return LogitModel(tuple(theta[0]))
 
 
 # -- multinomial logit -------------------------------------------------------
 
-def _mnlogit_loglik_grad(theta, gidx, M, w, G):
+def _mnlogit_derivs(theta, gidx, M, w, G):
+    """Mean log-likelihood (k,), gradient (k, p) and Hessian (k, p, p) of the
+    multinomial logit at rows theta (k, p), p = (G-1) q, holding the
+    coefficients of classes 1..G-1 in turn, under weight rows w (k, n)."""
+    k = len(theta)
     n, q = M.shape
-    B = theta.reshape(G - 1, q)
-    scores = np.hstack([np.zeros((n, 1)), M @ B.T])
+    B = theta.reshape(k, G - 1, q)
+    scores = np.concatenate([np.zeros((k, 1, n)), B @ M.T], axis=1)   # (k, G, n)
     scores -= scores.max(axis=1, keepdims=True)
     e = np.exp(scores)
     P = e / e.sum(axis=1, keepdims=True)
-    py = np.clip(P[np.arange(n), gidx], 1e-300, None)
-    wtot = w.sum()
-    ll = float(w @ np.log(py)) / wtot
-    grad = np.empty((G - 1, q))
-    for g in range(1, G):
-        resid = w * ((gidx == g).astype(float) - P[:, g])
-        grad[g - 1] = M.T @ resid / wtot
-    return ll, grad.ravel()
+    a = w / w.sum(axis=1, keepdims=True)
+    ll = (a * np.log(np.clip(P[:, gidx, np.arange(n)], 1e-300, None))).sum(axis=1)
+    resid = (gidx == np.arange(1, G)[:, None]) - P[:, 1:]
+    grad = ((a[:, None, :] * resid) @ M).reshape(k, -1)
+    hess = np.empty((k, G - 1, q, G - 1, q))
+    for g in range(G - 1):
+        for h in range(g, G - 1):
+            block = -_gram(a * P[:, g + 1] * ((g == h) - P[:, h + 1]), M)
+            hess[:, g, :, h, :] = hess[:, h, :, g, :] = block
+    return ll, grad, hess.reshape(k, (G - 1) * q, (G - 1) * q)
+
+
+def _mnlogit_loglik_grad(theta, gidx, M, w, G):
+    """Mean log-likelihood and gradient at one parameter vector."""
+    ll, grad, _ = _mnlogit_derivs(theta[None], gidx, M, w[None], G)
+    return float(ll[0]), grad[0]
 
 
 def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialLogitModel:
@@ -319,7 +444,9 @@ def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialL
 
     M = np.hstack([np.ones((n, 1)), X])
     _check_rank(M)
-    theta = np.zeros((G - 1) * M.shape[1])
-    theta = _newton(lambda t: _mnlogit_loglik_grad(t, gidx, M, w, G), theta)
-    B = theta.reshape(G - 1, M.shape[1])
+    W = w[None]
+    theta, error = _newton(lambda t, rows: _mnlogit_derivs(t, gidx, M, W[rows], G),
+                           np.zeros((1, (G - 1) * M.shape[1])))
+    _raise_failure(error)
+    B = theta[0].reshape(G - 1, M.shape[1])
     return MultinomialLogitModel(classes, tuple(tuple(row) for row in B))

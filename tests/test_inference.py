@@ -14,7 +14,9 @@ from ordbounds import (
     estimate_randomized,
     interval_from_replicates,
 )
-from ordbounds.exceptions import EmptyArm, ReplicateFailure
+from ordbounds import inference
+from ordbounds.exceptions import EmptyArm, OrdBoundsError, ReplicateFailure
+from ordbounds.inference import _report_row, _resampler
 
 from test_estimation import make_records
 
@@ -225,6 +227,181 @@ class TestReplicateFailures:
         with pytest.raises(ReplicateFailure):
             bootstrap_bounds_ci(rare_stratum_records(), estimator="adjusted", n_boot=100,
                                 seed=3, strata="discrete")
+
+    def test_failures_name_each_failed_replicate(self):
+        reps = bootstrap_replicates(rare_stratum_records(), estimator="adjusted", n_boot=100,
+                                    seed=3, strata="discrete")
+        _, want = reference_replicates(rare_stratum_records(), "adjusted", 100, 3,
+                                       strata="discrete")
+        assert reps.failures == want
+        assert reps.n_failed == len(reps.failures)
+        assert {name for _, name in reps.failures} == {"StratumMissingArm"}
+
+    @pytest.mark.parametrize("estimator, make", [
+        ("randomized", sample_records),
+        ("complier", lambda: iv_records(40)),
+    ])
+    def test_no_failures_by_default(self, estimator, make):
+        reps = bootstrap_replicates(make(), estimator=estimator, n_boot=100, seed=5)
+        assert reps.failures == () and reps.n_failed == 0
+
+
+def reference_replicates(records, estimator, n_boot, seed, J=None, **options):
+    """The per-replicate refit loop: the same spawned streams and resamplers,
+    one estimate_ipw or estimate_adjusted per replicate."""
+    if estimator == "ipw":
+        estimate = lambda sample: estimate_ipw(sample, J=J, **options)
+    else:
+        estimate = lambda sample: estimate_adjusted(sample, J=J, **options)
+    draw = _resampler(records, "whole" if estimator == "ipw" else "stratified")
+    rows, failures = [], []
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
+        sample = [records[i] for i in draw(np.random.default_rng(ss))]
+        try:
+            rows.append(_report_row(estimate(sample).report))
+        except OrdBoundsError as e:
+            failures.append((r, type(e).__name__))
+    return np.array(rows).reshape(-1, 6), tuple(failures)
+
+
+def logistic_assignment_records(seed, slope, n=60):
+    """Assignment logistic in a covariate on [-2, 2]: the steeper the slope,
+    the more refitted propensities leave the trim range."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, size=n)
+    z = rng.random(n) < 1 / (1 + np.exp(-slope * x))
+    return [UnitRecord(z=int(a), y=int(b), x=(float(c),))
+            for a, b, c in zip(z, rng.integers(0, 3, size=n), x)]
+
+
+def near_separated_records(arm=None, n=40):
+    """x on a grid; z (or, within arm, y) is [x > 0] except for the two
+    units nearest 0, so resamples that miss both are separated."""
+    rng = np.random.default_rng(5)
+    x = np.linspace(-1, 1, n)
+    lab = (x > 0).astype(int)
+    lab[[n // 2 - 2, n // 2 + 1]] ^= 1
+    if arm is None:
+        return [UnitRecord(z=int(lab[i]), y=int(rng.integers(0, 3)), x=(float(x[i]),))
+                for i in range(n)]
+    other = [UnitRecord(z=1 - arm, y=int(rng.integers(0, 3)), x=(float(rng.normal()),))
+             for _ in range(n)]
+    return other + [UnitRecord(z=arm, y=int(lab[i]), x=(float(x[i]),)) for i in range(n)]
+
+
+def rare_covariate_records(n=60):
+    """A second covariate that is 1 on two units only: resamples without
+    them have a constant column."""
+    rng = np.random.default_rng(6)
+    return [UnitRecord(z=int(rng.random() < 0.5), y=int(rng.integers(0, 3)),
+                       x=(float(rng.normal()), float(i < 2))) for i in range(n)]
+
+
+def few_treated_records(n=40):
+    """Two treated units of 40: about one whole-sample resample in eight has
+    no treated unit."""
+    rng = np.random.default_rng(7)
+    return [UnitRecord(z=int(i < 2), y=int(rng.integers(0, 3)), x=(float(rng.normal()),))
+            for i in range(n)]
+
+
+def rare_top_records():
+    """Treated arm with one unit in the top category 3 (resamples without it
+    fit J = 3); control arm with two units in category 1 of {0, 1}
+    (resamples without them observe one category)."""
+    rng = np.random.default_rng(1)
+    recs = [UnitRecord(z=1, y=3 if i == 0 else int(rng.integers(0, 3)),
+                       x=(float(rng.normal()),)) for i in range(30)]
+    return recs + [UnitRecord(z=0, y=int(i < 2), x=(float(rng.normal()),)) for i in range(30)]
+
+
+def zero_covariate_records():
+    """A covariate that is nonzero on one unit of each arm: arm-resamples
+    without it have an all-zero design."""
+    rng = np.random.default_rng(3)
+    return [UnitRecord(z=i % 2, y=int(rng.integers(0, 3)), x=(float(i < 2),))
+            for i in range(40)]
+
+
+# (estimator, records, options, failure names the resamples must produce)
+STACKED_CASES = {
+    "ipw_extreme_propensity": ("ipw", lambda: logistic_assignment_records(0, 2.0), {},
+                               {"ExtremePropensity"}),
+    "ipw_near_separation": ("ipw", near_separated_records, {"trim": 1e-9},
+                            {"SeparationDetected", "ExtremePropensity"}),
+    "ipw_constant_covariate": ("ipw", rare_covariate_records, {},
+                               {"RankDeficient", "ExtremePropensity"}),
+    "ipw_empty_arm": ("ipw", few_treated_records, {}, {"EmptyArm", "ExtremePropensity"}),
+    "ipw_given_propensity": ("ipw", few_treated_records, {"propensity": 0.3}, {"EmptyArm"}),
+    "ipw_ok": ("ipw", lambda: covariate_records(31), {}, set()),
+    "model_near_separation": ("adjusted", lambda: near_separated_records(arm=0),
+                              {"strata": "model"}, {"SeparationDetected"}),
+    "model_zero_covariate": ("adjusted", zero_covariate_records, {"strata": "model"},
+                             {"RankDeficient"}),
+    "model_rare_top_category": ("adjusted", rare_top_records, {"strata": "model"},
+                                {"TooFewCategories"}),
+    "model_ok": ("adjusted", lambda: covariate_records(33), {"strata": "model"}, set()),
+    "discrete_one_unit_stratum": ("adjusted", rare_stratum_records, {"strata": "discrete"},
+                                  {"StratumMissingArm"}),
+    "discrete_ok": ("adjusted", lambda: covariate_records(32), {"strata": "discrete"}, set()),
+}
+
+
+class TestStackedReplicates:
+    """The stacked ipw and adjusted bootstraps equal the per-replicate refit
+    loop: same rows within 1e-12, same failed replicates and reasons."""
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_equals_the_refit_loop(self, case):
+        estimator, make, options, reasons = STACKED_CASES[case]
+        recs = make()
+        reps = bootstrap_replicates(recs, estimator=estimator, n_boot=100, seed=7, **options)
+        rows, failures = reference_replicates(recs, estimator, 100, 7, **options)
+        assert reps.failures == failures
+        assert reps.n_failed == len(failures)
+        assert {name for _, name in failures} == reasons
+        assert reps.rows.shape == rows.shape
+        assert np.abs(reps.rows - rows).max(initial=0.0) <= 1e-12
+
+    def test_rare_top_category_makes_short_arm_fits(self):
+        # the model case above covers resamples whose treated arm misses category 3
+        recs = rare_top_records()
+        draw = _resampler(recs, "stratified")
+        tops = [max(recs[i].y for i in draw(np.random.default_rng(ss)) if recs[i].z == 1)
+                for ss in np.random.SeedSequence(7).spawn(100)]
+        assert 0 < tops.count(2) < 100
+
+    @pytest.mark.parametrize("J", [2, 6])
+    @pytest.mark.parametrize("estimator, options", [("ipw", {}), ("adjusted", {"strata": "model"})])
+    def test_given_categories_equal_the_loop(self, J, estimator, options):
+        # J below the observed top: ipw leaves the outcomes above out, the
+        # model fits keep them; J above it pads
+        recs = rare_top_records()
+        reps = bootstrap_replicates(recs, estimator=estimator, n_boot=100, seed=8, J=J,
+                                    **options)
+        rows, failures = reference_replicates(recs, estimator, 100, 8, J=J, **options)
+        assert reps.failures == failures
+        assert np.abs(reps.rows - rows).max() <= 1e-12
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        recs = logistic_assignment_records(0, 2.0)
+        whole = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=9)
+        monkeypatch.setattr(inference, "_BLOCK", 7 * len(recs) * 3)
+        blocked = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=9)
+        assert blocked.failures == whole.failures
+        assert np.abs(blocked.rows - whole.rows).max() <= 1e-12
+
+    def test_given_propensities_follow_their_units(self):
+        recs = covariate_records(41, n=120)
+        e = np.array([0.3 + 0.4 * r.x[0] for r in recs])
+        reps = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=10, propensity=e)
+        draw = _resampler(recs, "whole")
+        want = []
+        for ss in np.random.SeedSequence(10).spawn(100):
+            idx = draw(np.random.default_rng(ss))
+            want.append(_report_row(estimate_ipw([recs[i] for i in idx], propensity=e[idx]).report))
+        assert reps.n_failed == 0
+        assert np.abs(reps.rows - np.array(want)).max() <= 1e-12
 
 
 class TestComplierIndependent:

@@ -8,13 +8,17 @@ from ordbounds import (
     predict_marginal,
 )
 from ordbounds.exceptions import (
+    NonConvergence,
     RankDeficient,
     SeparationDetected,
     TooFewCategories,
 )
 from ordbounds.models import (
+    _cumlogit_derivs,
     _cumlogit_loglik_grad,
+    _logit_derivs,
     _logit_loglik_grad,
+    _mnlogit_derivs,
     _mnlogit_loglik_grad,
     _sigmoid,
 )
@@ -70,6 +74,122 @@ class TestGradients:
             theta = rng.normal(size=(G - 1) * q)
             _, g = f(theta)
             assert np.allclose(g, numeric_grad(f, theta), atol=1e-4)
+
+
+def numeric_hessian(derivs, theta, h=1e-6):
+    """Central differences of the analytic gradient at one parameter vector
+    (derivs maps one (1, p) row to its derivatives)."""
+    H = np.empty((len(theta), len(theta)))
+    for j in range(len(theta)):
+        tp = theta.copy(); tp[j] += h
+        tm = theta.copy(); tm[j] -= h
+        H[:, j] = (derivs(tp[None])[1][0] - derivs(tm[None])[1][0]) / (2 * h)
+    return H
+
+
+def check_hessian(derivs, thetas, W):
+    """derivs(theta, w) evaluates parameter rows under weight rows.  Each
+    row's analytic Hessian equals central differences of its gradient, and
+    the stack gives each row's one-row values."""
+    ll, grad, hess = derivs(thetas, W)
+    for k, theta in enumerate(thetas):
+        one = lambda t: derivs(t, W[k : k + 1])
+        assert np.abs(hess[k] - numeric_hessian(one, theta)).max() <= 1e-6
+        ll1, grad1, hess1 = one(theta[None])
+        assert abs(ll1[0] - ll[k]) <= 1e-14
+        assert np.abs(grad1[0] - grad[k]).max() <= 1e-14
+        assert np.abs(hess1[0] - hess[k]).max() <= 1e-14
+
+
+def weight_rows(rng, n, zeros):
+    """Four weight rows: positive reals with zeros at the given units, and
+    resample counts (which include zeros)."""
+    w = rng.uniform(0.2, 2.0, size=(4, n))
+    w[:2, zeros] = 0.0
+    w[2:] = rng.integers(0, 3, size=(2, n))
+    w[2:, 0] = 1.0
+    return w
+
+
+class TestHessians:
+    @pytest.mark.parametrize("J", [2, 3, 7])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_cumlogit_hessian_matches_finite_differences(self, J, d):
+        rng = np.random.default_rng(100 + 10 * J + d)
+        n = 50
+        # the last J units are zero-weight padding rows, one per category at
+        # x = 0, as the covariate EM appends them
+        y = np.concatenate([rng.integers(0, J, size=n), np.arange(J)])
+        X = np.vstack([rng.normal(size=(n, d)), np.zeros((J, d))])
+        W = weight_rows(rng, n + J, np.arange(n, n + J))
+        thetas = np.hstack([rng.normal(size=(4, 1)), rng.normal(scale=0.5, size=(4, J - 2)),
+                            rng.normal(size=(4, d))])
+        check_hessian(lambda t, w: _cumlogit_derivs(t, y, X, w, J), thetas, W)
+
+    def test_logit_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        n = 80
+        dlab = rng.integers(0, 2, size=n).astype(float)
+        M = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 2))])
+        check_hessian(lambda t, w: _logit_derivs(t, dlab, M, w), rng.normal(size=(4, 3)),
+                      weight_rows(rng, n, np.arange(6)))
+
+    def test_mnlogit_hessian_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        n, q, G = 70, 3, 3
+        gidx = rng.integers(0, G, size=n)
+        M = np.hstack([np.ones((n, 1)), rng.normal(size=(n, q - 1))])
+        check_hessian(lambda t, w: _mnlogit_derivs(t, gidx, M, w, G),
+                      rng.normal(size=(4, (G - 1) * q)), weight_rows(rng, n, np.arange(5)))
+
+
+class TestFitFailures:
+    """The one-row fitters raise the typed failure of their Newton row."""
+
+    def test_non_convergence(self):
+        # at this covariate scale rounding keeps every gradient above 1e-8
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(200, 1)) * 1e12
+        d = (rng.random(200) < _sigmoid(X[:, 0] / 1e12)).astype(float)
+        y = rng.integers(0, 3, size=200)
+        g = list(rng.choice(["c", "a", "n"], size=200))
+        with pytest.raises(NonConvergence):
+            fit_logit(d, X)
+        with pytest.raises(NonConvergence):
+            fit_cumulative_logit(y, X)
+        with pytest.raises(NonConvergence):
+            fit_multinomial_logit(g, X, classes=("c", "a", "n"))
+
+    def test_converges_with_large_covariate_scales(self):
+        # the analytic Hessian has no difference step to mis-scale
+        rng = np.random.default_rng(0)
+        for scale in (1e6, 1e8):
+            X = rng.normal(size=(200, 1)) * scale
+            d = (rng.random(200) < _sigmoid(X[:, 0] / scale)).astype(float)
+            m = fit_logit(d, X)
+            ref = fit_logit(d, X / scale)
+            assert m.coef[0] == pytest.approx(ref.coef[0], abs=1e-9)
+            assert m.coef[1] * scale == pytest.approx(ref.coef[1], abs=1e-9)
+
+    def test_separation(self):
+        X = np.linspace(-1, 1, 40).reshape(-1, 1)
+        with pytest.raises(SeparationDetected):
+            fit_cumulative_logit((X[:, 0] > 0).astype(int), X)
+        g = ["c" if v < -0.3 else "a" if v < 0.3 else "n" for v in X[:, 0]]
+        with pytest.raises(SeparationDetected):
+            fit_multinomial_logit(g, X, classes=("c", "a", "n"))
+
+    def test_rank_deficient(self):
+        X = np.array([[1.0, 2.0]] * 6)
+        with pytest.raises(RankDeficient):
+            fit_logit(np.array([0, 1, 0, 1, 1, 0.0]), X)
+        with pytest.raises(RankDeficient):
+            fit_multinomial_logit(["c", "a", "n"] * 2, X, classes=("c", "a", "n"))
+
+    def test_too_few_categories_counts_positive_weights_only(self):
+        y = np.array([0, 1, 1, 2, 2])
+        with pytest.raises(TooFewCategories):
+            fit_cumulative_logit(y, weights=[0.0, 1.0, 2.0, 0.0, 0.0])
 
 
 class TestCumulativeLogit:
