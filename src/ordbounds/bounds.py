@@ -5,8 +5,19 @@ The bounds are functions of the marginal distributions only:
     tau_L = max_j (p0[j] + delta_j)        tau_U = 1 + min_j delta_j
     eta_L = max_j delta_j                  eta_U = 1 + min_j (delta_j - p1[j])
 
-together with the independent-potential-outcome values tau_I, eta_I and the
-support-set point-identification predicate.
+where delta_j = pr{Y(1) >= j} - pr{Y(0) >= j}, together with the values under
+independent potential outcomes, tau_I = sum_k p1[k] F0[k] and
+eta_I = sum_k p1[k] (F0[k] - p0[k]), F0 the control CDF.
+
+One kernel, bound_rows, computes these six numbers (columns COLUMNS) for
+stacked marginal pairs of shape (..., J); exact marginals (Fraction or int)
+go through it as object arrays and come back exact.  One function,
+weighted_report, makes every BoundsReport: a weighted average of kernel rows
+(covariate strata or model rows; one row of weight 1 in full_report) plus the
+deltas, dominance and construction indices of the pooled marginals.  It flags
+point identification by the bound gap, U - L <= 0 exact and <= 1e-12 float.
+point_identified is the theorem's support-set criterion, kept as the oracle
+that tests check the gap rule against.
 """
 
 from __future__ import annotations
@@ -15,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    DeltaVector,
-    MarginalPair,
-    delta_effects,
-    stochastically_dominates,
-)
+from .distributions import DeltaVector, MarginalPair
+
+COLUMNS = ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U")
 
 
 @dataclass(frozen=True)
@@ -39,26 +47,91 @@ class BoundsReport:
     argmax_lower_index: int   # j2 of the lower-bound construction
 
 
+def _deltas(p1, p0):
+    """Deltas of stacked marginals (..., J) from upper-tail sums; delta_0 is
+    0 (int in exact mode) since both full tail sums are the total mass."""
+    d = np.cumsum(p1[..., ::-1], axis=-1)[..., ::-1]
+    d -= np.cumsum(p0[..., ::-1], axis=-1)[..., ::-1]
+    d[..., 0] = 0
+    return d
+
+
+def bound_rows(p1, p0) -> np.ndarray:
+    """Rows (..., 6) in the order COLUMNS of stacked marginal pairs (..., J)."""
+    p1, p0 = np.asarray(p1), np.asarray(p0)
+    dtype = np.result_type(p1, p0)
+    p1, p0 = p1.astype(dtype, copy=False), p0.astype(dtype, copy=False)
+    # filled column by column, with d and F0 never alive together, so a large
+    # stack needs about one (..., J) temporary beyond its inputs
+    d = _deltas(p1, p0)
+    rows = np.empty(d.shape[:-1] + (len(COLUMNS),), dtype=dtype)
+    rows[..., 0] = (p0 + d).max(axis=-1)
+    rows[..., 2] = 1 + d.min(axis=-1)
+    rows[..., 3] = d.max(axis=-1)
+    d -= p1
+    rows[..., 5] = 1 + d.min(axis=-1)
+    del d
+    F0 = np.cumsum(p0, axis=-1)
+    rows[..., 1] = (p1 * F0).sum(axis=-1)
+    F0 -= p0
+    rows[..., 4] = (p1 * F0).sum(axis=-1)
+    return rows
+
+
+def construction_indices(p0, deltas):
+    """(j1, j2): the first index of the smallest delta (where the tau-upper
+    construction splits) and the first index of the largest p0[j] + delta_j
+    (where the tau-lower construction splits)."""
+    d = list(deltas)
+    lower = [p + dj for p, dj in zip(p0, d)]
+    return d.index(min(d)), lower.index(max(lower))
+
+
+def weighted_report(w, p1, p0) -> BoundsReport:
+    """Bounds averaged over stacked marginal pairs p1, p0 (n, J) with weights
+    w (n,) summing to 1.  The deltas, dominance and construction indices
+    describe the pooled marginals w @ p1 and w @ p0.  All three arrays are
+    float, or all are object arrays of exact numbers for an exact report."""
+    tau_l, tau_i, tau_u, eta_l, eta_i, eta_u = (w @ bound_rows(p1, p0)).tolist()
+    pooled0 = w @ p0
+    d = _deltas(w @ p1, pooled0)
+    tol = 0 if d.dtype == object else 1e-12
+    d = d.tolist()
+    j1, j2 = construction_indices(pooled0.tolist(), d)
+    return BoundsReport(
+        deltas=DeltaVector(d),
+        tau_L=tau_l, tau_I=tau_i, tau_U=tau_u,
+        eta_L=eta_l, eta_I=eta_i, eta_U=eta_u,
+        dominance=all(dj >= -tol for dj in d),
+        tau_point_identified=tau_u - tau_l <= tol,
+        eta_point_identified=eta_u - eta_l <= tol,
+        argmin_delta_index=j1,
+        argmax_lower_index=j2,
+    )
+
+
+def _arrays(m: MarginalPair):
+    """(p1, p0) of a pair as arrays: object dtype for exact marginals."""
+    dtype = object if m.exact else float
+    return np.array(m.treated.probs, dtype=dtype), np.array(m.control.probs, dtype=dtype)
+
+
 def tau_bounds(m: MarginalPair):
-    d = delta_effects(m).deltas
-    lower = max(p + dj for p, dj in zip(m.control.probs, d))
-    upper = 1 + min(d)
-    return lower, upper
+    return tuple(bound_rows(*_arrays(m))[[0, 2]].tolist())
 
 
 def eta_bounds(m: MarginalPair):
-    d = delta_effects(m).deltas
-    lower = max(d)
-    upper = 1 + min(dj - p for p, dj in zip(m.treated.probs, d))
-    return lower, upper
+    return tuple(bound_rows(*_arrays(m))[[3, 5]].tolist())
 
 
 def independent_estimands(m: MarginalPair):
     """(tau, eta) under independent potential outcomes."""
-    p1, p0 = m.treated.probs, m.control.probs
-    tau = sum(p1[k] * p0[l] for k in range(m.J) for l in range(k + 1))
-    eta = sum(p1[k] * p0[l] for k in range(m.J) for l in range(k))
-    return tau, eta
+    return tuple(bound_rows(*_arrays(m))[[1, 4]].tolist())
+
+
+def full_report(m: MarginalPair) -> BoundsReport:
+    p1, p0 = _arrays(m)
+    return weighted_report(np.ones(1, dtype=p1.dtype), p1[None], p0[None])
 
 
 def _support(probs, tol):
@@ -88,58 +161,3 @@ def point_identified(m: MarginalPair, estimand: str = "tau") -> bool:
                         if l2 >= k2 > l1 >= k1 or k2 > l2 >= k1 > l1:
                             return False
     return True
-
-
-def full_report(m: MarginalPair) -> BoundsReport:
-    dv = delta_effects(m)
-    d = dv.deltas
-    tau_l, tau_u = tau_bounds(m)
-    eta_l, eta_u = eta_bounds(m)
-    tau_i, eta_i = independent_estimands(m)
-    lower_terms = [p + dj for p, dj in zip(m.control.probs, d)]
-    j1 = min(j for j, dj in enumerate(d) if dj == min(d))
-    j2 = min(j for j, t in enumerate(lower_terms) if t == max(lower_terms))
-    return BoundsReport(
-        deltas=dv,
-        tau_L=tau_l, tau_I=tau_i, tau_U=tau_u,
-        eta_L=eta_l, eta_I=eta_i, eta_U=eta_u,
-        dominance=stochastically_dominates(m),
-        tau_point_identified=point_identified(m, "tau"),
-        eta_point_identified=point_identified(m, "eta"),
-        argmin_delta_index=j1,
-        argmax_lower_index=j2,
-    )
-
-
-# -- vectorized float helpers (bootstrap and simulation hot paths) ----------
-
-def delta_array(p1: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """Delta vectors for stacked marginals of shape (..., J)."""
-    t1 = np.cumsum(p1[..., ::-1], axis=-1)[..., ::-1]
-    t0 = np.cumsum(p0[..., ::-1], axis=-1)[..., ::-1]
-    d = t1 - t0
-    d[..., 0] = 0.0
-    return d
-
-
-def tau_bounds_array(p1: np.ndarray, p0: np.ndarray):
-    d = delta_array(p1, p0)
-    return (p0 + d).max(axis=-1), 1.0 + d.min(axis=-1)
-
-
-def eta_bounds_array(p1: np.ndarray, p0: np.ndarray):
-    d = delta_array(p1, p0)
-    return d.max(axis=-1), 1.0 + (d - p1).min(axis=-1)
-
-
-def independent_tau_array(p1: np.ndarray, p0: np.ndarray):
-    """tau_I for stacked marginals; pairs (k, l) with k >= l."""
-    J = p1.shape[-1]
-    mask = np.tril(np.ones((J, J)))
-    return np.einsum("...k,kl,...l->...", p1, mask, p0)
-
-
-def independent_eta_array(p1: np.ndarray, p0: np.ndarray):
-    J = p1.shape[-1]
-    mask = np.tril(np.ones((J, J)), k=-1)
-    return np.einsum("...k,kl,...l->...", p1, mask, p0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -337,6 +338,8 @@ def _add_margins(p):
     p.add_argument("--p0", required=True, help="control marginal")
 
 
+# built once per process: parsing leaves no state in the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ordbounds", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import construction_indices
 from .distributions import JointDistribution, MarginalPair, delta_effects
 from .exceptions import DominanceViolated, LengthMismatch
 
@@ -159,8 +160,7 @@ def _product_fill(r, c, zero):
 
 
 def _tau_max_matrix(p1, p0, deltas, J, zero):
-    dmin = min(deltas)
-    j1 = min(j for j, d in enumerate(deltas) if d == dmin)
+    j1, _ = construction_indices(p0, deltas)
     if j1 == 0:
         # stochastic dominance: a single lower triangular allocation works
         return triangular_transport(p1, p0, "a").matrix
@@ -183,9 +183,7 @@ def _tau_max_matrix(p1, p0, deltas, J, zero):
 
 
 def _tau_min_matrix(p1, p0, deltas, J, zero):
-    terms = [p + d for p, d in zip(p0, deltas)]
-    tmax = max(terms)
-    j2 = min(j for j, t in enumerate(terms) if t == tmax)
+    _, j2 = construction_indices(p0, deltas)
     P = [[zero] * J for _ in range(J)]
     if j2 == 0:
         tr = triangular_transport(p1[: J - 1], p0[1:], "d").matrix

@@ -19,13 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundsReport, full_report
+from .bounds import BoundsReport, full_report, weighted_report
 from .distributions import (
     MarginalDistribution,
     MarginalPair,
-    delta_effects,
+    _is_exact,
     empirical_marginals,
-    stochastically_dominates,
 )
 from .exceptions import EmptyArm, ExtremePropensity, StratumMissingArm
 from .models import CumulativeLogitModel, fit_cumulative_logit, fit_logit
@@ -54,49 +53,6 @@ class EstimatedBounds:
     n_control: int
 
 
-def _report_from_conditional(weights, pairs) -> BoundsReport:
-    """Average conditional bounds over a covariate distribution.
-
-    weights must sum to 1; pairs are the conditional MarginalPairs.  The
-    deltas/dominance fields describe the implied population marginals.
-    """
-    from .bounds import eta_bounds, independent_estimands, point_identified, tau_bounds
-
-    tau_l = tau_u = eta_l = eta_u = tau_i = eta_i = 0
-    J = pairs[0].J
-    p1 = [0] * J
-    p0 = [0] * J
-    for w, pair in zip(weights, pairs):
-        tl, tu = tau_bounds(pair)
-        el, eu = eta_bounds(pair)
-        ti, ei = independent_estimands(pair)
-        tau_l += w * tl
-        tau_u += w * tu
-        eta_l += w * el
-        eta_u += w * eu
-        tau_i += w * ti
-        eta_i += w * ei
-        for j in range(J):
-            p1[j] += w * pair.treated.probs[j]
-            p0[j] += w * pair.control.probs[j]
-    pooled = MarginalPair(MarginalDistribution(tuple(p1)), MarginalDistribution(tuple(p0)))
-    dv = delta_effects(pooled)
-    d = dv.deltas
-    lower_terms = [p + dj for p, dj in zip(pooled.control.probs, d)]
-    exact = pooled.exact
-    tol = 0 if exact else 1e-12
-    return BoundsReport(
-        deltas=dv,
-        tau_L=tau_l, tau_I=tau_i, tau_U=tau_u,
-        eta_L=eta_l, eta_I=eta_i, eta_U=eta_u,
-        dominance=stochastically_dominates(pooled),
-        tau_point_identified=bool(tau_u - tau_l <= tol),
-        eta_point_identified=bool(eta_u - eta_l <= tol),
-        argmin_delta_index=min(j for j, dj in enumerate(d) if dj == min(d)),
-        argmax_lower_index=min(j for j, t in enumerate(lower_terms) if t == max(lower_terms)),
-    )
-
-
 def adjusted_bounds_from_strata(strata) -> BoundsReport:
     """Population-level adjusted bounds from (weight, MarginalPair) strata.
 
@@ -107,7 +63,10 @@ def adjusted_bounds_from_strata(strata) -> BoundsReport:
     total = sum(weights)
     if not (abs(total - 1) <= 1e-9):
         raise ValueError(f"stratum weights sum to {total}")
-    return _report_from_conditional(weights, pairs)
+    dtype = object if _is_exact(weights) and all(p.exact for p in pairs) else float
+    return weighted_report(np.array(weights, dtype=dtype),
+                           np.array([p.treated.probs for p in pairs], dtype=dtype),
+                           np.array([p.control.probs for p in pairs], dtype=dtype))
 
 
 def _arm_counts(records):
@@ -190,7 +149,7 @@ def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
                 raise StratumMissingArm(f"stratum {key!r} lacks one arm")
             weights.append(len(members) / N)
             pairs.append(empirical_marginals(members, J=J))
-        report = _report_from_conditional(weights, pairs)
+        report = adjusted_bounds_from_strata(list(zip(weights, pairs)))
     elif strata == "model":
         X = np.array([r.x for r in records], dtype=float)
         if X.ndim == 1:
@@ -209,45 +168,15 @@ def conditional_report_from_models(fit1: CumulativeLogitModel, fit0: CumulativeL
                                    X: np.ndarray, J: int | None = None,
                                    weights=None) -> BoundsReport:
     """Adjusted bounds from per-arm outcome models evaluated at rows of X."""
-    from .bounds import (
-        eta_bounds_array,
-        independent_eta_array,
-        independent_tau_array,
-        tau_bounds_array,
-    )
-
     p1 = fit1.predict_proba(X)
     p0 = fit0.predict_proba(X)
     Jm = max(p1.shape[1], p0.shape[1], J or 0)
-    p1 = _pad(p1, Jm)
-    p0 = _pad(p0, Jm)
     if weights is None:
         w = np.full(len(p1), 1.0 / len(p1))
     else:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-    tl, tu = tau_bounds_array(p1, p0)
-    el, eu = eta_bounds_array(p1, p0)
-    ti = independent_tau_array(p1, p0)
-    ei = independent_eta_array(p1, p0)
-    pool1 = MarginalDistribution(tuple(w @ p1))
-    pool0 = MarginalDistribution(tuple(w @ p0))
-    pooled = MarginalPair(pool1, pool0)
-    dv = delta_effects(pooled)
-    d = dv.deltas
-    lower_terms = [p + dj for p, dj in zip(pooled.control.probs, d)]
-    tau_l, tau_u = float(w @ tl), float(w @ tu)
-    eta_l, eta_u = float(w @ el), float(w @ eu)
-    return BoundsReport(
-        deltas=dv,
-        tau_L=tau_l, tau_I=float(w @ ti), tau_U=tau_u,
-        eta_L=eta_l, eta_I=float(w @ ei), eta_U=eta_u,
-        dominance=stochastically_dominates(pooled),
-        tau_point_identified=bool(tau_u - tau_l <= 1e-12),
-        eta_point_identified=bool(eta_u - eta_l <= 1e-12),
-        argmin_delta_index=min(j for j, dj in enumerate(d) if dj == min(d)),
-        argmax_lower_index=min(j for j, t in enumerate(lower_terms) if t == max(lower_terms)),
-    )
+    return weighted_report(w, _pad(p1, Jm), _pad(p0, Jm))
 
 
 def _pad(p: np.ndarray, J: int) -> np.ndarray:

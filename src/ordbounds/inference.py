@@ -34,12 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    eta_bounds_array,
-    independent_eta_array,
-    independent_tau_array,
-    tau_bounds_array,
-)
+from .bounds import COLUMNS, bound_rows
 from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
 from .exceptions import OrdBoundsError, ReplicateFailure
 from .models import (
@@ -55,9 +50,6 @@ from .noncompliance import (
     complier_mle,
     em_fit_with_covariates,
 )
-
-COLUMNS = ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U")
-
 
 @dataclass(frozen=True)
 class IntervalReport:
@@ -108,15 +100,6 @@ def _report_row(report):
     return np.array([float(getattr(report, c)) for c in COLUMNS])
 
 
-def _kernel_rows(p1, p0):
-    """COLUMNS (..., 6) of stacked marginal pairs (..., J) by the array
-    kernels."""
-    tl, tu = tau_bounds_array(p1, p0)
-    el, eu = eta_bounds_array(p1, p0)
-    return np.stack([tl, independent_tau_array(p1, p0), tu,
-                     el, independent_eta_array(p1, p0), eu], axis=-1)
-
-
 def _randomized(records, n_boot, seed, J):
     """Resampling units within arms is a multinomial redraw of the
     within-arm counts."""
@@ -131,7 +114,7 @@ def _randomized(records, n_boot, seed, J):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p1 = rng.multinomial(n1, f1, size=n_boot) / n1
     p0 = rng.multinomial(n0, f0, size=n_boot) / n0
-    return point, _kernel_rows(p1, p0), ()
+    return point, bound_rows(p1, p0), ()
 
 
 def _complier(records, n_boot, seed, J, monotonicity):
@@ -155,7 +138,7 @@ def _complier(records, n_boot, seed, J, monotonicity):
     boot = complier_mle(stack, init=init, max_iter=20000)
     ok = boot.converged
     failures = tuple((int(i), "NonConvergence") for i in np.flatnonzero(~ok))
-    return point, _kernel_rows(boot.c1[ok], boot.c0[ok]), failures
+    return point, bound_rows(boot.c1[ok], boot.c0[ok]), failures
 
 
 def _resampler(records, scheme):
@@ -238,7 +221,7 @@ def _ipw_rows(records, J, propensity=None, trim=0.01):
         # as ipw_marginals, outcomes outside 0..J-1 are left out
         p1, p0 = (_sums_by_label(w[:, inside], y[inside], J) for w in (w1, w0))
         rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = _kernel_rows(p1 / p1.sum(axis=1, keepdims=True),
+        rows[live] = bound_rows(p1 / p1.sum(axis=1, keepdims=True),
                                   p0 / p0.sum(axis=1, keepdims=True))
         return rows, why
 
@@ -283,7 +266,7 @@ def _model_rows(records, J):
         p1 = cumulative_logit_proba(cut[0, live], slope[0, live], X)
         p0 = cumulative_logit_proba(cut[1, live], slope[1, live], X)
         rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = np.einsum("kn,kni->ki", W[live] / n, _kernel_rows(p1, p0))
+        rows[live] = np.einsum("kn,kni->ki", W[live] / n, bound_rows(p1, p0))
         return rows, why
 
     return rows_fn
@@ -308,7 +291,7 @@ def _discrete_rows(records, J):
         freq = counts[live] / np.maximum(size[live], 1)[..., None]
         share = size[live].sum(axis=2) / n
         rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = np.einsum("ks,ksi->ki", share, _kernel_rows(freq[:, :, 1], freq[:, :, 0]))
+        rows[live] = np.einsum("ks,ksi->ki", share, bound_rows(freq[:, :, 1], freq[:, :, 0]))
         return rows, why
 
     return rows_fn

@@ -567,22 +567,25 @@ def _safe_cumlogit(y, X, w, J):
     wsum = w.sum()
     if wsum <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
         # effectively unidentified: fall back to a near-degenerate intercept fit
-        counts = np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J)
-        cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), 1e-9, 1 - 1e-9)
-        cum = np.maximum.accumulate(cum + 1e-9 * np.arange(J - 1))
-        cuts = np.log(cum) - np.log1p(-cum)
-        return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(X.shape[1])))
+        return _intercept_only(np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J),
+                               X.shape[1])
     try:
         fit = fit_cumulative_logit(_pad_y(y, w, J), _pad_X(X, J), weights=_pad_w(w, J))
         if len(fit.cutpoints) < J - 1:
             raise FitError("category dropped")
         return fit
     except FitError:
-        counts = np.bincount(y, weights=w, minlength=J) + 1e-9
-        cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), 1e-9, 1 - 1e-9)
-        cum = np.maximum.accumulate(cum + 1e-9 * np.arange(J - 1))
-        cuts = np.log(cum) - np.log1p(-cum)
-        return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(X.shape[1])))
+        return _intercept_only(np.bincount(y, weights=w, minlength=J) + 1e-9, X.shape[1])
+
+
+def _intercept_only(counts, n_slopes):
+    """Near-degenerate intercept-only proportional-odds model of the
+    weighted category counts, with n_slopes zero slopes."""
+    J = len(counts)
+    cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), 1e-9, 1 - 1e-9)
+    cum = np.maximum.accumulate(cum + 1e-9 * np.arange(J - 1))
+    cuts = np.log(cum) - np.log1p(-cum)
+    return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(n_slopes)))
 
 
 def _pad_y(y, w, J):

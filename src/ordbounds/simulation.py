@@ -208,13 +208,14 @@ def study2_truth(case: int, n_draws: int = 10_000_000, seed: int = 0) -> dict:
     covariate vector with pi_c(x) weights; the estimators that omit x2
     target a slightly wider interval in the cases where x2 matters.
     """
-    from .bounds import eta_bounds_array, independent_estimands, tau_bounds_array
+    from .bounds import bound_rows
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s1, s0 = _study2_slopes(case)
     out = {}
     chunk = 1_000_000
-    acc = {k: 0.0 for k in ("w", "wL", "wU", "weL", "weU")}
+    W = 0.0
+    w_rows = np.zeros(6)
     p1_sum = np.zeros(3)
     p0_sum = np.zeros(3)
     for start in range(0, n_draws, chunk):
@@ -228,29 +229,21 @@ def study2_truth(case: int, n_draws: int = 10_000_000, seed: int = 0) -> dict:
         p0 = _cumlogit_probs(_ALPHA_C0, s0, X)
         p1_sum += w @ p1
         p0_sum += w @ p0
+        W += float(w.sum())
+        w_rows += w @ bound_rows(p1, p0)
 
-        tl, tu = tau_bounds_array(p1, p0)
-        el, eu = eta_bounds_array(p1, p0)
-        acc["w"] += float(w.sum())
-        acc["wL"] += float(w @ tl)
-        acc["wU"] += float(w @ tu)
-        acc["weL"] += float(w @ el)
-        acc["weU"] += float(w @ eu)
-
-    W = acc["w"]
     out["pi_c"] = W / n_draws
     marg = MarginalPair(
         MarginalDistribution(tuple(p1_sum / p1_sum.sum())),
         MarginalDistribution(tuple(p0_sum / p0_sum.sum())),
     )
-    out["tau_c"], out["eta_c"] = (float(v) for v in independent_estimands(marg))
     rep = full_report(marg)
+    out["tau_c"], out["eta_c"] = float(rep.tau_I), float(rep.eta_I)
     out["tau_c_L"], out["tau_c_U"] = float(rep.tau_L), float(rep.tau_U)
     out["eta_c_L"], out["eta_c_U"] = float(rep.eta_L), float(rep.eta_U)
-    out["tau_c_L_adj"] = acc["wL"] / W
-    out["tau_c_U_adj"] = acc["wU"] / W
-    out["eta_c_L_adj"] = acc["weL"] / W
-    out["eta_c_U_adj"] = acc["weU"] / W
+    tau_l, _, tau_u, eta_l, _, eta_u = (w_rows / W).tolist()
+    out["tau_c_L_adj"], out["tau_c_U_adj"] = tau_l, tau_u
+    out["eta_c_L_adj"], out["eta_c_U_adj"] = eta_l, eta_u
     return out
 
 

@@ -15,12 +15,8 @@ from ordbounds import (
     stochastically_dominates,
     tau_bounds,
 )
-from ordbounds.bounds import (
-    eta_bounds_array,
-    independent_eta_array,
-    independent_tau_array,
-    tau_bounds_array,
-)
+from ordbounds.bounds import COLUMNS, bound_rows
+from ordbounds.estimation import adjusted_bounds_from_strata
 
 from conftest import frac_pair, random_pair
 
@@ -163,10 +159,7 @@ class TestVectorized:
         J = 4
         p1 = rng.dirichlet(np.ones(J), size=50)
         p0 = rng.dirichlet(np.ones(J), size=50)
-        tl, tu = tau_bounds_array(p1, p0)
-        el, eu = eta_bounds_array(p1, p0)
-        ti = independent_tau_array(p1, p0)
-        ei = independent_eta_array(p1, p0)
+        rows = bound_rows(p1, p0)
         for i in range(50):
             m = MarginalPair(
                 MarginalDistribution(tuple(p1[i])), MarginalDistribution(tuple(p0[i]))
@@ -174,13 +167,71 @@ class TestVectorized:
             a, b = tau_bounds(m)
             c, d = eta_bounds(m)
             e, f = independent_estimands(m)
-            assert np.allclose([tl[i], tu[i], el[i], eu[i], ti[i], ei[i]],
-                               [a, b, c, d, e, f], atol=1e-12)
+            assert np.allclose(rows[i], [a, e, b, c, f, d], atol=1e-12)
 
     def test_broadcast_shape(self):
         rng = np.random.default_rng(4)
         p1 = rng.dirichlet(np.ones(3), size=(5, 7))
         p0 = rng.dirichlet(np.ones(3), size=(5, 7))
-        tl, tu = tau_bounds_array(p1, p0)
-        assert tl.shape == (5, 7)
-        assert (tl <= tu + 1e-12).all()
+        rows = bound_rows(p1, p0)
+        assert rows.shape == (5, 7, len(COLUMNS))
+        assert (rows[..., 0] <= rows[..., 2] + 1e-12).all()
+
+
+def scalar_rows(p1, p0):
+    """COLUMNS of one pair by the textbook formulas, written as loops."""
+    J = len(p1)
+    d = [sum(p1[j:]) - sum(p0[j:]) for j in range(J)]
+    return [
+        max(p0[j] + d[j] for j in range(J)),
+        sum(p1[k] * p0[l] for k in range(J) for l in range(k + 1)),
+        1 + min(d),
+        max(d),
+        sum(p1[k] * p0[l] for k in range(J) for l in range(k)),
+        1 + min(d[j] - p1[j] for j in range(J)),
+    ]
+
+
+class TestKernel:
+    def test_object_arrays_equal_fraction_formulas(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m = random_pair(rng, int(rng.integers(2, 9)), exact=True,
+                            sparse=bool(rng.integers(2)))
+            p1, p0 = m.treated.probs, m.control.probs
+            rows = bound_rows(np.array(p1, dtype=object), np.array(p0, dtype=object))
+            got = rows.tolist()
+            assert got == scalar_rows(p1, p0)
+            assert all(isinstance(v, (Fraction, int)) for v in got)
+
+    def test_gap_rule_agrees_with_support_criterion(self):
+        rng = np.random.default_rng(6)
+        for exact in (False, True):
+            for _ in range(400):
+                m = random_pair(rng, int(rng.integers(2, 9)), exact=exact, sparse=True)
+                rep = full_report(m)
+                assert rep.tau_point_identified == point_identified(m, "tau")
+                assert rep.eta_point_identified == point_identified(m, "eta")
+
+    def test_float_strata_match_exact_twin(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            J = int(rng.integers(2, 7))
+            pairs = [random_pair(rng, J, exact=True, sparse=True) for _ in range(3)]
+            raw = rng.integers(1, 10, size=3)
+            weights = [Fraction(int(r), int(raw.sum())) for r in raw]
+            exact = adjusted_bounds_from_strata(list(zip(weights, pairs)))
+            floats = adjusted_bounds_from_strata([
+                (float(w), MarginalPair(
+                    MarginalDistribution(tuple(float(p) for p in m.treated.probs)),
+                    MarginalDistribution(tuple(float(p) for p in m.control.probs))))
+                for w, m in zip(weights, pairs)
+            ])
+            assert isinstance(exact.tau_L, Fraction) and isinstance(floats.tau_L, float)
+            assert np.allclose([float(getattr(floats, c)) for c in COLUMNS],
+                               [float(getattr(exact, c)) for c in COLUMNS], atol=1e-12, rtol=0)
+            assert np.allclose(floats.deltas.deltas, [float(d) for d in exact.deltas.deltas],
+                               atol=1e-12, rtol=0)
+            flags = ("dominance", "tau_point_identified", "eta_point_identified",
+                     "argmin_delta_index", "argmax_lower_index")
+            assert [getattr(floats, f) for f in flags] == [getattr(exact, f) for f in flags]

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import ordbounds
 from ordbounds import bootstrap_bounds_ci
-from ordbounds.cli import _read_unit_csv, main
+from ordbounds.cli import _read_unit_csv, build_parser, main
 from ordbounds.estimation import UnitRecord
 
 
@@ -369,3 +373,33 @@ class TestSimulate:
         payload = json.loads(out)
         assert abs(payload["bias_lower"]) < 0.06
         assert payload["n_failed"] == 0
+
+
+class TestParser:
+    CALLS = (
+        ("bounds", "--p1", "1/5,3/5,1/5", "--p0", "2/5,1/5,2/5"),
+        ("construct", "--p1", "0.5,0.5", "--p0", "0.5,0.5", "--target", "tau_mid"),
+        ("construct", "--p1", "0.2,0.6,0.2", "--p0", "0.4,0.2,0.4",
+         "--target", "tau_max", "--format", "csv"),
+    )
+
+    def test_one_parser_serves_calls_as_fresh_processes_do(self, capsys, monkeypatch):
+        # the parser is built once per process; a rejected argv between two
+        # calls of different subcommands must leave nothing behind in it
+        monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to this width
+        assert build_parser() is build_parser()
+        in_process = []
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        src = os.path.dirname(os.path.dirname(ordbounds.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        fresh = [subprocess.run([sys.executable, "-m", "ordbounds.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=120)
+                 for argv in self.CALLS]
+        assert [c for c, _, _ in in_process] == [0, 2, 0]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
