@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import construction_indices
-from .distributions import JointDistribution, MarginalPair, delta_effects
+from .distributions import JointDistribution, MarginalPair, _is_exact, delta_effects
 from .exceptions import DominanceViolated, LengthMismatch
 
 _FLOAT_TOL = 1e-9
@@ -48,12 +48,6 @@ class TriangularMatrix:
         return len(self.matrix)
 
 
-def _is_exact_vec(v) -> bool:
-    from .distributions import _is_exact
-
-    return _is_exact(v)
-
-
 def _clamp(v):
     if isinstance(v, float) and -_CLAMP <= v < 0.0:
         return 0.0
@@ -62,7 +56,7 @@ def _clamp(v):
 
 def _check_tail_dominance(x, y):
     """Require sum_{r>=s} x_r >= sum_{r>=s} y_r for every s."""
-    tol = 0 if _is_exact_vec(x) and _is_exact_vec(y) else _FLOAT_TOL
+    tol = 0 if _is_exact(x) and _is_exact(y) else _FLOAT_TOL
     tx = ty = 0
     slack = [None] * len(x)
     for s in reversed(range(len(x))):
@@ -82,7 +76,7 @@ def _alloc_lower(x, y):
     sub-allocation, recurse.
     """
     n = len(x)
-    zero = 0 if _is_exact_vec(x) and _is_exact_vec(y) else 0.0
+    zero = 0 if _is_exact(x) and _is_exact(y) else 0.0
     if n == 1:
         return [[_clamp(y[0])]]
     sub = _alloc_lower(x[1:], y[1:])

@@ -5,29 +5,33 @@ Optimizes any linear objective sum_kl c_kl p_kl subject to fixed row sums
 Used as an independent cross-check of the closed-form bounds and to compute
 sharp bounds on the relative effect alpha = tau + eta - 1.
 
-The solver is a dense primal simplex started from the northwest-corner basic
-feasible solution, with Bland's rule for both the entering and leaving
-variable so the highly degenerate polytope cannot cause cycling.  It runs in
-exact rational arithmetic when the marginals are Fractions, in double
-precision (pivot tolerance 1e-12) otherwise.
+The solver is the transportation (network) simplex.  Its whole state is the
+flow on the 2J-1 basic cells, which form a spanning tree over J row nodes and
+J column nodes, starting from the northwest-corner basis.  Each pivot prices
+the cells with the tree's potentials u_k + v_l = c_kl and sends flow round the
+cycle that the entering cell closes in the tree.  Bland's rule (the first
+cell in row-major order with negative reduced cost enters; the smallest cell
+among the tied decreasing cells leaves) keeps the highly degenerate polytope
+from cycling.  Exact and float inputs share this one code path and differ
+only in the number type: Fractions with pricing tolerance 0 when the
+marginals and objective are exact, floats with tolerance 1e-12 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .distributions import JointDistribution, MarginalPair, _is_exact
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, ValidationError
 
 _PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class LinearObjective:
-    """J x J grid of objective coefficients c_kl."""
+    """J x J grid of finite objective coefficients c_kl."""
 
     coeffs: tuple
 
@@ -38,6 +42,12 @@ class LinearObjective:
         for r in rows:
             if len(r) != J:
                 raise DimensionMismatch("objective matrix must be square")
+        for k, r in enumerate(rows):
+            for l, v in enumerate(r):
+                # nan or +-inf; compared, not converted, so that exact
+                # integers too large for a float pass
+                if v != v or abs(v) == math.inf:
+                    raise ValidationError(f"objective coefficient at ({k},{l}) is {v}")
 
     @property
     def J(self) -> int:
@@ -59,15 +69,16 @@ def sign_objective(J: int) -> LinearObjective:
 
 
 def _northwest_basis(p1, p0, J, zero):
-    """Northwest-corner rule; returns exactly 2J-1 basic cells spanning the
-    transportation constraints (degenerate zero allocations included)."""
+    """Northwest-corner rule; returns {(k, l): flow} on exactly 2J-1 basic
+    cells spanning the transportation constraints (degenerate zero
+    allocations included)."""
     a = list(p1)
     b = list(p0)
-    cells = []
+    flow = {}
     i = j = 0
     while True:
         x = min(a[i], b[j])
-        cells.append((i, j))
+        flow[(i, j)] = x
         a[i] -= x
         b[j] -= x
         if i == J - 1 and j == J - 1:
@@ -76,7 +87,50 @@ def _northwest_basis(p1, p0, J, zero):
             i += 1
         else:
             j += 1
-    return cells
+    return flow
+
+
+def _tree(cells, J):
+    """Parent, cell to the parent and depth of every node of the basis tree
+    rooted at row 0, and the nodes in breadth-first order.  Node k < J is
+    row k, node J + l is column l."""
+    adj = [[] for _ in range(2 * J)]
+    for i, j in cells:
+        adj[i].append((J + j, (i, j)))
+        adj[J + j].append((i, (i, j)))
+    parent, up, depth = [None] * (2 * J), [None] * (2 * J), [0] * (2 * J)
+    order = [0]
+    for node in order:
+        for nb, cell in adj[node]:
+            if nb != parent[node]:
+                parent[nb], up[nb], depth[nb] = node, cell, depth[node] + 1
+                order.append(nb)
+    return parent, up, depth, order
+
+
+def _potentials(c, parent, up, order, zero):
+    """Node potentials with u_0 = 0 and u_k + v_l = c_kl on every basic cell;
+    row k's is at index k, column l's at J + l."""
+    pot = [zero] * len(order)
+    for node in order[1:]:
+        k, l = up[node]
+        pot[node] = c[k][l] - pot[parent[node]]
+    return pot
+
+
+def _cycle(parent, up, depth, a, b):
+    """Basic cells on the tree path from node a to node b, in path order.
+    From column j to row i, with the entering cell (i, j) they close the
+    pivot cycle: the cells at even positions lose flow, the others gain."""
+    head, tail = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            head.append(up[a])
+            a = parent[a]
+        else:
+            tail.append(up[b])
+            b = parent[b]
+    return head + tail[::-1]
 
 
 def optimize(m: MarginalPair, obj: LinearObjective, sense: str = "max"):
@@ -91,94 +145,38 @@ def optimize(m: MarginalPair, obj: LinearObjective, sense: str = "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     J = m.J
     exact = m.exact and _is_exact([v for r in obj.coeffs for v in r])
-    if exact:
-        p1 = [Fraction(v) for v in m.treated.probs]
-        p0 = [Fraction(v) for v in m.control.probs]
-        cvals = [Fraction(v) for r in obj.coeffs for v in r]
-        zero, tol = Fraction(0), Fraction(0)
-    else:
-        p1 = [float(v) for v in m.treated.probs]
-        p0 = [float(v) for v in m.control.probs]
-        cvals = [float(v) for r in obj.coeffs for v in r]
-        zero, tol = 0.0, _PIVOT_TOL
-
+    num, tol = (Fraction, 0) if exact else (float, _PIVOT_TOL)
+    zero = num(0)
+    cvals = [[num(v) for v in r] for r in obj.coeffs]
     flip = -1 if sense == "max" else 1
-    c = [flip * v for v in cvals]
+    c = [[flip * v for v in r] for r in cvals]
 
-    # equality constraints: J row sums, J-1 column sums (last one redundant)
-    nvar = J * J
-    nrow = 2 * J - 1
-    dtype = object if exact else float
-    A = np.zeros((nrow, nvar + 1), dtype=dtype)
-    if exact:
-        A[:, :] = Fraction(0)
-    for k in range(J):
-        for l in range(J):
-            A[k, k * J + l] = 1 if not exact else Fraction(1)
-    for l in range(J - 1):
-        for k in range(J):
-            A[J + l, k * J + l] = 1 if not exact else Fraction(1)
-    for k in range(J):
-        A[k, nvar] = p1[k]
-    for l in range(J - 1):
-        A[J + l, nvar] = p0[l]
-
-    basis = [i * J + j for (i, j) in _northwest_basis(p1, p0, J, zero)]
-    assert len(basis) == nrow
-
-    # reduce A so that basis columns form an identity
-    for r, col in enumerate(basis):
-        piv_row = None
-        for rr in range(r, nrow):
-            if abs(A[rr, col]) > tol:
-                piv_row = rr
-                break
-        if piv_row is None:  # defensive; NW basis is always independent
-            raise RuntimeError("degenerate starting basis")
-        if piv_row != r:
-            A[[r, piv_row]] = A[[piv_row, r]]
-        A[r] = A[r] / A[r, col]
-        for rr in range(nrow):
-            if rr != r and A[rr, col] != 0:
-                A[rr] = A[rr] - A[rr, col] * A[r]
-
-    # cost row: reduced costs c_j - c_B^T B^-1 a_j
-    cb = np.array([c[j] for j in basis], dtype=dtype)
-    red = np.array(c + [zero], dtype=dtype) - cb @ A
-
+    flow = _northwest_basis([num(v) for v in m.treated.probs],
+                            [num(v) for v in m.control.probs], J, zero)
     while True:
-        entering = None
-        for j in range(nvar):  # Bland: smallest eligible index
-            if red[j] < -tol:
-                entering = j
-                break
+        parent, up, depth, order = _tree(flow, J)
+        pot = _potentials(c, parent, up, order, zero)
+        entering = next(((i, j) for i in range(J) for j in range(J)
+                         if (i, j) not in flow and c[i][j] - pot[i] - pot[J + j] < -tol),
+                        None)
         if entering is None:
             break
-        ratios = []
-        for r in range(nrow):
-            if A[r, entering] > tol:
-                ratios.append((A[r, nvar] / A[r, entering], basis[r], r))
-        if not ratios:  # transportation polytope is bounded; defensive
-            raise RuntimeError("unbounded LP")
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        r = best[2]
-        piv = A[r, entering]
-        A[r] = A[r] / piv
-        coef = red[entering]
-        red = red - coef * A[r]
-        for rr in range(nrow):
-            if rr != r and A[rr, entering] != 0:
-                A[rr] = A[rr] - A[rr, entering] * A[r]
-        basis[r] = entering
+        i, j = entering
+        path = _cycle(parent, up, depth, J + j, i)
+        leaving = min(path[0::2], key=lambda cell: (flow[cell], cell))
+        theta = flow[leaving]
+        for cell in path[0::2]:
+            flow[cell] -= theta
+        for cell in path[1::2]:
+            flow[cell] += theta
+        del flow[leaving]
+        flow[entering] = theta
 
-    x = [zero] * nvar
-    for r, col in enumerate(basis):
-        x[col] = A[r, nvar]
-    value = sum(ci * xi for ci, xi in zip(cvals, x))
+    x = [[flow.get((k, l), zero) for l in range(J)] for k in range(J)]
+    value = sum(cvals[k][l] * x[k][l] for k in range(J) for l in range(J))
     if not exact:
-        x = [0.0 if -1e-10 < v < 0 else v for v in x]
-    mat = tuple(tuple(x[k * J + l] for l in range(J)) for k in range(J))
-    return value, JointDistribution(mat)
+        x = [[0.0 if -1e-10 < v < 0 else v for v in r] for r in x]
+    return value, JointDistribution(tuple(tuple(r) for r in x))
 
 
 def alpha_bounds(m: MarginalPair):

@@ -29,6 +29,7 @@ from .exceptions import (
     DefiersObserved,
     DegenerateInit,
     EmptyArm,
+    FitError,
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
@@ -407,7 +408,7 @@ class CovariateStrataFit:
         )
 
 
-def _expand_records(records, J):
+def _expand_records(records):
     z = np.array([r.z for r in records], dtype=int)
     d = np.array([r.d for r in records], dtype=int)
     y = np.array([r.y for r in records], dtype=int)
@@ -430,7 +431,7 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     """
     if J is None:
         J = max(r.y for r in records) + 1
-    z, d, y, X = _expand_records(records, J)
+    z, d, y, X = _expand_records(records)
     has_a = monotonicity == "standard"
     if not has_a and np.any((z == 0) & (d == 1)):
         raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
@@ -562,15 +563,17 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
 
 def _safe_cumlogit(y, X, w, J):
     """Weighted proportional-odds fit tolerant of degenerate weights."""
-    from .exceptions import FitError
-
     wsum = w.sum()
     if wsum <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
         # effectively unidentified: fall back to a near-degenerate intercept fit
         return _intercept_only(np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J),
                                X.shape[1])
     try:
-        fit = fit_cumulative_logit(_pad_y(y, w, J), _pad_X(X, J), weights=_pad_w(w, J))
+        # zero-weight pseudo-observations of every category 0..J-1, so the
+        # fitted model has J categories
+        fit = fit_cumulative_logit(np.concatenate([y, np.arange(J)]),
+                                   np.vstack([X, np.zeros((J, X.shape[1]))]),
+                                   weights=np.concatenate([w, np.zeros(J)]))
         if len(fit.cutpoints) < J - 1:
             raise FitError("category dropped")
         return fit
@@ -587,16 +590,3 @@ def _intercept_only(counts, n_slopes):
     cuts = np.log(cum) - np.log1p(-cum)
     return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(n_slopes)))
 
-
-def _pad_y(y, w, J):
-    """Append zero-weight pseudo-observations so every category 0..J-1 is
-    present and the fitted model has J categories."""
-    return np.concatenate([y, np.arange(J)])
-
-
-def _pad_X(X, J):
-    return np.vstack([X, np.zeros((J, X.shape[1]))])
-
-
-def _pad_w(w, J):
-    return np.concatenate([w, np.zeros(J)])

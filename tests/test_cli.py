@@ -362,6 +362,17 @@ class TestOracle:
         )
         assert json.loads(out1)["tau"] == pytest.approx(json.loads(out2)["value"])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_objective_file_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "f.csv"
+        path.write_text(f"0,{bad},1\n-1,0,1\n-1,-1,0\n")
+        code = main(["oracle", "--p1", "0.2,0.3,0.5", "--p0", "0.5,0.3,0.2",
+                     "--objective", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err
+
 
 class TestSimulate:
     def test_small_run(self, capsys):
