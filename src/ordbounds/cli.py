@@ -10,8 +10,9 @@ Subcommands:
 * oracle      linear programming over couplings with fixed margins
 
 Unit-data CSV format: header row with columns ``z`` (0/1 assignment),
-optional ``d`` (0/1 receipt), ``y`` (integer category), and any remaining
-columns treated as numeric covariates.
+optional ``d`` (0/1 receipt), ``y`` (nonnegative integer category), and any
+remaining columns treated as numeric covariates.  z and d must be 0 or 1 and
+y a nonnegative integer; anything else exits 2.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import full_report
-from .distributions import MarginalDistribution, MarginalPair
+from .distributions import MarginalDistribution, MarginalPair, covariate_matrix, unit_columns
 from .estimation import UnitRecord
 from .exceptions import (
     FitError,
@@ -130,7 +131,8 @@ def _read_unit_csv(path: str, J: int | None):
                 raise OrdBoundsError(f"{path}:{reader.line_num}: bad row: {e}") from None
     if not records:
         raise OrdBoundsError(f"{path}: no data rows")
-    if J is not None and any(r.y >= J for r in records):
+    Jy = unit_columns(records).J   # z, d and y must be valid for every command
+    if J is not None and Jy > J:
         raise OrdBoundsError(f"{path}: outcome exceeds --categories {J}")
     return records, covs
 
@@ -225,7 +227,7 @@ def cmd_analyze_iv(args):
     )
 
     records, covs = _read_unit_csv(args.data, args.categories)
-    if any(r.d is None for r in records):
+    if unit_columns(records).d is None:
         raise OrdBoundsError("analyze-iv needs a 'd' column")
 
     if args.moment:
@@ -249,8 +251,7 @@ def cmd_analyze_iv(args):
             raise OrdBoundsError("--covariates requires covariate columns in the CSV")
         fit = em_fit_with_covariates(records, monotonicity=args.monotonicity,
                                      J=args.categories)
-        X = np.array([r.x for r in records], dtype=float)
-        rep = fit.complier_report(X)
+        rep = fit.complier_report(covariate_matrix(records))
         payload["complier_adjusted"] = _report_payload(rep)
     if args.bootstrap:
         seed = _seed(args)

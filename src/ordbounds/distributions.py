@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,24 +203,60 @@ def estimands_of_joint(P: JointDistribution):
     return tau, eta, tau + eta - 1
 
 
+class UnitColumns(NamedTuple):
+    z: np.ndarray
+    y: np.ndarray
+    d: np.ndarray | None
+    J: int
+
+
+def unit_columns(records) -> UnitColumns:
+    """The int arrays z, y and d of unit records (see
+    :class:`ordbounds.estimation.UnitRecord`) and J = max(y) + 1.
+
+    d is None when no record carries it; ValueError when only some do.
+    OutOfRangeOutcome when z or d is outside {0, 1} or y is negative.
+    """
+    z = np.array([r.z for r in records], dtype=np.int64)
+    y = np.array([r.y for r in records], dtype=np.int64)
+    d = _all_or_none([r.d for r in records], "treatment received d")
+    d = None if d is None else np.array(d, dtype=np.int64)
+    for name, v in (("assignment z", z), ("treatment received d", d)):
+        if v is not None and ((v != 0) & (v != 1)).any():
+            raise OutOfRangeOutcome(f"{name} must be 0 or 1, got {v[(v != 0) & (v != 1)][0]}")
+    if (y < 0).any():
+        raise OutOfRangeOutcome(f"outcome y must be a nonnegative integer, got {y.min()}")
+    return UnitColumns(z, y, d, int(y.max(initial=0)) + 1)
+
+
+def covariate_matrix(records) -> np.ndarray:
+    """The (n, p) float matrix of the records' covariate vectors x; p = 0
+    when no record carries x, ValueError when only some do."""
+    xs = _all_or_none([r.x for r in records], "covariates x")
+    if xs is None:
+        return np.empty((len(records), 0))
+    return np.array(xs, dtype=float).reshape(len(xs), -1)
+
+
+def _all_or_none(values, what):
+    """values, or None when every one is None; ValueError when some are."""
+    missing = sum(v is None for v in values)
+    if missing and missing < len(values):
+        raise ValueError(f"{what} must be given for all units or none")
+    return None if missing else values
+
+
 def empirical_marginals(records, J: int | None = None) -> MarginalPair:
     """Within-arm relative frequencies of the observed outcomes.
 
-    ``records`` is a sequence of objects with fields ``z`` and ``y``
-    (see :class:`ordbounds.estimation.UnitRecord`).  J is inferred as
-    max(y)+1 unless supplied.
+    ``records`` is a sequence of objects with fields ``z`` and ``y`` (see
+    :func:`unit_columns`).  J is inferred as max(y)+1 unless supplied.
     """
-    ys = [r.y for r in records]
-    zs = [r.z for r in records]
-    if J is None:
-        J = max(ys, default=1) + 1
-    if J < 2:
-        J = 2
-    counts = np.zeros((2, J))
-    for z, y in zip(zs, ys):
-        if not 0 <= y < J:
-            raise OutOfRangeOutcome(f"outcome {y} outside 0..{J - 1}")
-        counts[int(z), y] += 1
+    z, y, _, Jy = unit_columns(records)
+    J = max(Jy if J is None else J, 2)
+    if (y >= J).any():
+        raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
+    counts = np.bincount(z * J + y, minlength=2 * J).reshape(2, J)
     n1, n0 = counts[1].sum(), counts[0].sum()
     if n1 == 0 or n0 == 0:
         raise EmptyArm("both treated and control units are required")

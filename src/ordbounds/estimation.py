@@ -24,7 +24,9 @@ from .distributions import (
     MarginalDistribution,
     MarginalPair,
     _is_exact,
+    covariate_matrix,
     empirical_marginals,
+    unit_columns,
 )
 from .exceptions import EmptyArm, ExtremePropensity, StratumMissingArm
 from .models import CumulativeLogitModel, fit_cumulative_logit, fit_logit
@@ -69,17 +71,15 @@ def adjusted_bounds_from_strata(strata) -> BoundsReport:
                            np.array([p.control.probs for p in pairs], dtype=dtype))
 
 
-def _arm_counts(records):
-    n1 = sum(1 for r in records if r.z == 1)
-    n0 = len(records) - n1
-    return n1, n0
+def _estimated(report, design, z) -> EstimatedBounds:
+    n1 = int(z.sum())
+    return EstimatedBounds(report, design, n1, len(z) - n1)
 
 
 def estimate_randomized(records: Sequence[UnitRecord], J: int | None = None) -> EstimatedBounds:
     """Sample-analogue bounds for a completely randomized experiment."""
     m = empirical_marginals(records, J=J)
-    n1, n0 = _arm_counts(records)
-    return EstimatedBounds(full_report(m), "randomized", n1, n0)
+    return _estimated(full_report(m), "randomized", unit_columns(records).z)
 
 
 def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 0.01) -> MarginalPair:
@@ -88,14 +88,12 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     propensity: a float (known constant), a per-unit array, or None to fit a
     logistic model of z on x.
     """
-    z = np.array([r.z for r in records], dtype=float)
-    y = np.array([r.y for r in records], dtype=int)
-    if J is None:
-        J = int(y.max()) + 1
+    z, y, _, Jy = unit_columns(records)
+    J = Jy if J is None else J
     if z.sum() == 0 or z.sum() == len(z):
         raise EmptyArm("both arms required")
     if propensity is None:
-        X = np.array([r.x for r in records], dtype=float)
+        X = covariate_matrix(records)
         e = fit_logit(z, X).predict_proba(X)
     elif np.isscalar(propensity):
         e = np.full(len(z), float(propensity))
@@ -117,8 +115,7 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
 def estimate_ipw(records: Sequence[UnitRecord], propensity=None, J: int | None = None,
                  trim: float = 0.01) -> EstimatedBounds:
     m = ipw_marginals(records, propensity=propensity, J=J, trim=trim)
-    n1, n0 = _arm_counts(records)
-    return EstimatedBounds(full_report(m), "ipw", n1, n0)
+    return _estimated(full_report(m), "ipw", unit_columns(records).z)
 
 
 def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
@@ -131,37 +128,30 @@ def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
     strata="model": per-arm proportional-odds fits on x; conditional bounds
     are averaged over all N units' covariates.
     """
-    n1, n0 = _arm_counts(records)
-    if n1 == 0 or n0 == 0:
+    z, y, _, Jy = unit_columns(records)
+    if z.all() or not z.any():
         raise EmptyArm("both arms required")
-    if J is None:
-        J = max(r.y for r in records) + 1
+    J = Jy if J is None else J
 
     if strata == "discrete":
         groups: dict = {}
         for r in records:
             groups.setdefault(r.x, []).append(r)
-        weights, pairs = [], []
-        N = len(records)
+        weighted = []
         for key, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
-            m1, m0 = _arm_counts(members)
-            if m1 == 0 or m0 == 0:
-                raise StratumMissingArm(f"stratum {key!r} lacks one arm")
-            weights.append(len(members) / N)
-            pairs.append(empirical_marginals(members, J=J))
-        report = adjusted_bounds_from_strata(list(zip(weights, pairs)))
+            try:
+                weighted.append((len(members) / len(records), empirical_marginals(members, J=J)))
+            except EmptyArm:
+                raise StratumMissingArm(f"stratum {key!r} lacks one arm") from None
+        report = adjusted_bounds_from_strata(weighted)
     elif strata == "model":
-        X = np.array([r.x for r in records], dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        y = np.array([r.y for r in records], dtype=int)
-        z = np.array([r.z for r in records], dtype=int)
+        X = covariate_matrix(records)
         fit1 = fit_cumulative_logit(y[z == 1], X[z == 1])
         fit0 = fit_cumulative_logit(y[z == 0], X[z == 0])
         report = conditional_report_from_models(fit1, fit0, X, J=J)
     else:
         raise ValueError(f"unknown strata mode {strata!r}")
-    return EstimatedBounds(report, "adjusted", n1, n0)
+    return _estimated(report, "adjusted", z)
 
 
 def conditional_report_from_models(fit1: CumulativeLogitModel, fit0: CumulativeLogitModel,

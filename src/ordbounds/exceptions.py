@@ -37,8 +37,8 @@ class EmptyArm(OrdBoundsError):
     pass
 
 
-class OutOfRangeOutcome(OrdBoundsError):
-    pass
+class OutOfRangeOutcome(OrdBoundsError, ValueError):
+    """A unit's z or d outside {0, 1}, or its y outside 0..J-1."""
 
 
 # -- coupling constructions --------------------------------------------------

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import COLUMNS, bound_rows
+from .distributions import covariate_matrix, unit_columns
 from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
 from .exceptions import OrdBoundsError, ReplicateFailure
 from .models import (
@@ -104,13 +105,11 @@ def _randomized(records, n_boot, seed, J):
     """Resampling units within arms is a multinomial redraw of the
     within-arm counts."""
     point = _report_row(estimate_randomized(records, J=J).report)
-    y1 = np.array([r.y for r in records if r.z == 1])
-    y0 = np.array([r.y for r in records if r.z == 0])
-    if J is None:
-        J = int(max(y1.max(), y0.max())) + 1
+    z, y, _, Jy = unit_columns(records)
+    y1, y0 = y[z == 1], y[z == 0]
     n1, n0 = len(y1), len(y0)
-    f1 = np.bincount(y1, minlength=J) / n1
-    f0 = np.bincount(y0, minlength=J) / n0
+    f1 = np.bincount(y1, minlength=J or Jy) / n1
+    f0 = np.bincount(y0, minlength=J or Jy) / n0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p1 = rng.multinomial(n1, f1, size=n_boot) / n1
     p0 = rng.multinomial(n0, f0, size=n_boot) / n0
@@ -122,9 +121,8 @@ def _complier(records, n_boot, seed, J, monotonicity):
     resampling is a multinomial redraw of each arm's cell counts.  One
     full-sample fit gives the point row and the EM warm start of the
     boundary replicates; all replicates go through complier_mle at once."""
-    if J is None:
-        J = max(r.y for r in records) + 1
     counts = _cells(records, J)
+    J = counts.shape[-1]
     fit, _ = _fit_counts(counts, monotonicity)
     point = _report_row(complier_bounds(fit).complier)
     n1, n0 = counts[1].sum(), counts[0].sum()
@@ -146,7 +144,7 @@ def _resampler(records, scheme):
     n = len(records)
     if scheme == "whole":
         return lambda rng: rng.integers(0, n, size=n)
-    z = np.array([r.z for r in records])
+    z = unit_columns(records).z
     arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
     return lambda rng: np.concatenate([arm[rng.integers(0, len(arm), size=len(arm))]
                                        for arm in arms])
@@ -191,13 +189,11 @@ def _weighted_rank(M, W):
 def _ipw_rows(records, J, propensity=None, trim=0.01):
     """W -> (rows, why) of the inverse-propensity estimator: one stacked
     propensity logit, the trim check on resampled units, Hajek marginals."""
-    z = np.array([r.z for r in records], dtype=float)
-    y = np.array([r.y for r in records])
+    z, y, _, _ = unit_columns(records)
     inside = y < J
     n = len(z)
     if propensity is None:
-        X = np.array([r.x for r in records], dtype=float).reshape(n, -1)
-        M = np.hstack([np.ones((n, 1)), X])
+        M = np.hstack([np.ones((n, 1)), covariate_matrix(records)])
 
     def rows_fn(W):
         why = np.full(len(W), None, dtype=object)
@@ -233,10 +229,8 @@ def _model_rows(records, J):
     proportional-odds fits.  A fit infers its J from the top category its
     arm-resample observed, so the rows of each arm are fitted in groups of
     equal J; cutpoints above a group's top are +inf (probability 0)."""
-    X = np.array([r.x for r in records], dtype=float)
-    X = X.reshape(len(X), -1)
-    y = np.array([r.y for r in records])
-    z = np.array([r.z for r in records])
+    X = covariate_matrix(records)
+    z, y, _, _ = unit_columns(records)
     n, d = X.shape
     arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
 
@@ -277,8 +271,7 @@ def _discrete_rows(records, J):
     per-stratum, per-arm outcome counts by one bincount."""
     labels = {}
     s = np.array([labels.setdefault(r.x, len(labels)) for r in records])
-    z = np.array([r.z for r in records])
-    y = np.array([r.y for r in records])
+    z, y, _, _ = unit_columns(records)
     S, n = len(labels), len(records)
     cells = (2 * s + z) * J + y
 
@@ -321,7 +314,7 @@ def _complier_adjusted(records, n_boot, seed, J, options):
             sample, monotonicity=options.get("monotonicity", "standard"),
             init=options.get("init"), J=J,
         )
-        return fit.complier_report(np.array([np.atleast_1d(r.x) for r in sample], dtype=float))
+        return fit.complier_report(covariate_matrix(sample))
 
     point = _report_row(report(records))
     rows, failures = [], []
@@ -357,14 +350,14 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     elif estimator == "ipw":
         propensity, trim = options.get("propensity"), options.get("trim", 0.01)
         point = _report_row(estimate_ipw(records, propensity=propensity, J=J, trim=trim).report)
-        Jr = J or max(r.y for r in records) + 1
+        Jr = J or unit_columns(records).J
         rows, failures = _stacked(records, "whole", n_boot, seed, Jr,
                                   _ipw_rows(records, Jr, propensity, trim))
     elif estimator == "adjusted":
         strata = options.get("strata", "discrete")
         point = _report_row(estimate_adjusted(records, strata=strata, J=J).report)
         # the fits may see more categories than J; extra ones are padding
-        Jr = max(J or 0, max(r.y for r in records) + 1)
+        Jr = max(J or 0, unit_columns(records).J)
         make = _model_rows if strata == "model" else _discrete_rows
         rows, failures = _stacked(records, "stratified", n_boot, seed, Jr, make(records, Jr))
     else:

@@ -14,7 +14,9 @@ cell in row-major order with negative reduced cost enters; the smallest cell
 among the tied decreasing cells leaves) keeps the highly degenerate polytope
 from cycling.  Exact and float inputs share this one code path and differ
 only in the number type: Fractions with pricing tolerance 0 when the
-marginals and objective are exact, floats with tolerance 1e-12 otherwise.
+marginals and objective are exact, floats otherwise, priced with tolerance
+1e-12 times the largest |c_kl| so that the stopping rule does not depend on
+the objective's scale.
 """
 
 from __future__ import annotations
@@ -145,9 +147,10 @@ def optimize(m: MarginalPair, obj: LinearObjective, sense: str = "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     J = m.J
     exact = m.exact and _is_exact([v for r in obj.coeffs for v in r])
-    num, tol = (Fraction, 0) if exact else (float, _PIVOT_TOL)
+    num = Fraction if exact else float
     zero = num(0)
     cvals = [[num(v) for v in r] for r in obj.coeffs]
+    tol = 0 if exact else _PIVOT_TOL * max(abs(v) for r in cvals for v in r)
     flip = -1 if sense == "max" else 1
     c = [[flip * v for v in r] for r in cvals]
 

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundsReport, eta_bounds, full_report, tau_bounds
-from .distributions import MarginalDistribution, MarginalPair
-from .estimation import UnitRecord, conditional_report_from_models
+from .distributions import MarginalDistribution, MarginalPair, covariate_matrix, unit_columns
+from .estimation import conditional_report_from_models
 from .exceptions import (
     DefiersObserved,
     DegenerateInit,
@@ -33,6 +33,7 @@ from .exceptions import (
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
+    OutOfRangeOutcome,
 )
 from .models import (
     CumulativeLogitModel,
@@ -126,16 +127,16 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
     return min(max(value, 0 * value), 1)
 
 
-def _cells(records, J):
-    """Counts n[z][d][y] as a (2, 2, J) array; EmptyArm if either assignment
-    arm has no units (the mixture subtraction divides by the arm sizes)."""
-    try:
-        zdy = np.array([(r.z, r.d, r.y) for r in records], dtype=np.int64).reshape(-1, 3)
-    except TypeError:
-        raise ValueError("records must carry the treatment-received field d") from None
-    z, d, y = zdy.T
-    if ((z != 0) & (z != 1)).any() or ((d != 0) & (d != 1)).any() or ((y < 0) | (y >= J)).any():
-        raise ValueError(f"z and d must be 0 or 1 and y in 0..{J - 1}")
+def _cells(records, J=None):
+    """Counts n[z][d][y] as a (2, 2, J) array, J = max(y) + 1 unless given;
+    EmptyArm if either assignment arm has no units (the mixture subtraction
+    divides by the arm sizes)."""
+    z, y, d, Jy = unit_columns(records)
+    if d is None:
+        raise ValueError("records must carry the treatment-received field d")
+    J = Jy if J is None else J
+    if (y >= J).any():
+        raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
     if not counts[0].any() or not counts[1].any():
         raise EmptyArm("both assignment arms (z=0 and z=1) are required")
@@ -189,8 +190,6 @@ def moment_identify(records, monotonicity: str = "standard", J: int | None = Non
     """
     if monotonicity not in ("standard", "strong"):
         raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
-    if J is None:
-        J = max(r.y for r in records) + 1
     counts = _cells(records, J)
     if monotonicity == "strong" and counts[0, 1].sum() > 0:
         raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
@@ -329,8 +328,6 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     Returns the fitted StrataModel (and the log-likelihood trace when
     track_loglik is True).
     """
-    if J is None:
-        J = max(r.y for r in records) + 1
     model, trace = _fit_counts(_cells(records, J), monotonicity, init, max_iter, tol)
     return (model, trace) if track_loglik else model
 
@@ -408,15 +405,17 @@ class CovariateStrataFit:
         )
 
 
-def _expand_records(records):
-    z = np.array([r.z for r in records], dtype=int)
-    d = np.array([r.d for r in records], dtype=int)
-    y = np.array([r.y for r in records], dtype=int)
-    if any(r.x is None for r in records):
-        X = np.empty((len(records), 0))
-    else:
-        X = np.array([np.atleast_1d(r.x) for r in records], dtype=float)
-    return z, d, y, X
+def _unit_terms(g_model, a_model, n_model, c1_model, c0_model, X, y):
+    """Each unit's four mixture terms at its own outcome: pi_a p_a, pi_n p_n,
+    pi_c p_c1 and pi_c p_c0; pi_a p_a is 0 without an always-taker model."""
+    P = g_model.predict_proba(X)
+    rows = np.arange(len(y))
+
+    def at(model):
+        return model.predict_proba(X)[rows, y]
+
+    ta = np.zeros(len(y)) if a_model is None else P[:, 1] * at(a_model)
+    return ta, P[:, -1] * at(n_model), P[:, 0] * at(c1_model), P[:, 0] * at(c0_model)
 
 
 def em_fit_with_covariates(records, monotonicity: str = "standard",
@@ -427,11 +426,14 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     and proportional-odds fits.
 
     The observed-data log-likelihood is non-decreasing across iterations
-    (each M-step maximizes the weighted fits to convergence).
+    (each M-step maximizes the weighted fits to convergence).  The mixture
+    terms of each fit serve both its log-likelihood and the next E-step; the
+    first E-step uses those of init or of the covariate-free fit.
     """
-    if J is None:
-        J = max(r.y for r in records) + 1
-    z, d, y, X = _expand_records(records)
+    counts = _cells(records, J)
+    J = counts.shape[-1]
+    z, y, d, _ = unit_columns(records)
+    X = covariate_matrix(records)
     has_a = monotonicity == "standard"
     if not has_a and np.any((z == 0) & (d == 1)):
         raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
@@ -444,61 +446,28 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     if has_a and not cell_at.any() and not cell_t.any():
         raise DegenerateInit("no units with d=1")
 
-    n_units = len(records)
     ia = np.nonzero(cell_at)[0]
     it = np.nonzero(cell_t)[0]
     inn = np.nonzero(cell_nt)[0]
     ic = np.nonzero(cell_c)[0]
 
     if init is not None:
-        fit = init
+        ta, tn, tc1, tc0 = _unit_terms(init.g_model, init.a_model if has_a else None,
+                                       init.n_model, init.c_treated_model,
+                                       init.c_control_model, X, y)
     else:
-        # warm start from the covariate-free EM
-        flat = em_fit(records, monotonicity=monotonicity, J=J)
-        fit = None
-
-    def outcome_probs(model, idx):
-        return model.predict_proba(X[idx])[np.arange(len(idx)), y[idx]]
+        # warm start from the covariate-free fit
+        flat, _ = _fit_counts(counts, monotonicity)
+        ta, tn, tc1, tc0 = [p * m.as_array()[y] for p, m in (
+            (flat.pi_a, flat.a_marginal), (flat.pi_n, flat.n_marginal),
+            (flat.pi_c, flat.c_treated), (flat.pi_c, flat.c_control))]
 
     prev_ll = -np.inf
     trace = []
-    w_a_t = None
     for it_num in range(1, max_iter + 1):
-        if fit is None:
-            # initial E-step from the covariate-free fit
-            pa = flat.a_marginal.as_array()[y]
-            pn = flat.n_marginal.as_array()[y]
-            pc1 = flat.c_treated.as_array()[y]
-            pc0 = flat.c_control.as_array()[y]
-            pia = np.full(n_units, flat.pi_a)
-            pic = np.full(n_units, flat.pi_c)
-            pin = np.full(n_units, flat.pi_n)
-        else:
-            P = fit.pi(X)
-            pic = P[:, 0]
-            if has_a:
-                pia = P[:, 1]
-                pin = P[:, 2]
-            else:
-                pia = np.zeros(n_units)
-                pin = P[:, 1]
-            pa = np.zeros(n_units)
-            if has_a and fit.a_model is not None:
-                probs_a = fit.a_model.predict_proba(X)
-                pa = probs_a[np.arange(n_units), y]
-            pn = fit.n_model.predict_proba(X)[np.arange(n_units), y]
-            pc1 = fit.c_treated_model.predict_proba(X)[np.arange(n_units), y]
-            pc0 = fit.c_control_model.predict_proba(X)[np.arange(n_units), y]
-
         # E-step posteriors in the mixed cells
-        w_a_t = np.zeros(len(it))
-        if has_a and len(it):
-            num = pia[it] * pa[it]
-            den = np.maximum(num + pic[it] * pc1[it], 1e-300)
-            w_a_t = num / den
-        num = pin[ic] * pn[ic]
-        den = np.maximum(num + pic[ic] * pc0[ic], 1e-300)
-        w_n_c = num / den
+        w_a_t = ta[it] / np.maximum(ta[it] + tc1[it], 1e-300)
+        w_n_c = tn[ic] / np.maximum(tn[ic] + tc0[ic], 1e-300)
 
         # M-step: weighted multinomial logit for G
         rows, labels, weights = [], [], []
@@ -528,26 +497,9 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
         c0_model = _safe_cumlogit(y[ic], X[ic], 1 - w_n_c, J)
 
         # observed-data log-likelihood
-        P = g_model.predict_proba(X)
-        pic = P[:, 0]
-        pia = P[:, 1] if has_a else np.zeros(n_units)
-        pin = P[:, -1]
-        eps = 1e-300
-        ll = 0.0
-        if has_a:
-            probs_a = a_model.predict_proba(X)
-            pa_all = probs_a[np.arange(n_units), y]
-            ll += np.log(np.maximum(pia[ia] * pa_all[ia], eps)).sum()
-            mix_t = pia[it] * pa_all[it]
-        else:
-            mix_t = 0.0
-        pn_all = n_model.predict_proba(X)[np.arange(n_units), y]
-        pc1_all = c1_model.predict_proba(X)[np.arange(n_units), y]
-        pc0_all = c0_model.predict_proba(X)[np.arange(n_units), y]
-        ll += np.log(np.maximum(pin[inn] * pn_all[inn], eps)).sum()
-        ll += np.log(np.maximum(mix_t + pic[it] * pc1_all[it], eps)).sum()
-        ll += np.log(np.maximum(pin[ic] * pn_all[ic] + pic[ic] * pc0_all[ic], eps)).sum()
-        ll = float(ll)
+        ta, tn, tc1, tc0 = _unit_terms(g_model, a_model, n_model, c1_model, c0_model, X, y)
+        ll = float(sum(np.log(np.maximum(v, 1e-300)).sum()
+                       for v in (ta[ia], tn[inn], ta[it] + tc1[it], tn[ic] + tc0[ic])))
         trace.append(ll)
 
         fit = CovariateStrataFit(
@@ -585,8 +537,11 @@ def _intercept_only(counts, n_slopes):
     """Near-degenerate intercept-only proportional-odds model of the
     weighted category counts, with n_slopes zero slopes."""
     J = len(counts)
-    cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), 1e-9, 1 - 1e-9)
-    cum = np.maximum.accumulate(cum + 1e-9 * np.arange(J - 1))
+    # clipped below 1 - (J - 1) eps so that the spacing keeps every
+    # cumulative probability strictly inside (0, 1): finite, increasing cuts
+    eps = 1e-9
+    cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), eps, 1 - (J - 1) * eps)
+    cum = cum + eps * np.arange(J - 1)
     cuts = np.log(cum) - np.log1p(-cum)
     return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(n_slopes)))
 

@@ -332,6 +332,32 @@ class TestAnalyzeIV:
         assert code == 2
 
 
+ANALYZE_ARGS = [["analyze", "--design", design, "--strata", strata, *boot]
+                for design, strata in (("randomized", "model"), ("ipw", "model"),
+                                       ("adjusted", "model"), ("adjusted", "discrete"))
+                for boot in ([], ["--bootstrap", "100"])]
+IV_ARGS = [["analyze-iv", *extra]
+           for extra in ([], ["--moment"], ["--covariates"], ["--bootstrap", "100"])]
+
+
+class TestInvalidUnits:
+    """A unit with z or d outside {0, 1} or a negative y exits 2 with empty
+    stdout, whatever the command goes on to fit."""
+
+    @pytest.mark.parametrize("field, value", [("z", 2), ("d", 2), ("y", -1)])
+    @pytest.mark.parametrize("argv", ANALYZE_ARGS + IV_ARGS, ids=" ".join)
+    def test_exits_2(self, capsys, tmp_path, argv, field, value):
+        from test_noncompliance import invalid_records
+
+        path = tmp_path / "units.csv"
+        write_csv(path, [(r.z, r.d, r.y, *r.x) for r in invalid_records(field, value)],
+                  ("z", "d", "y", "x1", "x2"))
+        code = main([argv[0], "--data", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: OutOfRangeOutcome") and "Traceback" not in err
+
+
 class TestOracle:
     def test_tau_max(self, capsys):
         code, out = run_cli(

@@ -14,7 +14,7 @@ from ordbounds import (
     stochastically_dominates,
     validate_marginal,
 )
-from ordbounds.distributions import DeltaVector
+from ordbounds.distributions import DeltaVector, covariate_matrix, unit_columns
 from ordbounds.exceptions import (
     EmptyArm,
     DimensionMismatch,
@@ -148,7 +148,54 @@ class TestEmpiricalMarginals:
                 [UnitRecord(z=1, y=3), UnitRecord(z=0, y=0)], J=2
             )
 
+    def test_matches_loop_count(self):
+        rng = np.random.default_rng(5)
+        records = [UnitRecord(z=int(z), y=int(y))
+                   for z, y in zip(rng.integers(0, 2, 200), rng.integers(0, 6, 200))]
+        counts = np.zeros((2, 7))
+        for r in records:
+            counts[r.z, r.y] += 1
+        m = empirical_marginals(records, J=7)
+        assert m.treated.probs == tuple(counts[1] / counts[1].sum())
+        assert m.control.probs == tuple(counts[0] / counts[0].sum())
+
     def test_explicit_categories(self):
         records = [UnitRecord(z=1, y=0), UnitRecord(z=0, y=0)]
         m = empirical_marginals(records, J=3)
         assert m.J == 3
+
+
+class TestUnitColumns:
+    def test_columns_and_categories(self):
+        recs = [UnitRecord(z=1, y=0, d=1), UnitRecord(z=0, y=4, d=0), UnitRecord(z=1, y=2, d=0)]
+        z, y, d, J = unit_columns(recs)
+        assert z.tolist() == [1, 0, 1] and y.tolist() == [0, 4, 2] and d.tolist() == [1, 0, 0]
+        assert J == 5 and z.dtype == y.dtype == d.dtype == np.int64
+
+    def test_d_absent(self):
+        assert unit_columns([UnitRecord(z=1, y=0), UnitRecord(z=0, y=1)]).d is None
+
+    def test_d_on_some_records_rejected(self):
+        with pytest.raises(ValueError):
+            unit_columns([UnitRecord(z=1, y=0, d=1), UnitRecord(z=0, y=1)])
+
+    @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -1, 0), (1, 1, -1)])
+    def test_out_of_range_rejected(self, z, d, y):
+        with pytest.raises(OutOfRangeOutcome) as err:
+            unit_columns([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)])
+        assert isinstance(err.value, ValueError)
+
+    def test_covariate_matrix(self):
+        X = covariate_matrix([UnitRecord(z=1, y=0, x=(1.0, 2.0)), UnitRecord(z=0, y=1, x=(3, 4))])
+        assert X.dtype == float and X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_scalar_covariates_are_one_column(self):
+        X = covariate_matrix([UnitRecord(z=1, y=0, x=0.5), UnitRecord(z=0, y=1, x=1.5)])
+        assert X.shape == (2, 1)
+
+    def test_no_covariates_give_zero_columns(self):
+        assert covariate_matrix([UnitRecord(z=1, y=0), UnitRecord(z=0, y=1)]).shape == (2, 0)
+
+    def test_covariates_on_some_records_rejected(self):
+        with pytest.raises(ValueError):
+            covariate_matrix([UnitRecord(z=1, y=0, x=(1.0,)), UnitRecord(z=0, y=1)])

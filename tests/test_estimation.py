@@ -184,3 +184,12 @@ class TestAdjustedModel:
         mod = estimate_adjusted(recs, strata="model")
         assert mod.report.tau_L == pytest.approx(disc.report.tau_L, abs=0.03)
         assert mod.report.tau_U == pytest.approx(disc.report.tau_U, abs=0.03)
+
+    def test_no_covariates_fit_intercepts_only(self):
+        # without x the per-arm fits are intercept-only, so the model
+        # marginals are the within-arm frequencies
+        recs = make_records([2, 6, 2], [4, 1, 5])
+        mod = estimate_adjusted(recs, strata="model")
+        ref = estimate_randomized(recs)
+        for name in ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U"):
+            assert getattr(mod.report, name) == pytest.approx(getattr(ref.report, name), abs=1e-9)

@@ -15,7 +15,7 @@ from ordbounds import (
     interval_from_replicates,
 )
 from ordbounds import inference
-from ordbounds.exceptions import EmptyArm, OrdBoundsError, ReplicateFailure
+from ordbounds.exceptions import EmptyArm, OrdBoundsError, OutOfRangeOutcome, ReplicateFailure
 from ordbounds.inference import _report_row, _resampler
 
 from test_estimation import make_records
@@ -427,3 +427,37 @@ class TestEmptyArm:
         recs = [r for r in iv_records(39, n=200) if r.z == 1]
         with pytest.raises(EmptyArm):
             bootstrap_replicates(recs, estimator="complier", n_boot=100)
+
+
+ESTIMATORS = {
+    "randomized": ({}, estimate_randomized),
+    "ipw": ({}, estimate_ipw),
+    "discrete": ({"strata": "discrete"}, estimate_adjusted),
+    "model": ({"strata": "model"}, estimate_adjusted),
+}
+
+
+class TestInvalidUnits:
+    """z or d outside {0, 1} or a negative y raise from every estimator and
+    every bootstrap, before any fit."""
+
+    @pytest.mark.parametrize("field, value", [("z", 2), ("d", 2), ("y", -1)])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_estimators_raise(self, name, field, value):
+        from test_noncompliance import invalid_records
+
+        options, estimate = ESTIMATORS[name]
+        with pytest.raises(OutOfRangeOutcome):
+            estimate(invalid_records(field, value), **options)
+
+    @pytest.mark.parametrize("field, value", [("z", 2), ("d", 2), ("y", -1)])
+    @pytest.mark.parametrize("estimator, options", [
+        ("randomized", {}), ("ipw", {}), ("adjusted", {"strata": "discrete"}),
+        ("adjusted", {"strata": "model"}), ("complier", {}), ("complier_adjusted", {}),
+    ])
+    def test_bootstrap_raises(self, estimator, options, field, value):
+        from test_noncompliance import invalid_records
+
+        with pytest.raises(OutOfRangeOutcome):
+            bootstrap_replicates(invalid_records(field, value), estimator=estimator,
+                                 n_boot=100, **options)

@@ -92,6 +92,17 @@ class TestOptimize:
         assert score == hi
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+    def test_pricing_tolerance_follows_the_objective_scale(self, scale):
+        m = MarginalPair(MarginalDistribution((0.2, 0.3, 0.5)),
+                         MarginalDistribution((0.5, 0.3, 0.2)))
+        obj = LinearObjective(tuple(tuple(scale * v for v in r) for r in sign_objective(3).coeffs))
+        lo, _ = optimize(m, obj, "min")
+        hi, _ = optimize(m, obj, "max")
+        assert abs(lo - 0.1 * scale) <= 1e-9 * scale
+        assert abs(hi - 0.6 * scale) <= 1e-9 * scale
+
+
 class TestAlphaBounds:
     def test_known_range(self, taste_pair):
         assert alpha_bounds(taste_pair) == (F(-1, 5), F(1, 5))

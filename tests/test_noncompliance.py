@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,12 @@ from ordbounds.exceptions import (
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
+    OutOfRangeOutcome,
 )
 from ordbounds.noncompliance import (
     _cells,
     _em_from_counts,
+    _intercept_only,
     complier_mle,
     em_loglik,
 )
@@ -321,6 +324,24 @@ class TestCells:
                 fit(recs, 3) if fit is _cells else fit(recs)
 
 
+def invalid_records(field, value):
+    """A seeded study-2 draw (z, d, y and two covariates) whose first three
+    units carry value in field."""
+    recs = generate_study2(4, 300, seed=0)
+    return [replace(r, **{field: value}) if i < 3 else r for i, r in enumerate(recs)]
+
+
+INVALID = [("z", 2), ("d", 2), ("y", -1)]
+
+
+class TestInvalidUnits:
+    @pytest.mark.parametrize("field, value", INVALID)
+    @pytest.mark.parametrize("fit", [moment_identify, em_fit, em_fit_with_covariates])
+    def test_fits_raise(self, fit, field, value):
+        with pytest.raises(OutOfRangeOutcome):
+            fit(invalid_records(field, value))
+
+
 class TestComplierMLE:
     @pytest.mark.parametrize("s", SLOW_EM_SEEDS)
     def test_slow_em_draws_fit_in_closed_form(self, s):
@@ -445,3 +466,25 @@ class TestCovariateEM:
                 UnitRecord(z=1, y=0, d=0, x=(0.0,))]
         with pytest.raises(DefiersObserved):
             em_fit_with_covariates(recs, monotonicity="strong")
+
+    def test_strong_monotonicity_fit(self):
+        recs = [r for r in generate_study2(4, 1000, seed=3) if not (r.z == 0 and r.d == 1)]
+        fit = em_fit_with_covariates(recs, monotonicity="strong")
+        assert fit.g_model.classes == ("c", "n") and fit.a_model is None
+        assert fit.n_iter == len(fit.loglik_trace) == 13
+        assert (np.diff(fit.loglik_trace) >= 0).all()
+        X = np.array([r.x for r in recs])
+        assert np.allclose(fit.pi(X).sum(axis=1), 1)
+
+
+class TestInterceptOnly:
+    @pytest.mark.parametrize("counts", [[5, 0, 0], [5, 0, 0, 0], [0, 0, 5], [0, 5, 0], [2, 3, 5]])
+    def test_finite_increasing_cutpoints(self, counts):
+        model = _intercept_only(np.array(counts, dtype=float), 2)
+        cuts = np.array(model.cutpoints)
+        assert len(cuts) == len(counts) - 1
+        assert np.isfinite(cuts).all() and (np.diff(cuts) > 0).all()
+        p = model.predict_proba(np.zeros((3, 2)))
+        assert np.isfinite(p).all()
+        assert np.abs(p.sum(axis=1) - 1).max() <= 1e-12
+        assert np.abs(p[0] - np.array(counts) / sum(counts)).max() <= 1e-8
