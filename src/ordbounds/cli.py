@@ -52,20 +52,22 @@ def _jsonify(obj):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, Fraction):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (Fraction, float, np.floating)):
         return float(f"{float(obj):.17g}")
     return obj
 
 
-def _emit(payload, args):
-    text = json.dumps(_jsonify(payload), indent=2)
+def _write(text: str, args):
+    """text and a newline to --out, or to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload, args):
+    _write(json.dumps(_jsonify(payload), indent=2), args)
 
 
 def _parse_vector(text: str) -> tuple:
@@ -144,6 +146,22 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
+def _bootstrap_payload(args, records, estimator, lowers, **options) -> dict:
+    """The ci, n_boot, level and seed entries of one bootstrap of records:
+    an interval for tau and eta with each (lower, label suffix) of lowers."""
+    from .inference import bootstrap_replicates, interval_from_replicates
+
+    reps = bootstrap_replicates(records, estimator=estimator, n_boot=args.bootstrap,
+                                seed=_seed(args), J=args.categories, **options)
+    ci = {}
+    for estimand in ("tau", "eta"):
+        for lower, suffix in lowers:
+            ir = interval_from_replicates(reps, estimand, lower, level=args.alpha_level,
+                                          method=args.ci_method)
+            ci[estimand + suffix] = {"low": ir.ci_low, "high": ir.ci_high}
+    return {"ci": ci, "n_boot": args.bootstrap, "level": args.alpha_level, "seed": reps.seed}
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_bounds(args):
@@ -162,12 +180,7 @@ def cmd_construct(args):
         lines = ["," + ",".join(f"y0={l}" for l in range(J))]
         for k, row in enumerate(joint.matrix):
             lines.append(f"y1={k}," + ",".join(f"{float(v):.17g}" for v in row))
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args)
         return
     _emit({
         "target": args.target,
@@ -180,7 +193,6 @@ def cmd_construct(args):
 
 def cmd_analyze(args):
     from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
-    from .inference import bootstrap_replicates, interval_from_replicates
 
     records, covs = _read_unit_csv(args.data, args.categories)
     if args.design == "randomized":
@@ -199,26 +211,14 @@ def cmd_analyze(args):
         **_report_payload(est.report),
     }
     if args.bootstrap:
-        seed = _seed(args)
-        reps = bootstrap_replicates(
-            records, estimator=args.design, n_boot=args.bootstrap, seed=seed,
-            J=args.categories, **({"strata": args.strata} if args.design == "adjusted" else {}),
-        )
-        ci = {}
-        for estimand in ("tau", "eta"):
-            for lower, label in (("bound", estimand), ("independent", estimand + "_independent")):
-                ir = interval_from_replicates(reps, estimand, lower, level=args.alpha_level,
-                                              method=args.ci_method)
-                ci[label] = {"low": ir.ci_low, "high": ir.ci_high}
-        payload["ci"] = ci
-        payload["n_boot"] = args.bootstrap
-        payload["level"] = args.alpha_level
-        payload["seed"] = seed
+        payload.update(_bootstrap_payload(
+            args, records, args.design, (("bound", ""), ("independent", "_independent")),
+            **({"strata": args.strata} if args.design == "adjusted" else {}),
+        ))
     _emit(payload, args)
 
 
 def cmd_analyze_iv(args):
-    from .inference import bootstrap_replicates, interval_from_replicates
     from .noncompliance import (
         complier_bounds,
         em_fit,
@@ -254,19 +254,8 @@ def cmd_analyze_iv(args):
         rep = fit.complier_report(covariate_matrix(records))
         payload["complier_adjusted"] = _report_payload(rep)
     if args.bootstrap:
-        seed = _seed(args)
-        reps = bootstrap_replicates(records, estimator="complier", n_boot=args.bootstrap,
-                                    seed=seed, J=args.categories,
-                                    monotonicity=args.monotonicity)
-        ci = {}
-        for estimand in ("tau", "eta"):
-            ir = interval_from_replicates(reps, estimand, level=args.alpha_level,
-                                          method=args.ci_method)
-            ci[estimand] = {"low": ir.ci_low, "high": ir.ci_high}
-        payload["ci"] = ci
-        payload["n_boot"] = args.bootstrap
-        payload["level"] = args.alpha_level
-        payload["seed"] = seed
+        payload.update(_bootstrap_payload(args, records, "complier", (("bound", ""),),
+                                          monotonicity=args.monotonicity))
     _emit(payload, args)
 
 
@@ -334,6 +323,17 @@ def _add_common(p):
                    help="RNG seed (default: ORDBOUNDS_SEED env var, then 0)")
 
 
+def _add_unit_analysis(p):
+    """Flags shared by the unit-data commands, added after their own."""
+    p.add_argument("--categories", type=int, default=None,
+                   help="number of outcome categories (default max(y)+1)")
+    p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT",
+                   help="bootstrap replicates for CIs (0 disables)")
+    p.add_argument("--alpha-level", type=float, default=0.95,
+                   help="nominal CI coverage")
+    p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
+
+
 def _add_margins(p):
     p.add_argument("--p1", required=True, help="treated marginal, e.g. 0.2,0.6,0.2 or 1/5,3/5,1/5")
     p.add_argument("--p0", required=True, help="control marginal")
@@ -365,13 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="randomized")
     p.add_argument("--strata", choices=["discrete", "model"], default="model",
                    help="covariate handling for --design adjusted")
-    p.add_argument("--categories", type=int, default=None,
-                   help="number of outcome categories (default max(y)+1)")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT",
-                   help="bootstrap replicates for CIs (0 disables)")
-    p.add_argument("--alpha-level", type=float, default=0.95,
-                   help="nominal CI coverage")
-    p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
+    _add_unit_analysis(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -382,10 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="method-of-moments strata instead of EM")
     p.add_argument("--covariates", action="store_true",
                    help="also fit the covariate EM and report adjusted bounds")
-    p.add_argument("--categories", type=int, default=None)
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT")
-    p.add_argument("--alpha-level", type=float, default=0.95)
-    p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
+    _add_unit_analysis(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze_iv)
 

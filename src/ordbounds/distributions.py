@@ -153,7 +153,11 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class DeltaVector:
-    """Distributional effects: deltas[j] = pr{Y(1) >= j} - pr{Y(0) >= j}."""
+    """Distributional effects: deltas[j] = pr{Y(1) >= j} - pr{Y(0) >= j}.
+
+    Float deltas may leave [-1, 1] by the sum-to-one tolerance SUM_TOL (a
+    tail sum of valid float marginals can round above 1); exact ones may not.
+    """
 
     deltas: tuple
 
@@ -161,8 +165,9 @@ class DeltaVector:
         object.__setattr__(self, "deltas", tuple(self.deltas))
         if self.deltas[0] != 0:
             raise ValidationError(f"delta at j=0 must be 0, got {self.deltas[0]}")
+        tol = 0 if _is_exact(self.deltas) else SUM_TOL
         for d in self.deltas:
-            if d < -1 or d > 1:
+            if d < -1 - tol or d > 1 + tol:
                 raise ValidationError(f"delta {d} outside [-1, 1]")
 
     @property

@@ -45,7 +45,7 @@ from .models import (
     fit_logit_rows,
 )
 from .noncompliance import (
-    _cells,
+    _checked_cells,
     _fit_counts,
     complier_bounds,
     complier_mle,
@@ -116,14 +116,14 @@ def _randomized(records, n_boot, seed, J):
     return point, bound_rows(p1, p0), ()
 
 
-def _complier(records, n_boot, seed, J, monotonicity):
+def _complier(records, n_boot, seed, J, monotonicity="standard"):
     """Complier bootstrap on (z, d, y) cell counts: arm-stratified unit
     resampling is a multinomial redraw of each arm's cell counts.  One
     full-sample fit gives the point row and the EM warm start of the
     boundary replicates; all replicates go through complier_mle at once."""
-    counts = _cells(records, J)
+    counts = _checked_cells(records, monotonicity, J)
     J = counts.shape[-1]
-    fit, _ = _fit_counts(counts, monotonicity)
+    fit, _ = _fit_counts(counts)
     point = _report_row(complier_bounds(fit).complier)
     n1, n0 = counts[1].sum(), counts[0].sum()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -307,13 +307,29 @@ def _stacked(records, scheme, n_boot, seed, J, rows_fn):
     return np.delete(rows, failed, axis=0), tuple((int(i), why[i]) for i in failed)
 
 
-def _complier_adjusted(records, n_boot, seed, J, options):
+def _ipw(records, n_boot, seed, J, propensity=None, trim=0.01):
+    """Inverse-propensity weighting: whole-sample resamples, one stacked
+    propensity fit."""
+    point = _report_row(estimate_ipw(records, propensity=propensity, J=J, trim=trim).report)
+    Jr = J or unit_columns(records).J
+    return point, *_stacked(records, "whole", n_boot, seed, Jr,
+                            _ipw_rows(records, Jr, propensity, trim))
+
+
+def _adjusted(records, n_boot, seed, J, strata="discrete"):
+    """Covariate adjustment: arm-stratified resamples, stacked per-arm
+    fits (strata="model") or per-stratum counts."""
+    point = _report_row(estimate_adjusted(records, strata=strata, J=J).report)
+    # the fits may see more categories than J; extra ones are padding
+    Jr = max(J or 0, unit_columns(records).J)
+    make = _model_rows if strata == "model" else _discrete_rows
+    return point, *_stacked(records, "stratified", n_boot, seed, Jr, make(records, Jr))
+
+
+def _complier_adjusted(records, n_boot, seed, J, monotonicity="standard", init=None):
     """The covariate complier estimator refits covariate EM per replicate."""
     def report(sample):
-        fit = em_fit_with_covariates(
-            sample, monotonicity=options.get("monotonicity", "standard"),
-            init=options.get("init"), J=J,
-        )
+        fit = em_fit_with_covariates(sample, monotonicity=monotonicity, init=init, J=J)
         return fit.complier_report(covariate_matrix(sample))
 
     point = _report_row(report(records))
@@ -326,6 +342,16 @@ def _complier_adjusted(records, n_boot, seed, J, options):
     return point, np.array(rows).reshape(-1, len(COLUMNS)), tuple(failures)
 
 
+# estimator -> (records, n_boot, seed, J, **options) -> (point, rows, failures)
+_ESTIMATORS = {
+    "randomized": _randomized,
+    "ipw": _ipw,
+    "adjusted": _adjusted,
+    "complier": _complier,
+    "complier_adjusted": _complier_adjusted,
+}
+
+
 def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1000,
                          seed: int = 0, J: int | None = None, **options) -> Replicates:
     """Bootstrap the rows (tau_L, tau_I, tau_U, eta_L, eta_I, eta_U) of an
@@ -335,33 +361,15 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     estimator is "randomized", "ipw", "adjusted", "complier" or
     "complier_adjusted"; options go to the estimator (propensity and trim
     for ipw, strata for adjusted, monotonicity for the complier estimators,
-    init for complier_adjusted).  A full-sample failure raises; a replicate
-    failure is counted in n_failed and named in failures.
+    init for complier_adjusted); TypeError for an option the estimator does
+    not take.  A full-sample failure raises; a replicate failure is counted
+    in n_failed and named in failures.
     """
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
-    if estimator == "randomized":
-        point, rows, failures = _randomized(records, n_boot, seed, J)
-    elif estimator == "complier":
-        point, rows, failures = _complier(records, n_boot, seed, J,
-                                          options.get("monotonicity", "standard"))
-    elif estimator == "complier_adjusted":
-        point, rows, failures = _complier_adjusted(records, n_boot, seed, J, options)
-    elif estimator == "ipw":
-        propensity, trim = options.get("propensity"), options.get("trim", 0.01)
-        point = _report_row(estimate_ipw(records, propensity=propensity, J=J, trim=trim).report)
-        Jr = J or unit_columns(records).J
-        rows, failures = _stacked(records, "whole", n_boot, seed, Jr,
-                                  _ipw_rows(records, Jr, propensity, trim))
-    elif estimator == "adjusted":
-        strata = options.get("strata", "discrete")
-        point = _report_row(estimate_adjusted(records, strata=strata, J=J).report)
-        # the fits may see more categories than J; extra ones are padding
-        Jr = max(J or 0, unit_columns(records).J)
-        make = _model_rows if strata == "model" else _discrete_rows
-        rows, failures = _stacked(records, "stratified", n_boot, seed, Jr, make(records, Jr))
-    else:
+    if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
+    point, rows, failures = _ESTIMATORS[estimator](records, n_boot, seed, J, **options)
     return Replicates(point, rows, len(failures), seed, failures)
 
 

@@ -38,6 +38,7 @@ from .exceptions import (
 from .models import (
     CumulativeLogitModel,
     MultinomialLogitModel,
+    _logit,
     fit_cumulative_logit,
     fit_multinomial_logit,
 )
@@ -143,6 +144,18 @@ def _cells(records, J=None):
     return counts
 
 
+def _checked_cells(records, monotonicity: str, J=None):
+    """_cells of records to be fitted under monotonicity: ValueError for an
+    unknown mode, DefiersObserved for z=0, d=1 units under strong
+    monotonicity."""
+    if monotonicity not in ("standard", "strong"):
+        raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
+    counts = _cells(records, J)
+    if monotonicity == "strong" and counts[0, 1].sum() > 0:
+        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
+    return counts
+
+
 def _freq(v):
     """Normalise along the last axis; an all-zero vector becomes uniform."""
     t = v.sum(axis=-1, keepdims=True)
@@ -188,11 +201,7 @@ def moment_identify(records, monotonicity: str = "standard", J: int | None = Non
     finite samples; they are then clipped, renormalized, and flagged via
     negative_cells_clipped.
     """
-    if monotonicity not in ("standard", "strong"):
-        raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
-    counts = _cells(records, J)
-    if monotonicity == "strong" and counts[0, 1].sum() > 0:
-        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
+    counts = _checked_cells(records, monotonicity, J)
     pi, a, n, c1, c0, clipped = (v[0] for v in _moments(counts[None]))
     if pi[1] <= 0:
         raise NoCompliers(f"moment estimate pi_c = {pi[1]} <= 0")
@@ -287,14 +296,10 @@ def _default_init(counts, pi):
     return pi, uniform, uniform, uniform, uniform
 
 
-def _fit_counts(counts, monotonicity: str = "standard", init: StrataModel | None = None,
-                max_iter: int = 1000, tol: float = 1e-8):
-    """complier_mle on one (2, 2, J) table: the StrataModel and the
-    log-likelihood trace, or NonConvergence."""
-    if monotonicity not in ("standard", "strong"):
-        raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
-    if monotonicity == "strong" and counts[0, 1].sum() > 0:
-        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
+def _fit_counts(counts, init: StrataModel | None = None, max_iter: int = 1000,
+                tol: float = 1e-8):
+    """complier_mle on one (2, 2, J) table of _checked_cells: the StrataModel
+    and the log-likelihood trace, or NonConvergence."""
     if init is not None:
         pi = np.array([init.pi_a, init.pi_c, init.pi_n], dtype=float)
         if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
@@ -328,7 +333,7 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     Returns the fitted StrataModel (and the log-likelihood trace when
     track_loglik is True).
     """
-    model, trace = _fit_counts(_cells(records, J), monotonicity, init, max_iter, tol)
+    model, trace = _fit_counts(_checked_cells(records, monotonicity, J), init, max_iter, tol)
     return (model, trace) if track_loglik else model
 
 
@@ -430,13 +435,11 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     terms of each fit serve both its log-likelihood and the next E-step; the
     first E-step uses those of init or of the covariate-free fit.
     """
-    counts = _cells(records, J)
+    counts = _checked_cells(records, monotonicity, J)
     J = counts.shape[-1]
     z, y, d, _ = unit_columns(records)
     X = covariate_matrix(records)
     has_a = monotonicity == "standard"
-    if not has_a and np.any((z == 0) & (d == 1)):
-        raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
     classes = ("c", "a", "n") if has_a else ("c", "n")
 
     cell_at = (z == 0) & (d == 1)    # always-takers for sure
@@ -457,7 +460,7 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
                                        init.c_control_model, X, y)
     else:
         # warm start from the covariate-free fit
-        flat, _ = _fit_counts(counts, monotonicity)
+        flat, _ = _fit_counts(counts)
         ta, tn, tc1, tc0 = [p * m.as_array()[y] for p, m in (
             (flat.pi_a, flat.a_marginal), (flat.pi_n, flat.n_marginal),
             (flat.pi_c, flat.c_treated), (flat.pi_c, flat.c_control))]
@@ -542,6 +545,5 @@ def _intercept_only(counts, n_slopes):
     eps = 1e-9
     cum = np.clip(np.cumsum(counts)[:-1] / counts.sum(), eps, 1 - (J - 1) * eps)
     cum = cum + eps * np.arange(J - 1)
-    cuts = np.log(cum) - np.log1p(-cum)
-    return CumulativeLogitModel(tuple(cuts), tuple(0.0 for _ in range(n_slopes)))
+    return CumulativeLogitModel(tuple(_logit(cum)), tuple(0.0 for _ in range(n_slopes)))
 

@@ -4,10 +4,18 @@ Study 1: completely randomized experiments drawn from four known joint
 distributions of the potential outcomes (independent and positively
 associated couplings of two marginal pairs).
 
-Study 2: randomized encouragement designs with one-sided noncompliance
-structure generated from a multinomial-logit stratum model and
-proportional-odds outcome models; inference deliberately omits the binary
-covariate, exercising robustness to mild misspecification.
+Study 2: randomized encouragement designs with noncompliance, generated from
+the package's own covariate models on x = (x1, x2), x1 standard normal and
+x2 a fair coin: a MultinomialLogitModel for the stratum (complier,
+always-taker, never-taker) and a CumulativeLogitModel for each stratum's
+outcome (two for the compliers, treated and control, whose slopes set the
+case), the model family that em_fit_with_covariates fits.  Inference
+deliberately omits the binary covariate, exercising robustness to mild
+misspecification.
+
+run_study runs either study through one replicate loop: draw the records,
+bootstrap a CI for the tau bounds, and summarise the replicates that
+succeeded against the true bounds.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import full_report
+from .bounds import bound_rows, full_report
 from .distributions import JointDistribution, MarginalDistribution, MarginalPair
 from .estimation import UnitRecord
-from .exceptions import OddN, OrdBoundsError
+from .exceptions import OddN, OrdBoundsError, ReplicateFailure
 from .inference import bootstrap_bounds_ci
+from .models import CumulativeLogitModel, MultinomialLogitModel
 
 
 @dataclass(frozen=True)
@@ -39,8 +48,10 @@ class StudySpec:
         limit = 4 if self.study == 1 else 6
         if not 1 <= self.case_id <= limit:
             raise ValueError(f"case_id must be 1..{limit} for study {self.study}")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be positive")
+        if self.n_units < 2 or self.n_units % 2:
+            raise ValueError(f"n_units must be positive and even, got {self.n_units}")
+        if self.n_reps < 2:
+            raise ValueError(f"n_reps must be at least 2 (standard errors), got {self.n_reps}")
 
 
 # -- study 1 -----------------------------------------------------------------
@@ -122,46 +133,22 @@ def generate_study1(case: int, n: int, seed: int = 0) -> list:
 
 # -- study 2 -----------------------------------------------------------------
 
-# stratum model: scores for (complier, always-taker, never-taker) on (1, x1, x2)
-_ETA_A = (0.5, 1.0, 0.0)
-_ETA_N = (-0.5, 1.0, 0.0)
-# shared outcome models (cutpoints; slope coefficients on (x1, x2))
-_ALPHA_A = (-0.5, 1.0)
-_SLOPE_A = (-2.0, 0.0)
-_ALPHA_N = (-1.5, 0.0)
-_SLOPE_N = (0.0, 0.0)
-_ALPHA_C1 = (-1.0, 0.5)
-_ALPHA_C0 = (0.5, 2.0)
+# strata on x = (x1, x2): complier the reference, then always- and never-takers
+_STRATA = MultinomialLogitModel(("c", "a", "n"), ((0.5, 1.0, 0.0), (-0.5, 1.0, 0.0)))
+# outcome models of the always- and never-takers, shared by both arms
+_ALWAYS = CumulativeLogitModel((-0.5, 1.0), (-2.0, 0.0))
+_NEVER = CumulativeLogitModel((-1.5, 0.0), (0.0, 0.0))
 
 
-def _study2_slopes(case: int):
-    """Complier treated/control slope vectors on (x1, x2)."""
+def _complier_models(case: int):
+    """Complier treated and control outcome models of the case."""
     if case <= 3:
         beta = {1: 1.0, 2: 0.5, 3: 0.0}[case]
-        return (-2 * beta, 0.0), (beta, 0.0)
-    xi = {4: 1.0, 5: 0.5, 6: 0.0}[case]
-    return (-2.0, -xi), (1.0, xi)
-
-
-def _cumlogit_probs(cuts, slopes, X):
-    """Category probabilities of an ordered-logit model at rows of X."""
-    u = X @ np.asarray(slopes)
-    cum = 1.0 / (1.0 + np.exp(-(u[:, None] + np.asarray(cuts)[None, :])))
-    cum = np.hstack([np.zeros((len(u), 1)), cum, np.ones((len(u), 1))])
-    return np.diff(cum, axis=1)
-
-
-def _stratum_probs(X):
-    """(n, 3) probabilities of (c, a, n) at rows of X = (x1, x2)."""
-    ones = np.ones((len(X), 1))
-    M = np.hstack([ones, X])
-    sc = np.zeros(len(X))
-    sa = M @ np.asarray(_ETA_A)
-    sn = M @ np.asarray(_ETA_N)
-    s = np.stack([sc, sa, sn], axis=1)
-    s -= s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
+        s1, s0 = (-2 * beta, 0.0), (beta, 0.0)
+    else:
+        xi = {4: 1.0, 5: 0.5, 6: 0.0}[case]
+        s1, s0 = (-2.0, -xi), (1.0, xi)
+    return CumulativeLogitModel((-1.0, 0.5), s1), CumulativeLogitModel((0.5, 2.0), s0)
 
 
 def _draw_categorical(rng, probs):
@@ -177,20 +164,16 @@ def generate_study2(case: int, n: int, seed: int = 0) -> list:
     x1 = rng.standard_normal(n)
     x2 = rng.integers(0, 2, size=n).astype(float)
     X = np.stack([x1, x2], axis=1)
-    g = _draw_categorical(rng, _stratum_probs(X))  # 0=c, 1=a, 2=n
+    g = _draw_categorical(rng, _STRATA.predict_proba(X))  # 0=c, 1=a, 2=n
     z = _balanced_assignment(n, rng)
     d = np.where(g == 1, 1, np.where(g == 2, 0, z))
 
-    s1, s0 = _study2_slopes(case)
+    c1, c0 = _complier_models(case)
     y = np.empty(n, dtype=int)
-    for mask, cuts, slopes in (
-        (g == 1, _ALPHA_A, _SLOPE_A),
-        (g == 2, _ALPHA_N, _SLOPE_N),
-        ((g == 0) & (z == 1), _ALPHA_C1, s1),
-        ((g == 0) & (z == 0), _ALPHA_C0, s0),
-    ):
+    for mask, model in ((g == 1, _ALWAYS), (g == 2, _NEVER),
+                        ((g == 0) & (z == 1), c1), ((g == 0) & (z == 0), c0)):
         if mask.any():
-            y[mask] = _draw_categorical(rng, _cumlogit_probs(cuts, slopes, X[mask]))
+            y[mask] = _draw_categorical(rng, model.predict_proba(X[mask]))
     return [
         UnitRecord(z=int(zi), y=int(yi), d=int(di), x=(float(a), float(b)))
         for zi, yi, di, a, b in zip(z, y, d, x1, x2)
@@ -208,10 +191,8 @@ def study2_truth(case: int, n_draws: int = 10_000_000, seed: int = 0) -> dict:
     covariate vector with pi_c(x) weights; the estimators that omit x2
     target a slightly wider interval in the cases where x2 matters.
     """
-    from .bounds import bound_rows
-
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s1, s0 = _study2_slopes(case)
+    c1, c0 = _complier_models(case)
     out = {}
     chunk = 1_000_000
     W = 0.0
@@ -223,10 +204,9 @@ def study2_truth(case: int, n_draws: int = 10_000_000, seed: int = 0) -> dict:
         x1 = rng.standard_normal(m)
         x2 = rng.integers(0, 2, size=m).astype(float)
         X = np.stack([x1, x2], axis=1)
-        pic = _stratum_probs(X)[:, 0]
-        w = pic
-        p1 = _cumlogit_probs(_ALPHA_C1, s1, X)
-        p0 = _cumlogit_probs(_ALPHA_C0, s0, X)
+        w = _STRATA.predict_proba(X)[:, 0]
+        p1 = c1.predict_proba(X)
+        p0 = c0.predict_proba(X)
         p1_sum += w @ p1
         p0_sum += w @ p0
         W += float(w.sum())
@@ -263,6 +243,12 @@ class StudyResult:
     n_failed: int
 
 
+def _study2_without_x2(case: int, n: int, seed: int) -> list:
+    """Study 2 records as the estimators see them: without x2."""
+    return [UnitRecord(z=u.z, y=u.y, d=u.d, x=u.x[:1])
+            for u in generate_study2(case, n, seed=seed)]
+
+
 def run_study(spec: StudySpec, adjusted: bool = False,
               truth: dict | None = None, ci_method: str = "normal") -> StudyResult:
     """Replicated estimation with bootstrap CIs, aggregated into the usual
@@ -272,51 +258,35 @@ def run_study(spec: StudySpec, adjusted: bool = False,
     coverage_estimand the fraction containing the true estimand.  For study 2
     the estimand is tau_c; adjusted=True switches to the covariate-adjusted
     complier estimator (slow: one covariate EM per bootstrap replicate).
+    A replicate whose estimation fails is counted in n_failed;
+    ReplicateFailure if fewer than two replicates succeed.
     """
-    if truth is None:
-        if spec.study == 1:
-            truth = study1_truth(spec.case_id)
-        else:
-            truth = study2_truth(spec.case_id, n_draws=2_000_000, seed=spec.seed + 991)
-
     if spec.study == 1:
-        true_L, true_U, true_val = truth["tau_L"], truth["tau_U"], truth["tau"]
-    elif adjusted:
-        true_L, true_U, true_val = truth["tau_c_L_adj"], truth["tau_c_U_adj"], truth["tau_c"]
+        truth = study1_truth(spec.case_id) if truth is None else truth
+        generate, estimator, keys = generate_study1, "randomized", ("tau_L", "tau_U", "tau")
     else:
-        true_L, true_U, true_val = truth["tau_c_L"], truth["tau_c_U"], truth["tau_c"]
+        if truth is None:
+            truth = study2_truth(spec.case_id, n_draws=2_000_000, seed=spec.seed + 991)
+        generate = _study2_without_x2
+        estimator = "complier_adjusted" if adjusted else "complier"
+        adj = "_adj" if adjusted else ""
+        keys = ("tau_c_L" + adj, "tau_c_U" + adj, "tau_c")
+    true_L, true_U, true_val = (truth[k] for k in keys)
 
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_reps)
-    Ls, Us, ci_los, ci_his = [], [], [], []
-    n_failed = 0
-    for r, ss in enumerate(seeds):
+    rows = []   # (L, U, ci_low, ci_high) of each replicate that succeeded
+    for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps):
         rep_seed = int(ss.generate_state(1)[0] % (2**31))
         try:
-            if spec.study == 1:
-                records = generate_study1(spec.case_id, spec.n_units, seed=rep_seed)
-                ir = bootstrap_bounds_ci(records, estimator="randomized", estimand="tau",
-                                         n_boot=spec.n_boot, seed=rep_seed,
-                                         method=ci_method)
-            else:
-                records = generate_study2(spec.case_id, spec.n_units, seed=rep_seed)
-                # inference without the binary covariate
-                records = [UnitRecord(z=u.z, y=u.y, d=u.d, x=(u.x[0],)) for u in records]
-                est = "complier_adjusted" if adjusted else "complier"
-                ir = bootstrap_bounds_ci(records, estimator=est, estimand="tau",
-                                         n_boot=spec.n_boot, seed=rep_seed,
-                                         method=ci_method)
+            ir = bootstrap_bounds_ci(generate(spec.case_id, spec.n_units, seed=rep_seed),
+                                     estimator=estimator, estimand="tau",
+                                     n_boot=spec.n_boot, seed=rep_seed, method=ci_method)
         except OrdBoundsError:
-            n_failed += 1
             continue
-        Ls.append(ir.point_lower)
-        Us.append(ir.point_upper)
-        ci_los.append(ir.ci_low)
-        ci_his.append(ir.ci_high)
+        rows.append((ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high))
+    if len(rows) < 2:
+        raise ReplicateFailure(f"{len(rows)} of {spec.n_reps} replicates succeeded, need 2")
 
-    Ls = np.array(Ls)
-    Us = np.array(Us)
-    ci_los = np.array(ci_los)
-    ci_his = np.array(ci_his)
+    Ls, Us, ci_los, ci_his = np.array(rows).T
     cover_b = (ci_los <= true_L) & (true_U <= ci_his)
     cover_v = (ci_los <= true_val) & (true_val <= ci_his)
     return StudyResult(
@@ -326,5 +296,5 @@ def run_study(spec: StudySpec, adjusted: bool = False,
         ci_length=float((ci_his - ci_los).mean()),
         coverage_bounds=float(cover_b.mean()),
         coverage_estimand=float(cover_v.mean()),
-        n_failed=n_failed,
+        n_failed=spec.n_reps - len(rows),
     )

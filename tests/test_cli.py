@@ -440,3 +440,62 @@ class TestParser:
                  for argv in self.CALLS]
         assert [c for c, _, _ in in_process] == [0, 2, 0]
         assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
+
+class TestRoundedDeltas:
+    """Valid float marginals whose treated tail sum rounds to 1 + 2**-52:
+    treated always at least control, so tau is 1."""
+
+    P1 = "0,0.42461092968301356,0.5376463087320363,0.03774276158495021"
+
+    def test_bounds(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--p1", self.P1, "--p0", "1,0,0,0")
+        assert code == 0
+        tau = json.loads(out)["tau"]
+        assert tau["lower"] == pytest.approx(1, abs=1e-15)
+        assert tau["upper"] == pytest.approx(1, abs=1e-15)
+
+    @pytest.mark.parametrize("target", ["tau_min", "tau_max", "eta_min", "eta_max", "independent"])
+    def test_construct(self, capsys, target):
+        code, out = run_cli(capsys, "construct", "--p1", self.P1, "--p0", "1,0,0,0",
+                            "--target", target)
+        assert code == 0
+        assert json.loads(out)["tau"] == pytest.approx(1, abs=1e-15)
+
+    def test_analyze(self, capsys, tmp_path):
+        # 28 controls at y=0; 28 treated with y counts (0, 1, 9, 18)
+        y1 = [1] * 1 + [2] * 9 + [3] * 18
+        path = tmp_path / "d.csv"
+        write_csv(path, [(0, 0)] * 28 + [(1, y) for y in y1], ["z", "y"])
+        code, out = run_cli(capsys, "analyze", "--data", str(path))
+        assert code == 0
+        tau = json.loads(out)["tau"]
+        assert tau["lower"] == pytest.approx(1, abs=1e-15)
+        assert tau["upper"] == pytest.approx(1, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSimulateChecks:
+    """simulate exits 2 on a study that cannot give a standard error and 3
+    when fewer than two replicates succeed, never printing NaN."""
+
+    @pytest.mark.parametrize("extra, why", [
+        (("--n", "3"), "even"), (("--n", "0"), "even"), (("--n", "-2"), "even"),
+        (("--reps", "1"), "at least 2"),
+    ])
+    def test_invalid_spec_exits_2(self, capsys, extra, why):
+        code = main(["simulate", "--study", "1", "--case", "1", "--reps", "2",
+                     "--boot", "100", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert why in captured.err
+
+    def test_too_few_replicates_exit_3(self, capsys):
+        # n=2: one of the two replicates has no compliers to estimate from
+        code = main(["simulate", "--study", "2", "--case", "1", "--n", "2", "--reps", "2",
+                     "--boot", "100", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "ReplicateFailure" in captured.err

@@ -199,3 +199,30 @@ class TestUnitColumns:
     def test_covariates_on_some_records_rejected(self):
         with pytest.raises(ValueError):
             covariate_matrix([UnitRecord(z=1, y=0, x=(1.0,)), UnitRecord(z=0, y=1)])
+
+
+class TestDeltaTolerance:
+    """Float deltas may leave [-1, 1] by the sum-to-one tolerance, exact ones
+    not at all."""
+
+    # valid float marginals whose treated tail sum at j=1 rounds to 1 + 2**-52
+    P1 = (0.0, 0.42461092968301356, 0.5376463087320363, 0.03774276158495021)
+    P0 = (1.0, 0.0, 0.0, 0.0)
+
+    def test_rounded_tail_sum_is_accepted(self):
+        m = MarginalPair(validate_marginal(self.P1), validate_marginal(self.P0))
+        assert delta_effects(m).deltas[1] == 1 + 2 ** -52
+
+    @pytest.mark.parametrize("d", [1 + 1e-10, -1 - 1e-10])
+    def test_float_within_tolerance_is_accepted(self, d):
+        assert DeltaVector((0.0, d)).deltas == (0.0, d)
+
+    @pytest.mark.parametrize("d", [1 + 1e-6, -1 - 1e-6])
+    def test_float_beyond_tolerance_is_rejected(self, d):
+        with pytest.raises(ValidationError):
+            DeltaVector((0.0, d))
+
+    @pytest.mark.parametrize("d", [F(3, 2), F(-3, 2), 1 + F(1, 10 ** 30), -1 - F(1, 10 ** 30), 2])
+    def test_exact_outside_is_rejected(self, d):
+        with pytest.raises(ValidationError):
+            DeltaVector((0, d))

@@ -461,3 +461,29 @@ class TestInvalidUnits:
         with pytest.raises(OutOfRangeOutcome):
             bootstrap_replicates(invalid_records(field, value), estimator=estimator,
                                  n_boot=100, **options)
+
+
+class TestEstimatorOptions:
+    """An option the estimator does not take raises TypeError instead of
+    being ignored."""
+
+    @pytest.mark.parametrize("estimator, options", [
+        ("ipw", {"trimm": 0.3}),
+        ("ipw", {"strata": "model"}),
+        ("randomized", {"monotonicity": "strong"}),
+        ("adjusted", {"trim": 0.1}),
+        ("complier", {"strata": "model"}),
+        ("complier_adjusted", {"trim": 0.1}),
+    ])
+    def test_unknown_option_raises(self, estimator, options):
+        recs = covariate_records(36)
+        with pytest.raises(TypeError):
+            bootstrap_replicates(recs, estimator=estimator, n_boot=100, **options)
+        with pytest.raises(TypeError):
+            bootstrap_bounds_ci(recs, estimator=estimator, n_boot=100, **options)
+
+    def test_known_options_still_apply(self):
+        recs = covariate_records(36)
+        a = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=3, trim=0.01)
+        b = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=3, trim=0.3)
+        assert a.n_failed < b.n_failed

@@ -9,6 +9,7 @@ from ordbounds import (
     MarginalDistribution,
     StrataModel,
     UnitRecord,
+    bootstrap_replicates,
     complier_bounds,
     em_fit,
     em_fit_with_covariates,
@@ -488,3 +489,34 @@ class TestInterceptOnly:
         assert np.isfinite(p).all()
         assert np.abs(p.sum(axis=1) - 1).max() <= 1e-12
         assert np.abs(p[0] - np.array(counts) / sum(counts)).max() <= 1e-8
+
+
+class TestMonotonicityMode:
+    """Every fit rejects an unknown monotonicity mode, before any fitting."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda r: moment_identify(r, monotonicity="bogus"),
+        lambda r: em_fit(r, monotonicity="bogus"),
+        lambda r: em_fit_with_covariates(r, monotonicity="bogus"),
+        lambda r: em_fit_with_covariates(r, monotonicity="bogus",
+                                         init=em_fit_with_covariates(r, monotonicity="strong")),
+        lambda r: bootstrap_replicates(r, estimator="complier", n_boot=100,
+                                       monotonicity="bogus"),
+    ])
+    def test_unknown_mode_raises(self, fit):
+        # data that strong monotonicity allows (no z=0, d=1 units)
+        recs = [r for r in generate_study2(4, 400, seed=0) if not (r.z == 0 and r.d == 1)]
+        with pytest.raises(ValueError, match="unknown monotonicity mode 'bogus'"):
+            fit(recs)
+
+    def test_complier_adjusted_bootstrap_raises(self):
+        recs = [r for r in generate_study2(4, 400, seed=0) if not (r.z == 0 and r.d == 1)]
+        with pytest.raises(ValueError, match="unknown monotonicity mode"):
+            bootstrap_replicates(recs, estimator="complier_adjusted", n_boot=100,
+                                 monotonicity="bogus")
+
+    def test_strong_mode_still_rejects_defiers(self):
+        recs = generate_study2(4, 400, seed=0)
+        for fit in (moment_identify, em_fit, em_fit_with_covariates):
+            with pytest.raises(DefiersObserved):
+                fit(recs, monotonicity="strong")

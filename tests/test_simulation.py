@@ -9,7 +9,8 @@ from ordbounds import (
     run_study,
     study1_truth,
 )
-from ordbounds.exceptions import OddN
+from ordbounds import simulation
+from ordbounds.exceptions import EmptyArm, OddN, ReplicateFailure
 from ordbounds.simulation import _proportional_counts, study1_joint
 
 
@@ -120,3 +121,57 @@ class TestRunStudy:
         assert 0.8 <= res.coverage_bounds <= 1.0
         assert res.n_failed == 0
         assert res.ci_length > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestReplicateChecks:
+    def test_odd_n(self):
+        with pytest.raises(ValueError, match="even"):
+            StudySpec(study=1, case_id=1, n_units=201)
+
+    def test_one_rep(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            StudySpec(study=2, case_id=1, n_reps=1)
+
+    @staticmethod
+    def failing_after(monkeypatch, k):
+        """Make every bootstrap after the first k fail."""
+        calls = []
+        real = simulation.bootstrap_bounds_ci
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > k:
+                raise EmptyArm("made to fail")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "bootstrap_bounds_ci", flaky)
+
+    def test_failed_replicates_are_counted(self, monkeypatch):
+        self.failing_after(monkeypatch, 2)
+        res = run_study(StudySpec(study=1, case_id=1, n_reps=3, n_boot=100, seed=4))
+        assert res.n_failed == 1
+        assert np.isfinite([res.se_L, res.se_U, res.bias_L, res.ci_length]).all()
+
+    def test_one_success_raises(self, monkeypatch):
+        self.failing_after(monkeypatch, 1)
+        with pytest.raises(ReplicateFailure, match="1 of 3"):
+            run_study(StudySpec(study=1, case_id=1, n_reps=3, n_boot=100, seed=4))
+
+    def test_study2_without_compliers_raises(self):
+        truth = simulation.study2_truth(1, n_draws=10_000)
+        with pytest.raises(ReplicateFailure):
+            run_study(StudySpec(study=2, case_id=1, n_units=2, n_reps=2, n_boot=100, seed=1),
+                      truth=truth)
+
+
+class TestStudy2Models:
+    def test_strata_follow_the_model(self):
+        recs = generate_study2(1, 20_000, seed=6)
+        X = np.array([r.x for r in recs])
+        pi = simulation._STRATA.predict_proba(X).mean(axis=0)   # (c, a, n)
+        z1 = np.array([r.d for r in recs if r.z == 1])
+        z0 = np.array([r.d for r in recs if r.z == 0])
+        # d = 1 under z = 1 for c and a, under z = 0 for a only
+        assert abs(z0.mean() - pi[1]) < 0.02
+        assert abs(z1.mean() - pi[0] - pi[1]) < 0.02
