@@ -75,6 +75,16 @@ def bound_rows(p1, p0) -> np.ndarray:
     rows[..., 1] = (p1 * F0).sum(axis=-1)
     F0 -= p0
     rows[..., 4] = (p1 * F0).sum(axis=-1)
+    return _clipped(rows)
+
+
+def _clipped(rows):
+    """Float rows (..., 6) clipped into [0, 1], each lower bound capped at
+    its upper bound, in place: rounding can push them out or across.  Exact
+    rows are returned untouched."""
+    if rows.dtype.kind == "f":
+        np.clip(rows, 0.0, 1.0, out=rows)
+        np.minimum(rows[..., 0::3], rows[..., 2::3], out=rows[..., 0::3])
     return rows
 
 
@@ -92,7 +102,7 @@ def weighted_report(w, p1, p0) -> BoundsReport:
     w (n,) summing to 1.  The deltas, dominance and construction indices
     describe the pooled marginals w @ p1 and w @ p0.  All three arrays are
     float, or all are object arrays of exact numbers for an exact report."""
-    tau_l, tau_i, tau_u, eta_l, eta_i, eta_u = (w @ bound_rows(p1, p0)).tolist()
+    tau_l, tau_i, tau_u, eta_l, eta_i, eta_u = _clipped(w @ bound_rows(p1, p0)).tolist()
     pooled0 = w @ p0
     d = _deltas(w @ p1, pooled0)
     tol = 0 if d.dtype == object else 1e-12

@@ -77,8 +77,8 @@ def _alloc_lower(x, y):
     """
     n = len(x)
     zero = 0 if _is_exact(x) and _is_exact(y) else 0.0
-    if n == 1:
-        return [[_clamp(y[0])]]
+    if n <= 1:
+        return [[_clamp(v)] for v in y]
     sub = _alloc_lower(x[1:], y[1:])
     A = [[zero] * n for _ in range(n)]
     for k in range(1, n):
@@ -148,8 +148,8 @@ def _product_fill(r, c, zero):
     r = [max(v, zero) for v in r]
     c = [max(v, zero) for v in c]
     m = sum(r)
-    if m <= 0:
-        return [[zero] * len(c) for _ in r]
+    if m <= 0:   # every residual is 0: fill with them, in the margins' number type
+        return [[rk] * len(c) for rk in r]
     return [[_clamp(rk * cl / m) for cl in c] for rk in r]
 
 
@@ -162,54 +162,31 @@ def _tau_max_matrix(p1, p0, deltas, J, zero):
     tl = triangular_transport(p1[:j1], p0[:j1], "a").matrix
     br = triangular_transport(p1[j1:], p0[j1:], "c").matrix
     for k in range(j1):
-        for l in range(j1):
-            P[k][l] = tl[k][l]
+        P[k][:j1] = tl[k]
     for k in range(J - j1):
-        for l in range(J - j1):
-            P[j1 + k][j1 + l] = br[k][l]
+        P[j1 + k][j1:] = br[k]
     r = [p1[k] - sum(P[k][:j1]) for k in range(j1)]
     c = [p0[l] - sum(P[k][l] for k in range(j1, J)) for l in range(j1, J)]
     tr = _product_fill(r, c, zero)
     for k in range(j1):
-        for l in range(J - j1):
-            P[k][j1 + l] = tr[k][l]
+        P[k][j1:] = tr[k]
     return P
 
 
 def _tau_min_matrix(p1, p0, deltas, J, zero):
     _, j2 = construction_indices(p0, deltas)
     P = [[zero] * J for _ in range(J)]
-    if j2 == 0:
-        tr = triangular_transport(p1[: J - 1], p0[1:], "d").matrix
-        for k in range(J - 1):
-            for l in range(J - 1):
-                P[k][l + 1] = tr[k][l]
-        P[J - 1][0] = p1[J - 1]
-        for k in range(J - 1):
-            P[k][0] = _clamp(p1[k] - sum(P[k][1:]))
-        return P
-    if j2 == J - 1:
-        tr = triangular_transport(p1[: J - 1], p0[1:], "b").matrix
-        for k in range(J - 1):
-            for l in range(J - 1):
-                P[k][l + 1] = tr[k][l]
-        for l in range(J):
-            P[J - 1][l] = _clamp(p0[l] - sum(P[k][l] for k in range(J - 1)))
-        return P
     tl = triangular_transport(p1[:j2], p0[1 : j2 + 1], "b").matrix
     br = triangular_transport(p1[j2 : J - 1], p0[j2 + 1 :], "d").matrix
     for k in range(j2):
-        for l in range(j2):
-            P[k][l + 1] = tl[k][l]
+        P[k][1 : j2 + 1] = tl[k]
     for k in range(J - 1 - j2):
-        for l in range(J - 1 - j2):
-            P[j2 + k][j2 + 1 + l] = br[k][l]
+        P[j2 + k][j2 + 1 :] = br[k]
     r = [p1[k] - sum(P[k][j2 + 1 :]) for k in range(j2, J)]
     c = [p0[l] - sum(P[k][l] for k in range(j2)) for l in range(j2 + 1)]
     bl = _product_fill(r, c, zero)
     for k in range(J - j2):
-        for l in range(j2 + 1):
-            P[j2 + k][l] = bl[k][l]
+        P[j2 + k][: j2 + 1] = bl[k]
     return P
 
 

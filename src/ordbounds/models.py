@@ -62,6 +62,19 @@ def _as_design(X, n):
     return X
 
 
+def _weights(weights, n):
+    """Unit weights (n,), ones by default: DimensionMismatch for a wrong
+    length, ValueError for a negative entry."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise DimensionMismatch(f"weights of shape {w.shape} for {n} outcomes")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    return w
+
+
 def _check_rank(M):
     if M.shape[1] and np.linalg.matrix_rank(M) < M.shape[1]:
         raise RankDeficient("design matrix is rank deficient")
@@ -160,15 +173,15 @@ def _ascent_direction(grad, hess):
     return direction
 
 
-def _newton(f, theta, cap_slice=slice(None), grad_tol=GRAD_TOL, max_iter=MAX_ITER):
+def _newton(f, theta, cap_slice=slice(None)):
     """Newton-Raphson with step-halving on a (B, p) stack of parameter rows.
 
     f(theta, rows) returns the log-likelihood (k,), gradient (k, p) and
     analytic Hessian (k, p, p) of the stack rows ``rows`` at the (k, p)
     parameters theta.  Every row follows the one-fit rules on its own: it
-    converges when its gradient sup-norm is below grad_tol, fails with
+    converges when its gradient sup-norm is below GRAD_TOL, fails with
     NonConvergence when 40 step halvings do not improve its log-likelihood
-    or it is still iterating after max_iter steps, and with
+    or it is still iterating after MAX_ITER steps, and with
     SeparationDetected when a coefficient in cap_slice exceeds COEF_CAP.
     A finished row leaves the stack, so f only sees the rows still running.
 
@@ -179,8 +192,8 @@ def _newton(f, theta, cap_slice=slice(None), grad_tol=GRAD_TOL, max_iter=MAX_ITE
     error = np.full(len(theta), None, dtype=object)
     live = np.arange(len(theta))
     ll, grad, hess = f(theta, live)
-    for _ in range(max_iter):
-        going = np.abs(grad).max(axis=1) >= grad_tol
+    for _ in range(MAX_ITER):
+        going = np.abs(grad).max(axis=1) >= GRAD_TOL
         live, ll, grad, hess = live[going], ll[going], grad[going], hess[going]
         if not len(live):
             return theta, error
@@ -207,8 +220,8 @@ def _newton(f, theta, cap_slice=slice(None), grad_tol=GRAD_TOL, max_iter=MAX_ITE
         going = ~(stuck | capped)
         live, ll, grad, hess = live[going], ll[going], grad[going], hess[going]
     for r, g in zip(live, np.abs(grad).max(axis=1, initial=0.0)):
-        if g >= grad_tol:
-            error[r] = NonConvergence(f"gradient norm {g:.2e} after {max_iter} iterations")
+        if g >= GRAD_TOL:
+            error[r] = NonConvergence(f"gradient norm {g:.2e} after {MAX_ITER} iterations")
     return theta, error
 
 
@@ -330,9 +343,7 @@ def fit_cumulative_logit(y, X=None, weights=None) -> CumulativeLogitModel:
     y = np.asarray(y, dtype=int)
     n = len(y)
     X = _as_design(X, n)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    w = _weights(weights, n)
     J = int(y.max()) + 1
     observed = np.unique(y[w > 0])
     if len(observed) < 2:
@@ -376,7 +387,7 @@ def fit_logit(d, X=None, weights=None) -> LogitModel:
     d = np.asarray(d, dtype=float)
     n = len(d)
     X = _as_design(X, n)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = _weights(weights, n)
     if X.shape[1] == 0:
         pbar = float(w @ d) / w.sum()
         if pbar <= 0 or pbar >= 1:
@@ -426,7 +437,7 @@ def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialL
     g = list(g)
     n = len(g)
     X = _as_design(X, n)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = _weights(weights, n)
     if classes is None:
         classes = sorted(set(g))
     classes = tuple(classes)
@@ -434,7 +445,10 @@ def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialL
     if G < 2:
         raise TooFewCategories("need at least 2 classes")
     lookup = {c: i for i, c in enumerate(classes)}
-    gidx = np.array([lookup[v] for v in g])
+    try:
+        gidx = np.array([lookup[v] for v in g])
+    except KeyError as e:
+        raise ValueError(f"label {e.args[0]!r} not in classes {classes}") from None
 
     if X.shape[1] == 0:
         shares = np.array([w[gidx == i].sum() for i in range(G)]) / w.sum()

@@ -12,7 +12,9 @@ Without covariates the model is just-identified (4J - 2 parameters for
 the moment solution is the MLE and is used in closed form; EM runs only on
 the tables at that finite-sample boundary, batched over a stack of count
 tables (complier_mle).  With covariates (multinomial logit for the stratum,
-proportional odds for the outcomes) the MLE is always fitted by EM.
+proportional odds for the outcomes) the MLE is always fitted by EM, whose
+E-step posteriors are one (n, G) matrix over the strata each (z, d) cell
+admits; an outcome fit that fails falls back to an intercept-only model.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .exceptions import (
 from .models import (
     CumulativeLogitModel,
     MultinomialLogitModel,
+    _check_rank,
     _logit,
-    fit_cumulative_logit,
+    _raise_failure,
+    fit_cumulative_logit_rows,
     fit_multinomial_logit,
 )
 
@@ -410,17 +414,20 @@ class CovariateStrataFit:
         )
 
 
-def _unit_terms(g_model, a_model, n_model, c1_model, c0_model, X, y):
-    """Each unit's four mixture terms at its own outcome: pi_a p_a, pi_n p_n,
-    pi_c p_c1 and pi_c p_c0; pi_a p_a is 0 without an always-taker model."""
-    P = g_model.predict_proba(X)
-    rows = np.arange(len(y))
+def _strata_terms(fit, X, y, z, classes):
+    """Each unit's joint terms pi_g(x) p_g(y | x), shape (n, G) with columns
+    ordered as classes; compliers take the treated or the control outcome
+    model as z is 1 or 0.  The columns of fit.g_model are picked by class
+    label, so a fit under the other monotonicity mode serves as well: a
+    stratum it does not model gets terms 0."""
+    P = dict(zip(fit.g_model.classes, fit.g_model.predict_proba(X).T))
 
     def at(model):
-        return model.predict_proba(X)[rows, y]
+        return model.predict_proba(X)[np.arange(len(y)), y]
 
-    ta = np.zeros(len(y)) if a_model is None else P[:, 1] * at(a_model)
-    return ta, P[:, -1] * at(n_model), P[:, 0] * at(c1_model), P[:, 0] * at(c0_model)
+    outcome = {"c": lambda: np.where(z == 1, at(fit.c_treated_model), at(fit.c_control_model)),
+               "a": lambda: at(fit.a_model), "n": lambda: at(fit.n_model)}
+    return np.column_stack([P[g] * outcome[g]() if g in P else np.zeros(len(y)) for g in classes])
 
 
 def em_fit_with_covariates(records, monotonicity: str = "standard",
@@ -428,110 +435,74 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
                            init: CovariateStrataFit | None = None,
                            J: int | None = None) -> CovariateStrataFit:
     """EM alternating posterior stratum weights with weighted multinomial-logit
-    and proportional-odds fits.
+    and proportional-odds fits, on one (n, G) posterior matrix.
 
-    The observed-data log-likelihood is non-decreasing across iterations
-    (each M-step maximizes the weighted fits to convergence).  The mixture
-    terms of each fit serve both its log-likelihood and the next E-step; the
-    first E-step uses those of init or of the covariate-free fit.
+    A unit admits compliers where z = d, always-takers where d = 1 (standard
+    monotonicity only) and never-takers where d = 0: the mask allowed.  The
+    E-step normalises each unit's admitted joint terms pi_g(x) p_g(y | x)
+    into its posterior row; the M-step fits the stratum model on the (unit,
+    stratum) entries and each outcome model on its stratum's units, weighted
+    by the posteriors.  The observed-data log-likelihood, the sum of the logs
+    of the row sums, is non-decreasing across iterations (each M-step
+    maximizes the weighted fits to convergence).  Each fit's joint terms
+    serve both its log-likelihood and the next E-step; the first E-step uses
+    those of init or of the covariate-free fit.
     """
     counts = _checked_cells(records, monotonicity, J)
     J = counts.shape[-1]
     z, y, d, _ = unit_columns(records)
     X = covariate_matrix(records)
-    has_a = monotonicity == "standard"
-    classes = ("c", "a", "n") if has_a else ("c", "n")
-
-    cell_at = (z == 0) & (d == 1)    # always-takers for sure
-    cell_nt = (z == 1) & (d == 0)    # never-takers for sure
-    cell_t = (z == 1) & (d == 1)     # a or c, treated outcome
-    cell_c = (z == 0) & (d == 0)     # n or c, control outcome
-    if has_a and not cell_at.any() and not cell_t.any():
+    classes = ("c", "a", "n") if monotonicity == "standard" else ("c", "n")
+    admits = {"c": z == d, "a": d == 1, "n": d == 0}
+    allowed = np.column_stack([admits[g] for g in classes])
+    if "a" in classes and not admits["a"].any():
         raise DegenerateInit("no units with d=1")
-
-    ia = np.nonzero(cell_at)[0]
-    it = np.nonzero(cell_t)[0]
-    inn = np.nonzero(cell_nt)[0]
-    ic = np.nonzero(cell_c)[0]
+    # each outcome model: its stratum and the units whose outcomes it fits
+    outcomes = {"a_model": ("a", admits["a"]), "n_model": ("n", admits["n"]),
+                "c_treated_model": ("c", admits["c"] & (z == 1)),
+                "c_control_model": ("c", admits["c"] & (z == 0))}
 
     if init is not None:
-        ta, tn, tc1, tc0 = _unit_terms(init.g_model, init.a_model if has_a else None,
-                                       init.n_model, init.c_treated_model,
-                                       init.c_control_model, X, y)
+        terms = _strata_terms(init, X, y, z, classes)
     else:
         # warm start from the covariate-free fit
         flat, _ = _fit_counts(counts)
-        ta, tn, tc1, tc0 = [p * m.as_array()[y] for p, m in (
-            (flat.pi_a, flat.a_marginal), (flat.pi_n, flat.n_marginal),
-            (flat.pi_c, flat.c_treated), (flat.pi_c, flat.c_control))]
+        a, n, c1, c0 = (m.as_array()[y] for m in (flat.a_marginal, flat.n_marginal,
+                                                  flat.c_treated, flat.c_control))
+        t = {"c": flat.pi_c * np.where(z == 1, c1, c0), "a": flat.pi_a * a, "n": flat.pi_n * n}
+        terms = np.column_stack([t[g] for g in classes])
+    joint = terms * allowed
 
-    prev_ll = -np.inf
     trace = []
     for it_num in range(1, max_iter + 1):
-        # E-step posteriors in the mixed cells
-        w_a_t = ta[it] / np.maximum(ta[it] + tc1[it], 1e-300)
-        w_n_c = tn[ic] / np.maximum(tn[ic] + tc0[ic], 1e-300)
-
-        # M-step: weighted multinomial logit for G
-        rows, labels, weights = [], [], []
-        if has_a:
-            rows.append(ia); labels.append(np.full(len(ia), "a")); weights.append(np.ones(len(ia)))
-            rows.append(it); labels.append(np.full(len(it), "a")); weights.append(w_a_t)
-        rows.append(it); labels.append(np.full(len(it), "c")); weights.append(1 - w_a_t)
-        rows.append(inn); labels.append(np.full(len(inn), "n")); weights.append(np.ones(len(inn)))
-        rows.append(ic); labels.append(np.full(len(ic), "n")); weights.append(w_n_c)
-        rows.append(ic); labels.append(np.full(len(ic), "c")); weights.append(1 - w_n_c)
-        ridx = np.concatenate(rows)
-        lab = np.concatenate(labels)
-        wts = np.concatenate(weights)
-        keep = wts > 1e-12
-        g_model = fit_multinomial_logit(lab[keep], X[ridx[keep]], weights=wts[keep],
+        post = joint / np.maximum(joint.sum(axis=1, keepdims=True), 1e-300)
+        i, g = np.nonzero(post > 1e-12)
+        g_model = fit_multinomial_logit(np.array(classes)[g], X[i], weights=post[i, g],
                                         classes=classes)
-
-        a_model = None
-        if has_a:
-            a_idx = np.concatenate([ia, it])
-            a_w = np.concatenate([np.ones(len(ia)), w_a_t])
-            a_model = _safe_cumlogit(y[a_idx], X[a_idx], a_w, J)
-        n_idx = np.concatenate([inn, ic])
-        n_w = np.concatenate([np.ones(len(inn)), w_n_c])
-        n_model = _safe_cumlogit(y[n_idx], X[n_idx], n_w, J)
-        c1_model = _safe_cumlogit(y[it], X[it], 1 - w_a_t, J)
-        c0_model = _safe_cumlogit(y[ic], X[ic], 1 - w_n_c, J)
-
-        # observed-data log-likelihood
-        ta, tn, tc1, tc0 = _unit_terms(g_model, a_model, n_model, c1_model, c0_model, X, y)
-        ll = float(sum(np.log(np.maximum(v, 1e-300)).sum()
-                       for v in (ta[ia], tn[inn], ta[it] + tc1[it], tn[ic] + tc0[ic])))
-        trace.append(ll)
-
-        fit = CovariateStrataFit(
-            g_model=g_model, a_model=a_model, n_model=n_model,
-            c_treated_model=c1_model, c_control_model=c0_model,
-            loglik=ll, n_iter=it_num, loglik_trace=trace,
-        )
-        if abs(ll - prev_ll) < tol:
+        models = {name: _safe_cumlogit(y[u], X[u], post[u, classes.index(s)], J)
+                  if s in classes else None for name, (s, u) in outcomes.items()}
+        fit = CovariateStrataFit(g_model=g_model, **models, loglik=np.nan, n_iter=it_num,
+                                 loglik_trace=trace)
+        joint = _strata_terms(fit, X, y, z, classes) * allowed
+        fit.loglik = float(np.log(np.maximum(joint.sum(axis=1), 1e-300)).sum())
+        trace.append(fit.loglik)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
             return fit
-        prev_ll = ll
     raise NonConvergence(f"covariate EM did not converge in {max_iter} iterations")
 
 
 def _safe_cumlogit(y, X, w, J):
-    """Weighted proportional-odds fit tolerant of degenerate weights."""
-    wsum = w.sum()
-    if wsum <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
-        # effectively unidentified: fall back to a near-degenerate intercept fit
+    """Weighted J-category proportional-odds fit tolerant of degenerate
+    weights: a near-degenerate intercept-only model where the weights leave
+    fewer than two categories or the fit fails."""
+    if w.sum() <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
         return _intercept_only(np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J),
                                X.shape[1])
     try:
-        # zero-weight pseudo-observations of every category 0..J-1, so the
-        # fitted model has J categories
-        fit = fit_cumulative_logit(np.concatenate([y, np.arange(J)]),
-                                   np.vstack([X, np.zeros((J, X.shape[1]))]),
-                                   weights=np.concatenate([w, np.zeros(J)]))
-        if len(fit.cutpoints) < J - 1:
-            raise FitError("category dropped")
-        return fit
+        _check_rank(X)
+        cut, slope, error = fit_cumulative_logit_rows(y, X, w[None], J)
+        _raise_failure(error)
+        return CumulativeLogitModel(tuple(cut[0]), tuple(slope[0]))
     except FitError:
         return _intercept_only(np.bincount(y, weights=w, minlength=J) + 1e-9, X.shape[1])
 

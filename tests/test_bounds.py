@@ -15,7 +15,7 @@ from ordbounds import (
     stochastically_dominates,
     tau_bounds,
 )
-from ordbounds.bounds import COLUMNS, bound_rows
+from ordbounds.bounds import COLUMNS, bound_rows, weighted_report
 from ordbounds.estimation import adjusted_bounds_from_strata
 
 from conftest import frac_pair, random_pair
@@ -235,3 +235,35 @@ class TestKernel:
             flags = ("dominance", "tau_point_identified", "eta_point_identified",
                      "argmin_delta_index", "argmax_lower_index")
             assert [getattr(floats, f) for f in flags] == [getattr(exact, f) for f in flags]
+
+
+class TestFloatRange:
+    """Float rounding must not carry a bound outside [0, 1] or a lower bound
+    above its upper bound."""
+
+    @staticmethod
+    def assert_in_range(values):
+        tl, _, tu, el, _, eu = values
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert tl <= tu and el <= eu
+
+    def test_seeded_random_tied_and_dominated_pairs(self):
+        rng = np.random.default_rng(9)
+        for trial in range(600):
+            J = int(rng.integers(2, 51))
+            k = int(rng.integers(1, 5))
+            pairs = [random_pair(rng, J, sparse=bool(rng.integers(2))) for _ in range(k)]
+            p1 = np.array([m.treated.probs for m in pairs])
+            p0 = np.array([m.control.probs for m in pairs])
+            kind = trial % 4
+            if kind == 1:     # tied arms
+                p0 = p1.copy()
+            elif kind == 2:   # treated mass sorted up, control mass sorted down
+                p1, p0 = np.sort(p1, axis=1), np.sort(p0, axis=1)[:, ::-1]
+            elif kind == 3:   # control a point mass at the bottom category
+                p0 = np.zeros_like(p0)
+                p0[:, 0] = 1.0
+            for row in bound_rows(p1, p0):
+                self.assert_in_range(row.tolist())
+            rep = weighted_report(rng.dirichlet(np.ones(k)), p1, p0)
+            self.assert_in_range([getattr(rep, c) for c in COLUMNS])

@@ -53,6 +53,20 @@ class TestBounds:
         assert payload["tau"]["upper"] == 1
         assert payload["dominance"]
 
+    def test_float_rounding_stays_in_unit_interval(self, capsys):
+        # the upper-tail sums of p1 round to 1.0000000000000002
+        code, out = run_cli(
+            capsys, "bounds",
+            "--p1", "0,0.42461092968301356,0.5376463087320363,0.03774276158495021",
+            "--p0", "1,0,0,0",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        for estimand in ("tau", "eta"):
+            b = payload[estimand]
+            assert 0 <= b["lower"] <= b["upper"] <= 1
+            assert 0 <= b["independent"] <= 1
+
     def test_invalid_sum_exits_2(self, capsys):
         code, _ = run_cli(capsys, "bounds", "--p1", "0.5,0.6", "--p0", "0.5,0.5")
         assert code == 2

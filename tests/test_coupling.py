@@ -12,6 +12,8 @@ from ordbounds import (
     stochastically_dominates,
     tau_bounds,
 )
+from ordbounds.bounds import construction_indices
+from ordbounds.distributions import MarginalPair, delta_effects
 from ordbounds.exceptions import DominanceViolated, LengthMismatch
 
 from conftest import frac_pair, random_pair
@@ -158,3 +160,60 @@ class TestExtremalCouplings:
             P = extremal_coupling(m, "tau_max")
             mat = np.array(P.matrix, dtype=float)
             assert np.allclose(np.triu(mat, 1), 0, atol=1e-12)
+
+
+def edge_tau_min(p1, p0, j2):
+    """tau_min coupling by the dedicated constructions for a lower-bound
+    split at j2 = 0 or j2 = J - 1 (the general construction covers both)."""
+    J = len(p1)
+    P = [[0] * J for _ in range(J)]
+    tr = triangular_transport(p1[: J - 1], p0[1:], "d" if j2 == 0 else "b").matrix
+    for k in range(J - 1):
+        for l in range(J - 1):
+            P[k][l + 1] = tr[k][l]
+    if j2 == 0:
+        P[J - 1][0] = p1[J - 1]
+        for k in range(J - 1):
+            P[k][0] = p1[k] - sum(P[k][1:])
+    else:
+        for l in range(J):
+            P[J - 1][l] = p0[l] - sum(P[k][l] for k in range(J - 1))
+    return tuple(tuple(r) for r in P)
+
+
+class TestEdgeSplits:
+    """The general tau_min construction reproduces the edge constructions
+    exactly, for tau_min and for eta_max (tau_min of the swapped pair)."""
+
+    @staticmethod
+    def split(m):
+        return construction_indices(m.control.probs, delta_effects(m).deltas)[1]
+
+    def test_forced_edges(self):
+        bottom = frac_pair([(1, 5), (3, 5), (1, 5)], [(1, 1), (0, 1), (0, 1)])
+        top = frac_pair([(0, 1), (0, 1), (1, 1)], [(1, 3), (1, 3), (1, 3)])
+        # tau_L = 0: the split at 0 leaves no residual mass to fill
+        empty = frac_pair([(1, 1), (0, 1), (0, 1)], [(0, 1), (0, 1), (1, 1)])
+        assert [self.split(m) for m in (bottom, top, empty)] == [0, 2, 0]
+        for m in (bottom, top, empty):
+            got = extremal_coupling(m, "tau_min").matrix
+            want = edge_tau_min(m.treated.probs, m.control.probs, self.split(m))
+            assert got == want
+            assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+
+    def test_random_exact_pairs(self):
+        rng = np.random.default_rng(31)
+        seen = {"tau_min": set(), "eta_max": set()}
+        for _ in range(400):
+            J = int(rng.integers(2, 8))
+            m = random_pair(rng, J, exact=True, sparse=bool(rng.integers(2)))
+            sw = MarginalPair(m.control, m.treated)
+            for target, pair in (("tau_min", m), ("eta_max", sw)):
+                j2 = self.split(pair)
+                if j2 not in (0, J - 1):
+                    continue
+                seen[target].add(j2 == 0)
+                want = edge_tau_min(pair.treated.probs, pair.control.probs, j2)
+                got = extremal_coupling(m, target).matrix
+                assert got == (want if target == "tau_min" else tuple(zip(*want)))
+        assert seen == {"tau_min": {True, False}, "eta_max": {True, False}}

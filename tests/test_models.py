@@ -7,7 +7,9 @@ from ordbounds import (
     fit_multinomial_logit,
     predict_marginal,
 )
+from ordbounds import models
 from ordbounds.exceptions import (
+    DimensionMismatch,
     NonConvergence,
     RankDeficient,
     SeparationDetected,
@@ -300,3 +302,37 @@ class TestMultinomialLogit:
     def test_too_few_classes(self):
         with pytest.raises(TooFewCategories):
             fit_multinomial_logit(["c"] * 10)
+
+
+X20 = np.random.default_rng(51).normal(size=(20, 1))
+WEIGHTED_FITS = {
+    "logit": lambda w: fit_logit(np.arange(20) % 2, X20, weights=w),
+    "cumulative": lambda w: fit_cumulative_logit(np.arange(20) % 3, X20, weights=w),
+    "multinomial": lambda w: fit_multinomial_logit(["c", "a", "n", "a"] * 5, X20, weights=w,
+                                                   classes=("c", "a", "n")),
+}
+
+
+class TestInputChecks:
+    """The three fitters check their weights and labels alike."""
+
+    @pytest.mark.parametrize("fit", WEIGHTED_FITS)
+    def test_negative_weights_rejected(self, fit):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WEIGHTED_FITS[fit](-np.ones(20))
+
+    @pytest.mark.parametrize("fit", WEIGHTED_FITS)
+    @pytest.mark.parametrize("n", [19, 21])
+    def test_wrong_weight_length_rejected(self, fit, n):
+        with pytest.raises(DimensionMismatch):
+            WEIGHTED_FITS[fit](np.ones(n))
+
+    def test_unknown_label_named(self):
+        with pytest.raises(ValueError, match="'b'"):
+            fit_multinomial_logit(["c", "a", "b", "n"] * 5, X20, classes=("c", "a", "n"))
+
+    def test_iteration_limit_read_at_call_time(self, monkeypatch):
+        # one Newton step cannot bring the gradient below GRAD_TOL
+        monkeypatch.setattr(models, "MAX_ITER", 1)
+        with pytest.raises(NonConvergence, match="after 1 iterations"):
+            fit_logit(np.arange(20) % 2, X20)

@@ -17,6 +17,7 @@ from ordbounds import (
     full_report,
     moment_identify,
 )
+from ordbounds.distributions import covariate_matrix, unit_columns
 from ordbounds.exceptions import (
     DefiersObserved,
     EmptyArm,
@@ -29,6 +30,7 @@ from ordbounds.noncompliance import (
     _cells,
     _em_from_counts,
     _intercept_only,
+    _safe_cumlogit,
     complier_mle,
     em_loglik,
 )
@@ -476,6 +478,51 @@ class TestCovariateEM:
         assert (np.diff(fit.loglik_trace) >= 0).all()
         X = np.array([r.x for r in recs])
         assert np.allclose(fit.pi(X).sum(axis=1), 1)
+
+
+def four_cell_loglik(fit, records):
+    """Observed-data log-likelihood of a covariate strata fit, summed cell by
+    cell: always-takers (z=0, d=1), never-takers (z=1, d=0) and the mixed
+    cells (z=1, d=1) and (z=0, d=0)."""
+    z, y, d, _ = unit_columns(records)
+    X = covariate_matrix(records)
+    P = fit.pi(X)
+    rows = np.arange(len(y))
+
+    def term(g, model):
+        return P[:, fit.g_model.classes.index(g)] * model.predict_proba(X)[rows, y]
+
+    ta = np.zeros(len(y)) if fit.a_model is None else term("a", fit.a_model)
+    tn = term("n", fit.n_model)
+    cells = ((ta, (z == 0) & (d == 1)), (tn, (z == 1) & (d == 0)),
+             (ta + term("c", fit.c_treated_model), (z == 1) & (d == 1)),
+             (tn + term("c", fit.c_control_model), (z == 0) & (d == 0)))
+    return sum(np.log(np.maximum(v[cell], 1e-300)).sum() for v, cell in cells)
+
+
+class TestCovariateLoglik:
+    def test_loglik_is_the_four_cell_likelihood(self):
+        recs = TestCovariateEM().make_covariate_records(np.random.default_rng(81), 2000)
+        strong = [r for r in generate_study2(4, 1000, seed=3) if not (r.z == 0 and r.d == 1)]
+        for records, mode in ((recs, "standard"), (strong, "strong")):
+            fit = em_fit_with_covariates(records, monotonicity=mode)
+            assert fit.loglik == fit.loglik_trace[-1]
+            assert abs(fit.loglik - four_cell_loglik(fit, records)) <= 1e-9
+
+
+class TestSafeCumlogit:
+    def test_keeps_J_categories_when_the_top_one_is_missing(self):
+        rng = np.random.default_rng(83)
+        X = rng.normal(size=(60, 1))
+        y = rng.integers(0, 2, size=60)
+        w = rng.random(60)
+        y_zero = np.where(np.arange(60) < 5, 3, y)   # top category at weight 0 only
+        w_zero = np.where(np.arange(60) < 5, 0.0, w)
+        for yy, ww in ((y, w), (y_zero, w_zero)):
+            model = _safe_cumlogit(yy, X, ww, 4)
+            assert model.J == 4 and model.slope[0] != 0   # a fit, not the fallback
+            p = model.predict_proba(X)
+            assert np.isfinite(p).all() and np.abs(p.sum(axis=1) - 1).max() <= 1e-12
 
 
 class TestInterceptOnly:
