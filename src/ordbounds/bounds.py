@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DeltaVector, MarginalPair
+from .distributions import DeltaVector, MarginalPair, _arrays, _deltas
 
 COLUMNS = ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U")
 
@@ -45,15 +45,6 @@ class BoundsReport:
     eta_point_identified: bool
     argmin_delta_index: int   # j1 of the upper-bound construction
     argmax_lower_index: int   # j2 of the lower-bound construction
-
-
-def _deltas(p1, p0):
-    """Deltas of stacked marginals (..., J) from upper-tail sums; delta_0 is
-    0 (int in exact mode) since both full tail sums are the total mass."""
-    d = np.cumsum(p1[..., ::-1], axis=-1)[..., ::-1]
-    d -= np.cumsum(p0[..., ::-1], axis=-1)[..., ::-1]
-    d[..., 0] = 0
-    return d
 
 
 def bound_rows(p1, p0) -> np.ndarray:
@@ -120,27 +111,21 @@ def weighted_report(w, p1, p0) -> BoundsReport:
     )
 
 
-def _arrays(m: MarginalPair):
-    """(p1, p0) of a pair as arrays: object dtype for exact marginals."""
-    dtype = object if m.exact else float
-    return np.array(m.treated.probs, dtype=dtype), np.array(m.control.probs, dtype=dtype)
-
-
 def tau_bounds(m: MarginalPair):
-    return tuple(bound_rows(*_arrays(m))[[0, 2]].tolist())
+    return tuple(bound_rows(*_arrays(m.treated.probs, m.control.probs))[[0, 2]].tolist())
 
 
 def eta_bounds(m: MarginalPair):
-    return tuple(bound_rows(*_arrays(m))[[3, 5]].tolist())
+    return tuple(bound_rows(*_arrays(m.treated.probs, m.control.probs))[[3, 5]].tolist())
 
 
 def independent_estimands(m: MarginalPair):
     """(tau, eta) under independent potential outcomes."""
-    return tuple(bound_rows(*_arrays(m))[[1, 4]].tolist())
+    return tuple(bound_rows(*_arrays(m.treated.probs, m.control.probs))[[1, 4]].tolist())
 
 
 def full_report(m: MarginalPair) -> BoundsReport:
-    p1, p0 = _arrays(m)
+    p1, p0 = _arrays(m.treated.probs, m.control.probs)
     return weighted_report(np.ones(1, dtype=p1.dtype), p1[None], p0[None])
 
 

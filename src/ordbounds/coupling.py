@@ -3,14 +3,17 @@
 Two layers:
 
 * triangular allocations of one nonnegative vector against another under a
-  tail-sum or head-sum dominance condition (four variants a/b/c/d related by
-  transposition and index reversal);
+  tail-sum or head-sum dominance condition: _alloc_lower fills a lower
+  triangular one column by column from the last index down, in one pass;
+  variants b, c, d are its transpose, transposed reversal and reversal;
 * extremal couplings: joint distributions with the given treated/control
   margins attaining each sharp bound of tau and eta, plus the independent
-  (outer-product) coupling.
+  (outer-product) coupling.  The eta targets are tau constructions of the
+  swapped margins, whose deltas are the negated deltas of the pair.
 
-All routines work in exact arithmetic when fed Fractions and in double
-precision otherwise.
+The dominance checks and the construction indices read the tail sums of
+distributions._tail_sums, the kernel behind the bounds.  All routines work
+in exact arithmetic when fed Fractions and in double precision otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import construction_indices
-from .distributions import JointDistribution, MarginalPair, _is_exact, delta_effects
+from .distributions import JointDistribution, MarginalPair, _arrays, _deltas, _is_exact, _tail_sums
 from .exceptions import DominanceViolated, LengthMismatch
 
 _FLOAT_TOL = 1e-9
@@ -56,57 +59,53 @@ def _clamp(v):
 
 def _check_tail_dominance(x, y):
     """Require sum_{r>=s} x_r >= sum_{r>=s} y_r for every s."""
-    tol = 0 if _is_exact(x) and _is_exact(y) else _FLOAT_TOL
-    tx = ty = 0
-    slack = [None] * len(x)
-    for s in reversed(range(len(x))):
-        tx += x[s]
-        ty += y[s]
-        slack[s] = tx - ty
-    for s, g in enumerate(slack):
+    x, y = _arrays(x, y)
+    tol = 0 if x.dtype == object else _FLOAT_TOL
+    for s, g in enumerate((_tail_sums(x) - _tail_sums(y)).tolist()):
         if g < -tol:
             raise DominanceViolated(s)
 
 
 def _alloc_lower(x, y):
-    """Lower triangular allocation with column sums exactly y, row sums <= x.
+    """Lower triangular allocation with column sums exactly y, row sums <= x;
+    DominanceViolated unless x tail-dominates y.
 
-    Follows the inductive construction: peel index 0, branch on y0 < x0 versus
-    y0 >= x0, fill the first column proportionally to the row residuals of the
-    sub-allocation, recurse.
+    One pass over the columns from the last index down.  The last diagonal
+    entry is y's last entry.  Column j then takes y[j] on the diagonal when
+    y[j] < x[j]; otherwise x[j], with the shortfall y[j] - x[j] spread over
+    the rows below in proportion to their residuals, x[k] less the mass that
+    row k already holds in columns j+1 onwards (the running sums held).
     """
+    _check_tail_dominance(x, y)
     n = len(x)
     zero = 0 if _is_exact(x) and _is_exact(y) else 0.0
-    if n <= 1:
-        return [[_clamp(v)] for v in y]
-    sub = _alloc_lower(x[1:], y[1:])
     A = [[zero] * n for _ in range(n)]
-    for k in range(1, n):
-        for l in range(1, n):
-            A[k][l] = sub[k - 1][l - 1]
-    if y[0] < x[0]:
-        A[0][0] = y[0]
-    else:
-        A[0][0] = x[0]
-        resid = [x[k] - sum(A[k][1:]) for k in range(1, n)]
-        resid = [max(r, zero) for r in resid]
-        denom = sum(resid)
-        need = y[0] - x[0]
-        if denom > 0:
-            for k in range(1, n):
-                A[k][0] = _clamp(need * resid[k - 1] / denom)
-        # denom == 0 forces need == 0 (up to float noise): leave zeros
+    held = [0] * n
+    for j in reversed(range(n)):
+        if j == n - 1:
+            A[j][j] = _clamp(y[j])
+        elif y[j] < x[j]:
+            A[j][j] = y[j]
+        else:
+            A[j][j] = x[j]
+            resid = [max(x[k] - held[k], zero) for k in range(j + 1, n)]
+            denom = sum(resid)
+            need = y[j] - x[j]
+            if denom > 0:
+                for k, r in enumerate(resid, j + 1):
+                    A[k][j] = _clamp(need * r / denom)
+                    held[k] += A[k][j]
+            # denom == 0 forces need == 0 (up to float noise): leave zeros
+        held[j] += A[j][j]
     return A
 
 
 def _reverse(mat):
-    n = len(mat)
-    return [[mat[n - 1 - k][n - 1 - l] for l in range(n)] for k in range(n)]
+    return [row[::-1] for row in mat[::-1]]
 
 
 def _transpose(mat):
-    n = len(mat)
-    return [[mat[l][k] for l in range(n)] for k in range(n)]
+    return [list(col) for col in zip(*mat)]
 
 
 def triangular_transport(x, y, variant: str) -> TriangularMatrix:
@@ -127,19 +126,13 @@ def triangular_transport(x, y, variant: str) -> TriangularMatrix:
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     if variant == "a":
-        _check_tail_dominance(x, y)
         return TriangularMatrix(_alloc_lower(x, y), "lower")
     if variant == "b":
-        _check_tail_dominance(y, x)
         return TriangularMatrix(_transpose(_alloc_lower(y, x)), "upper")
     if variant == "c":
-        _check_tail_dominance(list(reversed(y)), list(reversed(x)))
-        inner = _alloc_lower(list(reversed(y)), list(reversed(x)))
-        return TriangularMatrix(_reverse(_transpose(inner)), "lower")
+        return TriangularMatrix(_reverse(_transpose(_alloc_lower(y[::-1], x[::-1]))), "lower")
     if variant == "d":
-        _check_tail_dominance(list(reversed(x)), list(reversed(y)))
-        inner = _alloc_lower(list(reversed(x)), list(reversed(y)))
-        return TriangularMatrix(_transpose(_reverse(_transpose(inner))), "upper")
+        return TriangularMatrix(_reverse(_alloc_lower(x[::-1], y[::-1])), "upper")
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -195,7 +188,7 @@ def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
 
     target is one of tau_min, tau_max, eta_min, eta_max, independent.  The eta
     targets are obtained from the tau constructions by switching the treatment
-    and control labels and transposing.
+    and control labels, which negates the deltas, and transposing.
     """
     p1 = list(m.treated.probs)
     p0 = list(m.control.probs)
@@ -204,20 +197,14 @@ def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
     if target == "independent":
         mat = [[p1[k] * p0[l] for l in range(J)] for k in range(J)]
         return JointDistribution(tuple(tuple(r) for r in mat))
-    deltas = list(delta_effects(m).deltas)
-    if target == "tau_max":
-        mat = _tau_max_matrix(p1, p0, deltas, J, zero)
-    elif target == "tau_min":
-        mat = _tau_min_matrix(p1, p0, deltas, J, zero)
-    elif target in ("eta_min", "eta_max"):
-        swapped = MarginalPair(m.control, m.treated)
-        d_sw = list(delta_effects(swapped).deltas)
-        if target == "eta_max":
-            mat = _tau_min_matrix(p0, p1, d_sw, J, zero)
-        else:
-            mat = _tau_max_matrix(p0, p1, d_sw, J, zero)
-        mat = _transpose(mat)
-    else:
+    build = {"tau_max": _tau_max_matrix, "tau_min": _tau_min_matrix,
+             "eta_max": _tau_min_matrix, "eta_min": _tau_max_matrix}
+    if target not in build:
         raise ValueError(f"unknown target {target!r}")
+    d = _deltas(*_arrays(p1, p0))
+    if target.startswith("tau"):
+        mat = build[target](p1, p0, d.tolist(), J, zero)
+    else:
+        mat = _transpose(build[target](p0, p1, (-d).tolist(), J, zero))
     mat = [[_clamp(v) for v in row] for row in mat]
     return JointDistribution(tuple(tuple(r) for r in mat))

@@ -4,15 +4,20 @@ All types are immutable and support two arithmetic modes:
 
 * exact mode -- entries are ``fractions.Fraction`` (or int); validation and
   all derived quantities are exact;
-* float mode -- entries are floats; sum-to-one is checked within 1e-9 and
-  nonnegativity with slack 1e-12.
+* float mode -- entries are finite floats; sum-to-one is checked within 1e-9
+  and nonnegativity with slack 1e-12.
 
 Validation never renormalizes.  Callers wanting renormalization must do it
 explicitly.
+
+_tail_sums forms every upper-tail sum in the package: those of a marginal,
+the deltas of delta_effects and the bounds kernel, and the dominance check
+of the triangular allocations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -47,10 +52,34 @@ def _check_probs(values, what: str):
     if exact:
         if total != 1:
             raise SumNotOne(f"{what} sums to {total}, deviation {total - 1}")
-    else:
-        if abs(total - 1.0) > SUM_TOL:
-            raise SumNotOne(f"{what} sums to {total}, deviation {total - 1.0}")
+    elif not math.isfinite(total):   # a NaN entry passes every comparison above
+        raise ValidationError(f"{what} has a non-finite entry: sum {total}")
+    elif abs(total - 1.0) > SUM_TOL:
+        raise SumNotOne(f"{what} sums to {total}, deviation {total - 1.0}")
     return exact
+
+
+def _arrays(*vectors):
+    """The vectors as numpy arrays: object dtype when every entry is exact
+    (Fraction or int), so that arithmetic on them stays exact; float
+    otherwise."""
+    dtype = object if all(map(_is_exact, vectors)) else float
+    return tuple(np.array(v, dtype=dtype) for v in vectors)
+
+
+def _tail_sums(p):
+    """Upper-tail sums of stacked vectors p (..., J): element j is
+    sum_{k >= j} p[k], accumulated from the last entry down."""
+    return np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _deltas(p1, p0):
+    """Deltas of stacked marginals (..., J); delta_0 is 0 (int in exact
+    mode) since both full tail sums are the total mass."""
+    d = _tail_sums(p1)
+    d -= _tail_sums(p0)
+    d[..., 0] = 0
+    return d
 
 
 @dataclass(frozen=True)
@@ -78,12 +107,7 @@ class MarginalDistribution:
 
     def tail_sums(self) -> tuple:
         """Upper-tail sums: element j is sum_{k >= j} probs[k]."""
-        out = []
-        acc = 0
-        for p in reversed(self.probs):
-            acc = acc + p
-            out.append(acc)
-        return tuple(reversed(out))
+        return tuple(_tail_sums(*_arrays(self.probs)).tolist())
 
 
 @dataclass(frozen=True)
@@ -138,14 +162,15 @@ class JointDistribution:
         return np.array([[float(v) for v in r] for r in self.matrix])
 
     def row_margin(self) -> MarginalDistribution:
-        clamp = (lambda v: v) if self.exact else (lambda v: max(v, 0.0))
-        return MarginalDistribution(tuple(clamp(sum(r)) for r in self.matrix))
+        return self._margin(self.matrix)
 
     def col_margin(self) -> MarginalDistribution:
+        return self._margin(zip(*self.matrix))
+
+    def _margin(self, lines) -> MarginalDistribution:
+        """The sums of lines (rows or columns), float ones clamped at 0."""
         clamp = (lambda v: v) if self.exact else (lambda v: max(v, 0.0))
-        return MarginalDistribution(
-            tuple(clamp(sum(r[l] for r in self.matrix)) for l in range(self.J))
-        )
+        return MarginalDistribution(tuple(clamp(sum(r)) for r in lines))
 
     def margins(self) -> MarginalPair:
         return MarginalPair(self.row_margin(), self.col_margin())
@@ -167,7 +192,7 @@ class DeltaVector:
             raise ValidationError(f"delta at j=0 must be 0, got {self.deltas[0]}")
         tol = 0 if _is_exact(self.deltas) else SUM_TOL
         for d in self.deltas:
-            if d < -1 - tol or d > 1 + tol:
+            if not -1 - tol <= d <= 1 + tol:   # NaN fails too
                 raise ValidationError(f"delta {d} outside [-1, 1]")
 
     @property
@@ -184,12 +209,7 @@ def validate_marginal(probs: Sequence) -> MarginalDistribution:
 
 
 def delta_effects(m: MarginalPair) -> DeltaVector:
-    t1 = m.treated.tail_sums()
-    t0 = m.control.tail_sums()
-    deltas = [a - b for a, b in zip(t1, t0)]
-    # both full tail sums equal the total mass, so delta_0 is identically 0
-    deltas[0] = 0 if m.exact else 0.0
-    return DeltaVector(tuple(deltas))
+    return DeltaVector(tuple(_deltas(*_arrays(m.treated.probs, m.control.probs)).tolist()))
 
 
 def stochastically_dominates(m: MarginalPair) -> bool:

@@ -33,6 +33,7 @@ from .distributions import MarginalDistribution
 from .exceptions import (
     DimensionMismatch,
     NonConvergence,
+    OutOfRangeOutcome,
     RankDeficient,
     SeparationDetected,
     TooFewCategories,
@@ -64,7 +65,7 @@ def _as_design(X, n):
 
 def _weights(weights, n):
     """Unit weights (n,), ones by default: DimensionMismatch for a wrong
-    length, ValueError for a negative entry."""
+    length, ValueError for a negative entry or for all zero."""
     if weights is None:
         return np.ones(n)
     w = np.asarray(weights, dtype=float)
@@ -72,6 +73,8 @@ def _weights(weights, n):
         raise DimensionMismatch(f"weights of shape {w.shape} for {n} outcomes")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
+    if not w.any():
+        raise ValueError("weights are all zero")
     return w
 
 
@@ -340,7 +343,10 @@ def fit_cumulative_logit(y, X=None, weights=None) -> CumulativeLogitModel:
     y holds categories 0..J-1 (J inferred as max(y)+1); X holds covariate
     rows without an intercept column.
     """
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
+    if (y < 0).any() or (y % 1 != 0).any():
+        raise OutOfRangeOutcome("outcome labels must be nonnegative integers")
+    y = y.astype(int)
     n = len(y)
     X = _as_design(X, n)
     w = _weights(weights, n)
@@ -385,6 +391,8 @@ def fit_logit_rows(d, M, W):
 def fit_logit(d, X=None, weights=None) -> LogitModel:
     """Binary logistic MLE; intercept included automatically."""
     d = np.asarray(d, dtype=float)
+    if ((d != 0) & (d != 1)).any():
+        raise OutOfRangeOutcome("logit labels must be 0 or 1")
     n = len(d)
     X = _as_design(X, n)
     w = _weights(weights, n)

@@ -414,6 +414,20 @@ class TestOracle:
         assert "ValidationError" in captured.err
 
 
+class TestNonFiniteMargins:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--p1", "nan,0.5,0.5", "--p0", "0.2,0.3,0.5"],
+        ["construct", "--p1", "0.5,nan,0.5", "--p0", "0.2,0.3,0.5", "--target", "tau_max"],
+        ["oracle", "--p1", "0.5,nan,0.5", "--p0", "0.2,0.3,0.5", "--objective", "tau"],
+    ], ids=["bounds", "construct", "oracle"])
+    def test_nan_entry_exits_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err
+
+
 class TestSimulate:
     def test_small_run(self, capsys):
         code, out = run_cli(

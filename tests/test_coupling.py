@@ -13,7 +13,8 @@ from ordbounds import (
     tau_bounds,
 )
 from ordbounds.bounds import construction_indices
-from ordbounds.distributions import MarginalPair, delta_effects
+from ordbounds.coupling import _check_tail_dominance, _clamp
+from ordbounds.distributions import MarginalDistribution, MarginalPair, _is_exact, delta_effects
 from ordbounds.exceptions import DominanceViolated, LengthMismatch
 
 from conftest import frac_pair, random_pair
@@ -217,3 +218,186 @@ class TestEdgeSplits:
                 got = extremal_coupling(m, target).matrix
                 assert got == (want if target == "tau_min" else tuple(zip(*want)))
         assert seen == {"tau_min": {True, False}, "eta_max": {True, False}}
+
+
+# -- references for the one-pass allocation and the tail-sum kernel ---------
+
+def ref_alloc_lower(x, y):
+    """The recursive allocation that the one-pass _alloc_lower replaced: peel
+    index 0, allocate the rest, fill column 0 from the re-summed row
+    residuals of the sub-allocation."""
+    n = len(x)
+    zero = 0 if _is_exact(x) and _is_exact(y) else 0.0
+    if n <= 1:
+        return [[_clamp(v)] for v in y]
+    sub = ref_alloc_lower(x[1:], y[1:])
+    A = [[zero] * n for _ in range(n)]
+    for k in range(1, n):
+        for l in range(1, n):
+            A[k][l] = sub[k - 1][l - 1]
+    if y[0] < x[0]:
+        A[0][0] = y[0]
+    else:
+        A[0][0] = x[0]
+        resid = [max(x[k] - sum(A[k][1:]), zero) for k in range(1, n)]
+        denom = sum(resid)
+        if denom > 0:
+            for k in range(1, n):
+                A[k][0] = _clamp((y[0] - x[0]) * resid[k - 1] / denom)
+    return A
+
+
+def ref_transport(x, y, variant):
+    """Variants a-d from the reference allocation, d as the transpose of
+    the reversal of the transpose."""
+    x, y = list(x), list(y)
+    T = lambda m: [list(c) for c in zip(*m)]
+    R = lambda m: [r[::-1] for r in m[::-1]]
+    if variant == "a":
+        mat = ref_alloc_lower(x, y)
+    elif variant == "b":
+        mat = T(ref_alloc_lower(y, x))
+    elif variant == "c":
+        mat = R(T(ref_alloc_lower(y[::-1], x[::-1])))
+    else:
+        mat = T(R(T(ref_alloc_lower(x[::-1], y[::-1]))))
+    return tuple(tuple(r) for r in mat)
+
+
+def ref_tail_sums(v):
+    out, acc = [], 0
+    for p in reversed(v):
+        acc = acc + p
+        out.append(acc)
+    return out[::-1]
+
+
+def ref_first_violation(x, y):
+    """First s with sum_{r>=s} x_r < sum_{r>=s} y_r beyond the tolerance of
+    the allocations, or None."""
+    tol = 0 if _is_exact(x) and _is_exact(y) else 1e-9
+    slack = [a - b for a, b in zip(ref_tail_sums(x), ref_tail_sums(y))]
+    return next((s for s, g in enumerate(slack) if g < -tol), None)
+
+
+def draw(rng, J, kind):
+    """Exact probability vector of length J: dense, sparse (zeroed cells) or
+    tied (few distinct values)."""
+    if J == 0:
+        return []
+    if kind == "tied":
+        w = rng.integers(0, 3, J)
+    else:
+        w = rng.integers(1, 60, J) * (rng.random(J) > (0.4 if kind == "sparse" else 0))
+    if w.sum() == 0:
+        w[rng.integers(J)] = 1
+    return [F(int(v), int(w.sum())) for v in w]
+
+
+def shifted_up(rng, v):
+    """v with some of each entry's mass moved to a higher index: its tail
+    sums dominate those of v."""
+    v = list(v)
+    for i in range(len(v)):
+        k = int(rng.integers(i, len(v)))
+        move = v[i] * F(int(rng.integers(0, 3)), 2)
+        v[i] -= move
+        v[k] += move
+    return v
+
+
+def types(mat):
+    return [type(v) for row in mat for v in row]
+
+
+class TestOnePassAllocation:
+    """The one-pass allocation gives the recursive reference's matrices: the
+    same numbers and types in exact mode, within one rounding in float."""
+
+    @staticmethod
+    def cases(seed):
+        """(x, y, variant) meeting each variant's dominance condition, with
+        equal totals and with surplus mass on the dominating side."""
+        rng = np.random.default_rng(seed)
+        for J in range(31):
+            for kind in ("dense", "sparse", "tied"):
+                lo = draw(rng, J, kind)
+                hi = shifted_up(rng, lo)
+                extra = [v * F(int(rng.integers(0, 2)), 3) for v in draw(rng, J, kind)]
+                more = lambda v: [a + b for a, b in zip(v, extra)]
+                yield from ((more(hi), lo, "a"), (lo, more(hi), "b"),
+                            (hi, more(lo), "c"), (more(lo), hi, "d"))
+
+    def test_exact_variants_equal_reference(self):
+        for x, y, variant in self.cases(41):
+            got = triangular_transport(x, y, variant).matrix
+            want = ref_transport(x, y, variant)
+            assert got == want
+            assert types(got) == types(want)
+
+    def test_float_variants_within_one_rounding(self):
+        for x, y, variant in self.cases(42):
+            x, y = [float(v) for v in x], [float(v) for v in y]
+            got = np.array(triangular_transport(x, y, variant).matrix, dtype=float)
+            want = np.array(ref_transport(x, y, variant), dtype=float)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 2.2e-16
+
+
+class TestTailSumKernel:
+    """tail_sums, delta_effects and the dominance check read one kernel and
+    give the values of the loops they replaced."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        for J in range(2, 31):
+            for kind in ("dense", "sparse", "tied"):
+                a, b = draw(rng, J, kind), draw(rng, J, kind)
+                yield a, b
+                yield [float(v) for v in a], [float(v) for v in b]
+
+    def test_tail_sums_and_deltas_equal_loops(self):
+        for a, b in self.pairs(43):
+            m = MarginalPair(MarginalDistribution(a), MarginalDistribution(b))
+            t1, t0 = ref_tail_sums(a), ref_tail_sums(b)
+            assert m.treated.tail_sums() == tuple(t1)
+            assert types([m.treated.tail_sums()]) == types([t1])
+            want = [0 if m.exact else 0.0] + [u - v for u, v in zip(t1[1:], t0[1:])]
+            assert delta_effects(m).deltas == tuple(want)
+            assert types([delta_effects(m).deltas]) == types([want])
+
+    def test_dominance_check_reports_the_loops_first_violation(self):
+        rng = np.random.default_rng(44)
+        seen = set()
+        for a, b in self.pairs(45):
+            b = [v * F(int(rng.integers(2, 5)), 3) for v in b]   # unequal totals
+            if not isinstance(a[0], F):
+                b = [float(v) for v in b]
+            for x, y in ((a, b), (b, a)):
+                try:
+                    _check_tail_dominance(x, y)
+                    got = None
+                except DominanceViolated as err:
+                    got = err.index
+                assert got == ref_first_violation(x, y)
+                seen.add(got is None)
+        assert seen == {True, False}
+
+
+class TestEtaFromNegatedDeltas:
+    def test_eta_targets_equal_swapped_pair_construction(self):
+        # eta_max is tau_min and eta_min is tau_max of the swapped pair,
+        # transposed, in exact and float mode alike
+        rng = np.random.default_rng(46)
+        for J in range(2, 31):
+            for kind in ("dense", "sparse", "tied"):
+                a, b = draw(rng, J, kind), draw(rng, J, kind)
+                for p1, p0 in ((a, b), ([float(v) for v in a], [float(v) for v in b])):
+                    m = MarginalPair(MarginalDistribution(p1), MarginalDistribution(p0))
+                    sw = MarginalPair(m.control, m.treated)
+                    for eta, tau in (("eta_max", "tau_min"), ("eta_min", "tau_max")):
+                        got = extremal_coupling(m, eta).matrix
+                        want = tuple(zip(*extremal_coupling(sw, tau).matrix))
+                        assert got == want
+                        assert types(got) == types(want)

@@ -201,6 +201,23 @@ class TestUnitColumns:
             covariate_matrix([UnitRecord(z=1, y=0, x=(1.0,)), UnitRecord(z=0, y=1)])
 
 
+class TestNonFinite:
+    """NaN passes every comparison of the range checks, so they reject it
+    by name."""
+
+    def test_marginal(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_marginal((0.5, float("nan"), 0.5))
+
+    def test_joint(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            JointDistribution(((0.5, 0.0), (float("nan"), 0.5)))
+
+    def test_delta_vector(self):
+        with pytest.raises(ValidationError):
+            DeltaVector((0.0, float("nan")))
+
+
 class TestDeltaTolerance:
     """Float deltas may leave [-1, 1] by the sum-to-one tolerance, exact ones
     not at all."""

@@ -11,6 +11,7 @@ from ordbounds import models
 from ordbounds.exceptions import (
     DimensionMismatch,
     NonConvergence,
+    OutOfRangeOutcome,
     RankDeficient,
     SeparationDetected,
     TooFewCategories,
@@ -330,6 +331,30 @@ class TestInputChecks:
     def test_unknown_label_named(self):
         with pytest.raises(ValueError, match="'b'"):
             fit_multinomial_logit(["c", "a", "b", "n"] * 5, X20, classes=("c", "a", "n"))
+
+    @pytest.mark.parametrize("X", [X20, None], ids=["covariates", "intercept"])
+    @pytest.mark.parametrize("fit, labels", [
+        (fit_logit, np.arange(20) % 2),
+        (fit_cumulative_logit, np.arange(20) % 3),
+        (fit_multinomial_logit, ["c", "a", "n", "a"] * 5),
+    ], ids=["logit", "cumulative", "multinomial"])
+    def test_all_zero_weights_rejected(self, fit, labels, X):
+        with pytest.raises(ValueError, match="all zero"):
+            fit(labels, X, weights=np.zeros(20))
+
+    @pytest.mark.parametrize("y", [np.arange(20) % 3 - 1, np.r_[0.5, np.arange(19) % 3]],
+                             ids=["negative", "fractional"])
+    def test_cumulative_labels_must_be_nonnegative_integers(self, y):
+        with pytest.raises(OutOfRangeOutcome):
+            fit_cumulative_logit(y, X20)
+
+    def test_cumulative_accepts_integer_valued_float_labels(self):
+        y = np.arange(20) % 3
+        assert fit_cumulative_logit(y.astype(float), X20) == fit_cumulative_logit(y, X20)
+
+    def test_logit_labels_must_be_binary(self):
+        with pytest.raises(OutOfRangeOutcome):
+            fit_logit(np.arange(20) % 3, X20)
 
     def test_iteration_limit_read_at_call_time(self, monkeypatch):
         # one Newton step cannot bring the gradient below GRAD_TOL
