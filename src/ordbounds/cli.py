@@ -11,8 +11,10 @@ Subcommands:
 
 Unit-data CSV format: header row with columns ``z`` (0/1 assignment),
 optional ``d`` (0/1 receipt), ``y`` (nonnegative integer category), and any
-remaining columns treated as numeric covariates.  z and d must be 0 or 1 and
-y a nonnegative integer; anything else exits 2.
+remaining columns treated as numeric covariates.  z and d must be 0 or 1, y
+a nonnegative integer, every covariate finite and every column name
+distinct; anything else exits 2.  The file is read once, straight into the
+validated columns (distributions.UnitColumns) that every command works on.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -30,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import full_report
-from .distributions import MarginalDistribution, MarginalPair, covariate_matrix, unit_columns
-from .estimation import UnitRecord
+from .distributions import MarginalDistribution, MarginalPair, _checked_columns
 from .exceptions import (
     FitError,
     NonConvergence,
@@ -103,6 +104,8 @@ def _report_payload(report) -> dict:
 
 
 def _read_unit_csv(path: str, J: int | None):
+    """The validated UnitColumns of a unit-data CSV and the names of its
+    covariate columns."""
     try:
         f = open(path, newline="")
     except OSError as e:
@@ -112,31 +115,33 @@ def _read_unit_csv(path: str, J: int | None):
         cols = next(reader, [])
         if "z" not in cols or "y" not in cols:
             raise OrdBoundsError(f"{path}: CSV must have 'z' and 'y' columns, found {cols}")
-        at = {c: i for i, c in enumerate(cols)}   # a repeated name reads its last column
+        repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
+        if repeated:
+            raise OrdBoundsError(f"{path}: column {repeated[0]!r} appears more than once")
+        at = {c: i for i, c in enumerate(cols)}
         iz, iy, i_d = at["z"], at["y"], at.get("d")
         covs = [c for c in cols if c not in ("z", "d", "y")]
         ix = [at[c] for c in covs]
-        records = []
+        z, y, d, x = [], [], [], []
         for row in reader:
             if not row:
                 continue
             try:
                 if len(row) < len(cols):
                     raise ValueError(f"{len(row)} fields, header has {len(cols)}")
-                records.append(UnitRecord(
-                    z=int(row[iz]),
-                    y=int(row[iy]),
-                    d=None if i_d is None else int(row[i_d]),
-                    x=tuple(float(row[i]) for i in ix) if ix else None,
-                ))
+                z.append(int(row[iz]))
+                y.append(int(row[iy]))
+                d.append(None if i_d is None else int(row[i_d]))
+                x.append([float(row[i]) for i in ix])
             except ValueError as e:
                 raise OrdBoundsError(f"{path}:{reader.line_num}: bad row: {e}") from None
-    if not records:
+    if not z:
         raise OrdBoundsError(f"{path}: no data rows")
-    Jy = unit_columns(records).J   # z, d and y must be valid for every command
-    if J is not None and Jy > J:
+    # z, d and y must be valid for every command
+    units = _checked_columns(z, y, None if i_d is None else d, np.array(x, dtype=float))
+    if J is not None and units.J > J:
         raise OrdBoundsError(f"{path}: outcome exceeds --categories {J}")
-    return records, covs
+    return units, covs
 
 
 def _seed(args) -> int:
@@ -146,12 +151,12 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _bootstrap_payload(args, records, estimator, lowers, **options) -> dict:
-    """The ci, n_boot, level and seed entries of one bootstrap of records:
-    an interval for tau and eta with each (lower, label suffix) of lowers."""
+def _bootstrap_payload(args, units, estimator, lowers, **options) -> dict:
+    """The ci, n_boot, level and seed entries of one bootstrap of units: an
+    interval for tau and eta with each (lower, label suffix) of lowers."""
     from .inference import bootstrap_replicates, interval_from_replicates
 
-    reps = bootstrap_replicates(records, estimator=estimator, n_boot=args.bootstrap,
+    reps = bootstrap_replicates(units, estimator=estimator, n_boot=args.bootstrap,
                                 seed=_seed(args), J=args.categories, **options)
     ci = {}
     for estimand in ("tau", "eta"):
@@ -194,15 +199,15 @@ def cmd_construct(args):
 def cmd_analyze(args):
     from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
 
-    records, covs = _read_unit_csv(args.data, args.categories)
+    units, covs = _read_unit_csv(args.data, args.categories)
     if args.design == "randomized":
-        est = estimate_randomized(records, J=args.categories)
+        est = estimate_randomized(units, J=args.categories)
     elif args.design == "ipw":
         if not covs:
             raise OrdBoundsError("--design ipw needs covariate columns")
-        est = estimate_ipw(records, J=args.categories)
+        est = estimate_ipw(units, J=args.categories)
     else:
-        est = estimate_adjusted(records, strata=args.strata, J=args.categories)
+        est = estimate_adjusted(units, strata=args.strata, J=args.categories)
 
     payload = {
         "design": est.design,
@@ -212,7 +217,7 @@ def cmd_analyze(args):
     }
     if args.bootstrap:
         payload.update(_bootstrap_payload(
-            args, records, args.design, (("bound", ""), ("independent", "_independent")),
+            args, units, args.design, (("bound", ""), ("independent", "_independent")),
             **({"strata": args.strata} if args.design == "adjusted" else {}),
         ))
     _emit(payload, args)
@@ -226,14 +231,14 @@ def cmd_analyze_iv(args):
         moment_identify,
     )
 
-    records, covs = _read_unit_csv(args.data, args.categories)
-    if unit_columns(records).d is None:
+    units, covs = _read_unit_csv(args.data, args.categories)
+    if units.d is None:
         raise OrdBoundsError("analyze-iv needs a 'd' column")
 
     if args.moment:
-        strata = moment_identify(records, monotonicity=args.monotonicity, J=args.categories)
+        strata = moment_identify(units, monotonicity=args.monotonicity, J=args.categories)
     else:
-        strata = em_fit(records, monotonicity=args.monotonicity, J=args.categories)
+        strata = em_fit(units, monotonicity=args.monotonicity, J=args.categories)
     cb = complier_bounds(strata)
     payload = {
         "monotonicity": args.monotonicity,
@@ -249,12 +254,12 @@ def cmd_analyze_iv(args):
     if args.covariates:
         if not covs:
             raise OrdBoundsError("--covariates requires covariate columns in the CSV")
-        fit = em_fit_with_covariates(records, monotonicity=args.monotonicity,
+        fit = em_fit_with_covariates(units, monotonicity=args.monotonicity,
                                      J=args.categories)
-        rep = fit.complier_report(covariate_matrix(records))
+        rep = fit.complier_report(units.x)
         payload["complier_adjusted"] = _report_payload(rep)
     if args.bootstrap:
-        payload.update(_bootstrap_payload(args, records, "complier", (("bound", ""),),
+        payload.update(_bootstrap_payload(args, units, "complier", (("bound", ""),),
                                           monotonicity=args.monotonicity))
     _emit(payload, args)
 

@@ -13,6 +13,9 @@ explicitly.
 _tail_sums forms every upper-tail sum in the package: those of a marginal,
 the deltas of delta_effects and the bounds kernel, and the dominance check
 of the triangular allocations.
+
+UnitColumns is the one form of unit data below the public entry points,
+which convert records with unit_columns once; _checked_columns validates it.
 """
 
 from __future__ import annotations
@@ -229,38 +232,71 @@ def estimands_of_joint(P: JointDistribution):
 
 
 class UnitColumns(NamedTuple):
+    """Validated unit data: int arrays z, y and d (None when the units carry
+    no d) and the (n, p) covariate array x.  J is max(y) + 1 of the units
+    held, so a subset (_take) has its own."""
+
     z: np.ndarray
     y: np.ndarray
     d: np.ndarray | None
-    J: int
+    x: np.ndarray
+
+    @property
+    def J(self) -> int:
+        return int(self.y.max(initial=0)) + 1
 
 
-def unit_columns(records) -> UnitColumns:
-    """The int arrays z, y and d of unit records (see
-    :class:`ordbounds.estimation.UnitRecord`) and J = max(y) + 1.
+def unit_columns(data) -> UnitColumns:
+    """The UnitColumns of unit records (see
+    :class:`ordbounds.estimation.UnitRecord`); a UnitColumns is returned
+    unchanged.
 
-    d is None when no record carries it; ValueError when only some do.
-    OutOfRangeOutcome when z or d is outside {0, 1} or y is negative.
+    d is None and x has no columns when no record carries them; ValueError
+    when only some do.  Numeric x is float; other x (discrete stratum labels
+    such as strings) is kept as given.
     """
-    z = np.array([r.z for r in records], dtype=np.int64)
-    y = np.array([r.y for r in records], dtype=np.int64)
-    d = _all_or_none([r.d for r in records], "treatment received d")
-    d = None if d is None else np.array(d, dtype=np.int64)
+    if isinstance(data, UnitColumns):
+        return data
+    xs = _all_or_none([r.x for r in data], "covariates x") or np.empty((len(data), 0))
+    try:
+        x = np.array(xs, dtype=float)
+    except (TypeError, ValueError):
+        x = np.array(xs)
+    return _checked_columns([r.z for r in data], [r.y for r in data],
+                            _all_or_none([r.d for r in data], "treatment received d"),
+                            x[:, None] if x.ndim == 1 else x)
+
+
+def _checked_columns(z, y, d, x) -> UnitColumns:
+    """The one validator of unit data.  OutOfRangeOutcome when a z, d or y
+    is not an integer, z or d is outside {0, 1} or y is negative;
+    ValidationError for a non-finite float covariate."""
+    z, y = _integers(z, "assignment z"), _integers(y, "outcome y")
+    d = None if d is None else _integers(d, "treatment received d")
     for name, v in (("assignment z", z), ("treatment received d", d)):
         if v is not None and ((v != 0) & (v != 1)).any():
             raise OutOfRangeOutcome(f"{name} must be 0 or 1, got {v[(v != 0) & (v != 1)][0]}")
     if (y < 0).any():
         raise OutOfRangeOutcome(f"outcome y must be a nonnegative integer, got {y.min()}")
-    return UnitColumns(z, y, d, int(y.max(initial=0)) + 1)
+    if x.dtype.kind == "f" and not np.isfinite(x).all():
+        raise ValidationError(f"covariates x must be finite, got {x[~np.isfinite(x)][0]}")
+    return UnitColumns(z, y, d, x)
 
 
-def covariate_matrix(records) -> np.ndarray:
-    """The (n, p) float matrix of the records' covariate vectors x; p = 0
-    when no record carries x, ValueError when only some do."""
-    xs = _all_or_none([r.x for r in records], "covariates x")
-    if xs is None:
-        return np.empty((len(records), 0))
-    return np.array(xs, dtype=float).reshape(len(xs), -1)
+def _integers(values, what) -> np.ndarray:
+    """values as int64; OutOfRangeOutcome for one that is not an integer."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "biu":
+        v = v.astype(float)
+        bad = ~np.isfinite(v) | (v != np.trunc(v))
+        if bad.any():
+            raise OutOfRangeOutcome(f"{what} must be an integer, got {v[bad][0]}")
+    return v.astype(np.int64)
+
+
+def _take(cols: UnitColumns, idx) -> UnitColumns:
+    """The units of cols at idx; J follows their own outcomes."""
+    return UnitColumns(*(None if v is None else v[idx] for v in cols))
 
 
 def _all_or_none(values, what):
@@ -274,11 +310,12 @@ def _all_or_none(values, what):
 def empirical_marginals(records, J: int | None = None) -> MarginalPair:
     """Within-arm relative frequencies of the observed outcomes.
 
-    ``records`` is a sequence of objects with fields ``z`` and ``y`` (see
-    :func:`unit_columns`).  J is inferred as max(y)+1 unless supplied.
+    ``records`` is unit data as :func:`unit_columns` takes it.  J is
+    inferred as max(y)+1 unless supplied.
     """
-    z, y, _, Jy = unit_columns(records)
-    J = max(Jy if J is None else J, 2)
+    cols = unit_columns(records)
+    z, y = cols.z, cols.y
+    J = max(cols.J if J is None else J, 2)
     if (y >= J).any():
         raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount(z * J + y, minlength=2 * J).reshape(2, J)

@@ -24,7 +24,7 @@ from .distributions import (
     MarginalDistribution,
     MarginalPair,
     _is_exact,
-    covariate_matrix,
+    _take,
     empirical_marginals,
     unit_columns,
 )
@@ -78,8 +78,8 @@ def _estimated(report, design, z) -> EstimatedBounds:
 
 def estimate_randomized(records: Sequence[UnitRecord], J: int | None = None) -> EstimatedBounds:
     """Sample-analogue bounds for a completely randomized experiment."""
-    m = empirical_marginals(records, J=J)
-    return _estimated(full_report(m), "randomized", unit_columns(records).z)
+    cols = unit_columns(records)
+    return _estimated(full_report(empirical_marginals(cols, J=J)), "randomized", cols.z)
 
 
 def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 0.01) -> MarginalPair:
@@ -88,13 +88,13 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     propensity: a float (known constant), a per-unit array, or None to fit a
     logistic model of z on x.
     """
-    z, y, _, Jy = unit_columns(records)
-    J = Jy if J is None else J
+    cols = unit_columns(records)
+    z, y = cols.z, cols.y
+    J = cols.J if J is None else J
     if z.sum() == 0 or z.sum() == len(z):
         raise EmptyArm("both arms required")
     if propensity is None:
-        X = covariate_matrix(records)
-        e = fit_logit(z, X).predict_proba(X)
+        e = fit_logit(z, cols.x).predict_proba(cols.x)
     elif np.isscalar(propensity):
         e = np.full(len(z), float(propensity))
     else:
@@ -114,44 +114,54 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
 
 def estimate_ipw(records: Sequence[UnitRecord], propensity=None, J: int | None = None,
                  trim: float = 0.01) -> EstimatedBounds:
-    m = ipw_marginals(records, propensity=propensity, J=J, trim=trim)
-    return _estimated(full_report(m), "ipw", unit_columns(records).z)
+    cols = unit_columns(records)
+    m = ipw_marginals(cols, propensity=propensity, J=J, trim=trim)
+    return _estimated(full_report(m), "ipw", cols.z)
 
 
 def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
                       J: int | None = None) -> EstimatedBounds:
     """Covariate-adjusted bounds.
 
-    strata="discrete": x values are stratum labels; every stratum must
+    strata="discrete": each distinct x is a stratum; every stratum must
     contain both arms; conditional bounds are weighted by stratum size.
 
     strata="model": per-arm proportional-odds fits on x; conditional bounds
     are averaged over all N units' covariates.
     """
-    z, y, _, Jy = unit_columns(records)
+    cols = unit_columns(records)
+    z, y, X = cols.z, cols.y, cols.x
     if z.all() or not z.any():
         raise EmptyArm("both arms required")
-    J = Jy if J is None else J
+    J = cols.J if J is None else J
 
     if strata == "discrete":
-        groups: dict = {}
-        for r in records:
-            groups.setdefault(r.x, []).append(r)
+        s, keys = _strata(X)
         weighted = []
-        for key, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
+        for k, key in enumerate(keys):
+            members = s == k
             try:
-                weighted.append((len(members) / len(records), empirical_marginals(members, J=J)))
+                weighted.append((np.count_nonzero(members) / len(s),
+                                 empirical_marginals(_take(cols, members), J=J)))
             except EmptyArm:
                 raise StratumMissingArm(f"stratum {key!r} lacks one arm") from None
         report = adjusted_bounds_from_strata(weighted)
     elif strata == "model":
-        X = covariate_matrix(records)
         fit1 = fit_cumulative_logit(y[z == 1], X[z == 1])
         fit0 = fit_cumulative_logit(y[z == 0], X[z == 0])
         report = conditional_report_from_models(fit1, fit0, X, J=J)
     else:
         raise ValueError(f"unknown strata mode {strata!r}")
     return _estimated(report, "adjusted", z)
+
+
+def _strata(x):
+    """Each unit's stratum index and the discrete strata: the distinct rows
+    of x (n, p) as tuples of plain values, sorted by their text."""
+    rows = [tuple(r) for r in x.tolist()]
+    keys = sorted(set(rows), key=str)
+    at = {k: i for i, k in enumerate(keys)}
+    return np.array([at[r] for r in rows], dtype=np.int64), keys
 
 
 def conditional_report_from_models(fit1: CumulativeLogitModel, fit0: CumulativeLogitModel,

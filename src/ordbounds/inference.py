@@ -12,6 +12,9 @@ the bootstrapped lower bound paired with the (1+level)/2 quantile of the
 bootstrapped upper bound, so the resulting interval is designed to cover the
 whole identified set.
 
+Every estimator works on the UnitColumns that bootstrap_replicates converts
+its data to once; a resample is an array of unit indices into them.
+
 Resampling matches the design: arm-stratified with replacement (arm sizes
 preserved) for every estimator but inverse-propensity weighting, which
 resamples the whole sample and refits the propensity per replicate.  For the
@@ -22,9 +25,10 @@ from a dedicated stream spawned from (seed, r), turn each resample into a
 row of unit counts, and fit and evaluate all rows at once: one stacked
 propensity logit (ipw), stacked per-arm proportional-odds fits grouped by
 the top category each arm-resample observed (adjusted, strata="model"), or
-per-stratum counts (adjusted, strata="discrete").  Each replicate's rows
-and failures equal those of refitting it alone.  Only complier_adjusted
-still refits each replicate in a loop (one covariate EM per replicate).
+per-stratum counts over the strata of estimate_adjusted (adjusted,
+strata="discrete").  Each replicate's rows and failures equal those of
+refitting it alone.  Only complier_adjusted still refits each replicate in a
+loop (one covariate EM per replicate, on the indexed columns).
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import COLUMNS, bound_rows
-from .distributions import covariate_matrix, unit_columns
-from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
+from .distributions import _take, unit_columns
+from .estimation import _strata, estimate_adjusted, estimate_ipw, estimate_randomized
 from .exceptions import OrdBoundsError, ReplicateFailure
 from .models import (
     _sigmoid,
@@ -101,27 +105,26 @@ def _report_row(report):
     return np.array([float(getattr(report, c)) for c in COLUMNS])
 
 
-def _randomized(records, n_boot, seed, J):
+def _randomized(cols, n_boot, seed, J):
     """Resampling units within arms is a multinomial redraw of the
     within-arm counts."""
-    point = _report_row(estimate_randomized(records, J=J).report)
-    z, y, _, Jy = unit_columns(records)
-    y1, y0 = y[z == 1], y[z == 0]
+    point = _report_row(estimate_randomized(cols, J=J).report)
+    y1, y0 = cols.y[cols.z == 1], cols.y[cols.z == 0]
     n1, n0 = len(y1), len(y0)
-    f1 = np.bincount(y1, minlength=J or Jy) / n1
-    f0 = np.bincount(y0, minlength=J or Jy) / n0
+    f1 = np.bincount(y1, minlength=J or cols.J) / n1
+    f0 = np.bincount(y0, minlength=J or cols.J) / n0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p1 = rng.multinomial(n1, f1, size=n_boot) / n1
     p0 = rng.multinomial(n0, f0, size=n_boot) / n0
     return point, bound_rows(p1, p0), ()
 
 
-def _complier(records, n_boot, seed, J, monotonicity="standard"):
+def _complier(cols, n_boot, seed, J, monotonicity="standard"):
     """Complier bootstrap on (z, d, y) cell counts: arm-stratified unit
     resampling is a multinomial redraw of each arm's cell counts.  One
     full-sample fit gives the point row and the EM warm start of the
     boundary replicates; all replicates go through complier_mle at once."""
-    counts = _checked_cells(records, monotonicity, J)
+    counts = _checked_cells(cols, monotonicity, J)
     J = counts.shape[-1]
     fit, _ = _fit_counts(counts)
     point = _report_row(complier_bounds(fit).complier)
@@ -139,21 +142,20 @@ def _complier(records, n_boot, seed, J, monotonicity="standard"):
     return point, bound_rows(boot.c1[ok], boot.c0[ok]), failures
 
 
-def _resampler(records, scheme):
+def _resampler(cols, scheme):
     """rng -> resample indices, whole-sample or within each arm."""
-    n = len(records)
+    n = len(cols.z)
     if scheme == "whole":
         return lambda rng: rng.integers(0, n, size=n)
-    z = unit_columns(records).z
-    arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
+    arms = (np.flatnonzero(cols.z == 1), np.flatnonzero(cols.z == 0))
     return lambda rng: np.concatenate([arm[rng.integers(0, len(arm), size=len(arm))]
                                        for arm in arms])
 
 
-def _index_stack(records, scheme, n_boot, seed):
+def _index_stack(cols, scheme, n_boot, seed):
     """(n_boot, n) resample indices; row r comes from the stream spawned
     from (seed, r)."""
-    draw = _resampler(records, scheme)
+    draw = _resampler(cols, scheme)
     return np.stack([draw(np.random.default_rng(ss))
                      for ss in np.random.SeedSequence(seed).spawn(n_boot)])
 
@@ -186,14 +188,14 @@ def _weighted_rank(M, W):
     return np.linalg.matrix_rank(np.sqrt(W)[:, :, None] * M)
 
 
-def _ipw_rows(records, J, propensity=None, trim=0.01):
+def _ipw_rows(cols, J, propensity=None, trim=0.01):
     """W -> (rows, why) of the inverse-propensity estimator: one stacked
     propensity logit, the trim check on resampled units, Hajek marginals."""
-    z, y, _, _ = unit_columns(records)
+    z, y = cols.z, cols.y
     inside = y < J
     n = len(z)
     if propensity is None:
-        M = np.hstack([np.ones((n, 1)), covariate_matrix(records)])
+        M = np.hstack([np.ones((n, 1)), cols.x])
 
     def rows_fn(W):
         why = np.full(len(W), None, dtype=object)
@@ -224,13 +226,12 @@ def _ipw_rows(records, J, propensity=None, trim=0.01):
     return rows_fn
 
 
-def _model_rows(records, J):
+def _model_rows(cols, J):
     """W -> (rows, why) of the adjusted estimator with per-arm
     proportional-odds fits.  A fit infers its J from the top category its
     arm-resample observed, so the rows of each arm are fitted in groups of
     equal J; cutpoints above a group's top are +inf (probability 0)."""
-    X = covariate_matrix(records)
-    z, y, _, _ = unit_columns(records)
+    z, y, X = cols.z, cols.y, cols.x
     n, d = X.shape
     arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
 
@@ -266,14 +267,13 @@ def _model_rows(records, J):
     return rows_fn
 
 
-def _discrete_rows(records, J):
-    """W -> (rows, why) of the adjusted estimator with discrete strata:
-    per-stratum, per-arm outcome counts by one bincount."""
-    labels = {}
-    s = np.array([labels.setdefault(r.x, len(labels)) for r in records])
-    z, y, _, _ = unit_columns(records)
-    S, n = len(labels), len(records)
-    cells = (2 * s + z) * J + y
+def _discrete_rows(cols, J):
+    """W -> (rows, why) of the adjusted estimator with discrete strata (the
+    strata of estimate_adjusted): per-stratum, per-arm outcome counts by one
+    bincount."""
+    s, keys = _strata(cols.x)
+    S, n = len(keys), len(s)
+    cells = (2 * s + cols.z) * J + cols.y
 
     def rows_fn(W):
         why = np.full(len(W), None, dtype=object)
@@ -294,11 +294,11 @@ def _discrete_rows(records, J):
 _BLOCK = 2 ** 20
 
 
-def _stacked(records, scheme, n_boot, seed, J, rows_fn):
+def _stacked(cols, scheme, n_boot, seed, J, rows_fn):
     """Rows and failures of every replicate, fitted and evaluated as stacks
     of resample counts, in blocks of replicates that bound memory."""
-    n = len(records)
-    idx = _index_stack(records, scheme, n_boot, seed)
+    n = len(cols.z)
+    idx = _index_stack(cols, scheme, n_boot, seed)
     parts = [rows_fn(_sums_by_label(np.ones(b.shape), b, n))
              for b in np.array_split(idx, -(-n_boot * n * J // _BLOCK))]
     rows = np.concatenate([r for r, _ in parts])
@@ -307,42 +307,41 @@ def _stacked(records, scheme, n_boot, seed, J, rows_fn):
     return np.delete(rows, failed, axis=0), tuple((int(i), why[i]) for i in failed)
 
 
-def _ipw(records, n_boot, seed, J, propensity=None, trim=0.01):
+def _ipw(cols, n_boot, seed, J, propensity=None, trim=0.01):
     """Inverse-propensity weighting: whole-sample resamples, one stacked
     propensity fit."""
-    point = _report_row(estimate_ipw(records, propensity=propensity, J=J, trim=trim).report)
-    Jr = J or unit_columns(records).J
-    return point, *_stacked(records, "whole", n_boot, seed, Jr,
-                            _ipw_rows(records, Jr, propensity, trim))
+    point = _report_row(estimate_ipw(cols, propensity=propensity, J=J, trim=trim).report)
+    Jr = J or cols.J
+    return point, *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_rows(cols, Jr, propensity, trim))
 
 
-def _adjusted(records, n_boot, seed, J, strata="discrete"):
+def _adjusted(cols, n_boot, seed, J, strata="discrete"):
     """Covariate adjustment: arm-stratified resamples, stacked per-arm
     fits (strata="model") or per-stratum counts."""
-    point = _report_row(estimate_adjusted(records, strata=strata, J=J).report)
+    point = _report_row(estimate_adjusted(cols, strata=strata, J=J).report)
     # the fits may see more categories than J; extra ones are padding
-    Jr = max(J or 0, unit_columns(records).J)
+    Jr = max(J or 0, cols.J)
     make = _model_rows if strata == "model" else _discrete_rows
-    return point, *_stacked(records, "stratified", n_boot, seed, Jr, make(records, Jr))
+    return point, *_stacked(cols, "stratified", n_boot, seed, Jr, make(cols, Jr))
 
 
-def _complier_adjusted(records, n_boot, seed, J, monotonicity="standard", init=None):
+def _complier_adjusted(cols, n_boot, seed, J, monotonicity="standard", init=None):
     """The covariate complier estimator refits covariate EM per replicate."""
     def report(sample):
         fit = em_fit_with_covariates(sample, monotonicity=monotonicity, init=init, J=J)
-        return fit.complier_report(covariate_matrix(sample))
+        return fit.complier_report(sample.x)
 
-    point = _report_row(report(records))
+    point = _report_row(report(cols))
     rows, failures = [], []
-    for r, idx in enumerate(_index_stack(records, "stratified", n_boot, seed)):
+    for r, idx in enumerate(_index_stack(cols, "stratified", n_boot, seed)):
         try:
-            rows.append(_report_row(report([records[i] for i in idx])))
+            rows.append(_report_row(report(_take(cols, idx))))
         except OrdBoundsError as e:
             failures.append((r, type(e).__name__))
     return point, np.array(rows).reshape(-1, len(COLUMNS)), tuple(failures)
 
 
-# estimator -> (records, n_boot, seed, J, **options) -> (point, rows, failures)
+# estimator -> (UnitColumns, n_boot, seed, J, **options) -> (point, rows, failures)
 _ESTIMATORS = {
     "randomized": _randomized,
     "ipw": _ipw,
@@ -369,7 +368,8 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
         raise ValueError("n_boot must be at least 100")
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    point, rows, failures = _ESTIMATORS[estimator](records, n_boot, seed, J, **options)
+    point, rows, failures = _ESTIMATORS[estimator](unit_columns(records), n_boot, seed, J,
+                                                   **options)
     return Replicates(point, rows, len(failures), seed, failures)
 
 

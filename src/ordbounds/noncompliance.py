@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundsReport, eta_bounds, full_report, tau_bounds
-from .distributions import MarginalDistribution, MarginalPair, covariate_matrix, unit_columns
+from .distributions import MarginalDistribution, MarginalPair, unit_columns
 from .estimation import conditional_report_from_models
 from .exceptions import (
     DefiersObserved,
@@ -132,14 +132,14 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
     return min(max(value, 0 * value), 1)
 
 
-def _cells(records, J=None):
-    """Counts n[z][d][y] as a (2, 2, J) array, J = max(y) + 1 unless given;
-    EmptyArm if either assignment arm has no units (the mixture subtraction
-    divides by the arm sizes)."""
-    z, y, d, Jy = unit_columns(records)
+def _cells(cols, J=None):
+    """Counts n[z][d][y] of UnitColumns as a (2, 2, J) array, J = max(y) + 1
+    unless given; EmptyArm if either assignment arm has no units (the
+    mixture subtraction divides by the arm sizes)."""
+    z, y, d, _ = cols
     if d is None:
         raise ValueError("records must carry the treatment-received field d")
-    J = Jy if J is None else J
+    J = cols.J if J is None else J
     if (y >= J).any():
         raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
@@ -148,13 +148,13 @@ def _cells(records, J=None):
     return counts
 
 
-def _checked_cells(records, monotonicity: str, J=None):
-    """_cells of records to be fitted under monotonicity: ValueError for an
-    unknown mode, DefiersObserved for z=0, d=1 units under strong
+def _checked_cells(cols, monotonicity: str, J=None):
+    """_cells of UnitColumns to be fitted under monotonicity: ValueError for
+    an unknown mode, DefiersObserved for z=0, d=1 units under strong
     monotonicity."""
     if monotonicity not in ("standard", "strong"):
         raise ValueError(f"unknown monotonicity mode {monotonicity!r}")
-    counts = _cells(records, J)
+    counts = _cells(cols, J)
     if monotonicity == "strong" and counts[0, 1].sum() > 0:
         raise DefiersObserved("z=0, d=1 units are impossible under strong monotonicity")
     return counts
@@ -205,7 +205,7 @@ def moment_identify(records, monotonicity: str = "standard", J: int | None = Non
     finite samples; they are then clipped, renormalized, and flagged via
     negative_cells_clipped.
     """
-    counts = _checked_cells(records, monotonicity, J)
+    counts = _checked_cells(unit_columns(records), monotonicity, J)
     pi, a, n, c1, c0, clipped = (v[0] for v in _moments(counts[None]))
     if pi[1] <= 0:
         raise NoCompliers(f"moment estimate pi_c = {pi[1]} <= 0")
@@ -337,7 +337,8 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     Returns the fitted StrataModel (and the log-likelihood trace when
     track_loglik is True).
     """
-    model, trace = _fit_counts(_checked_cells(records, monotonicity, J), init, max_iter, tol)
+    counts = _checked_cells(unit_columns(records), monotonicity, J)
+    model, trace = _fit_counts(counts, init, max_iter, tol)
     return (model, trace) if track_loglik else model
 
 
@@ -448,10 +449,10 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     serve both its log-likelihood and the next E-step; the first E-step uses
     those of init or of the covariate-free fit.
     """
-    counts = _checked_cells(records, monotonicity, J)
+    cols = unit_columns(records)
+    counts = _checked_cells(cols, monotonicity, J)
     J = counts.shape[-1]
-    z, y, d, _ = unit_columns(records)
-    X = covariate_matrix(records)
+    z, y, d, X = cols
     classes = ("c", "a", "n") if monotonicity == "standard" else ("c", "n")
     admits = {"c": z == d, "a": d == 1, "n": d == 0}
     allowed = np.column_stack([admits[g] for g in classes])

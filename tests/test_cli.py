@@ -11,6 +11,7 @@ import pytest
 import ordbounds
 from ordbounds import bootstrap_bounds_ci
 from ordbounds.cli import _read_unit_csv, build_parser, main
+from ordbounds.distributions import unit_columns
 from ordbounds.estimation import UnitRecord
 
 
@@ -165,6 +166,13 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--data", str(path))
         assert code == 2
 
+    def test_repeated_column_name_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("z,y,x,x\n1,0,0.5,1.5\n0,1,0.25,2.5\n1,1,0.75,0.5\n0,0,1.0,2.0\n")
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path), "--design", "ipw")
+        assert code == 2
+        assert "column 'x' appears more than once" in err
+
     def test_malformed_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, [(1, "high")], ("z", "y"))
@@ -208,9 +216,10 @@ class TestAnalyze:
             want = [UnitRecord(z=int(r["z"]), y=int(r["y"]), d=int(r["d"]),
                                x=(float(r["a"]), float(r["b"])))
                     for r in csv.DictReader(f)]
-        records, covs = _read_unit_csv(str(path), None)
+        units, covs = _read_unit_csv(str(path), None)
         assert covs == ["a", "b"]
-        assert records == want and len(records) == 51
+        want = unit_columns(want)
+        assert all(np.array_equal(a, b) for a, b in zip(units, want)) and len(units.z) == 51
 
     def test_categories_too_small_exits_2(self, capsys, tmp_path):
         path = tmp_path / "units.csv"
@@ -370,6 +379,25 @@ class TestInvalidUnits:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: OutOfRangeOutcome") and "Traceback" not in err
+
+
+class TestNonFiniteCovariates:
+    """A nan or inf covariate exits 2 with empty stdout, before any fit."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("design", [["ipw"], ["adjusted", "--strata", "model"],
+                                        ["adjusted", "--strata", "discrete"]], ids=" ".join)
+    def test_exits_2(self, capsys, tmp_path, design, value):
+        from test_inference import covariate_records
+
+        rows = [(r.z, r.y, r.x[0]) for r in covariate_records(41, n=60)]
+        rows[5] = (*rows[5][:2], value)
+        path = tmp_path / "cov.csv"
+        write_csv(path, rows, ("z", "y", "x"))
+        code = main(["analyze", "--data", str(path), "--design", *design])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValidationError: covariates x must be finite")
 
 
 class TestOracle:

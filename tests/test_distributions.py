@@ -14,7 +14,7 @@ from ordbounds import (
     stochastically_dominates,
     validate_marginal,
 )
-from ordbounds.distributions import DeltaVector, covariate_matrix, unit_columns
+from ordbounds.distributions import DeltaVector, _take, unit_columns
 from ordbounds.exceptions import (
     EmptyArm,
     DimensionMismatch,
@@ -168,7 +168,8 @@ class TestEmpiricalMarginals:
 class TestUnitColumns:
     def test_columns_and_categories(self):
         recs = [UnitRecord(z=1, y=0, d=1), UnitRecord(z=0, y=4, d=0), UnitRecord(z=1, y=2, d=0)]
-        z, y, d, J = unit_columns(recs)
+        cols = unit_columns(recs)
+        z, y, d, J = cols.z, cols.y, cols.d, cols.J
         assert z.tolist() == [1, 0, 1] and y.tolist() == [0, 4, 2] and d.tolist() == [1, 0, 0]
         assert J == 5 and z.dtype == y.dtype == d.dtype == np.int64
 
@@ -179,26 +180,40 @@ class TestUnitColumns:
         with pytest.raises(ValueError):
             unit_columns([UnitRecord(z=1, y=0, d=1), UnitRecord(z=0, y=1)])
 
-    @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -1, 0), (1, 1, -1)])
+    @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -1, 0), (1, 1, -1),
+                                         (0.5, 0, 0), (0, 0.5, 0), (1, 1, 1.7),
+                                         (1, 1, float("nan"))])
     def test_out_of_range_rejected(self, z, d, y):
         with pytest.raises(OutOfRangeOutcome) as err:
             unit_columns([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)])
         assert isinstance(err.value, ValueError)
 
+    def test_integer_valued_floats_accepted(self):
+        cols = unit_columns([UnitRecord(z=1.0, y=2.0, d=0.0), UnitRecord(z=0, y=0, d=1)])
+        assert cols.z.tolist() == [1, 0] and cols.y.tolist() == [2, 0] and cols.d.tolist() == [0, 1]
+
+    def test_subset_categories_follow_its_outcomes(self):
+        recs = [UnitRecord(z=k % 2, y=k % 5) for k in range(20)]
+        cols = unit_columns(recs)
+        low = _take(cols, cols.y < 3)
+        assert cols.J == 5 and low.J == 3
+        assert unit_columns(low) is low
+        assert empirical_marginals(low) == empirical_marginals([r for r in recs if r.y < 3])
+
     def test_covariate_matrix(self):
-        X = covariate_matrix([UnitRecord(z=1, y=0, x=(1.0, 2.0)), UnitRecord(z=0, y=1, x=(3, 4))])
+        X = unit_columns([UnitRecord(z=1, y=0, x=(1.0, 2.0)), UnitRecord(z=0, y=1, x=(3, 4))]).x
         assert X.dtype == float and X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_scalar_covariates_are_one_column(self):
-        X = covariate_matrix([UnitRecord(z=1, y=0, x=0.5), UnitRecord(z=0, y=1, x=1.5)])
+        X = unit_columns([UnitRecord(z=1, y=0, x=0.5), UnitRecord(z=0, y=1, x=1.5)]).x
         assert X.shape == (2, 1)
 
     def test_no_covariates_give_zero_columns(self):
-        assert covariate_matrix([UnitRecord(z=1, y=0), UnitRecord(z=0, y=1)]).shape == (2, 0)
+        assert unit_columns([UnitRecord(z=1, y=0), UnitRecord(z=0, y=1)]).x.shape == (2, 0)
 
     def test_covariates_on_some_records_rejected(self):
         with pytest.raises(ValueError):
-            covariate_matrix([UnitRecord(z=1, y=0, x=(1.0,)), UnitRecord(z=0, y=1)])
+            unit_columns([UnitRecord(z=1, y=0, x=(1.0,)), UnitRecord(z=0, y=1)])
 
 
 class TestNonFinite:

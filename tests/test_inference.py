@@ -1,20 +1,28 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ordbounds import (
     IntervalReport,
+    Replicates,
     UnitRecord,
     bootstrap_bounds_ci,
     bootstrap_pair_ci_with_independent,
     bootstrap_replicates,
     complier_bounds,
     em_fit,
+    em_fit_with_covariates,
+    empirical_marginals,
     estimate_adjusted,
     estimate_ipw,
     estimate_randomized,
     interval_from_replicates,
+    ipw_marginals,
+    moment_identify,
 )
 from ordbounds import inference
+from ordbounds.distributions import unit_columns
 from ordbounds.exceptions import EmptyArm, OrdBoundsError, OutOfRangeOutcome, ReplicateFailure
 from ordbounds.inference import _report_row, _resampler
 
@@ -253,7 +261,7 @@ def reference_replicates(records, estimator, n_boot, seed, J=None, **options):
         estimate = lambda sample: estimate_ipw(sample, J=J, **options)
     else:
         estimate = lambda sample: estimate_adjusted(sample, J=J, **options)
-    draw = _resampler(records, "whole" if estimator == "ipw" else "stratified")
+    draw = _resampler(unit_columns(records), "whole" if estimator == "ipw" else "stratified")
     rows, failures = [], []
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
         sample = [records[i] for i in draw(np.random.default_rng(ss))]
@@ -366,7 +374,7 @@ class TestStackedReplicates:
     def test_rare_top_category_makes_short_arm_fits(self):
         # the model case above covers resamples whose treated arm misses category 3
         recs = rare_top_records()
-        draw = _resampler(recs, "stratified")
+        draw = _resampler(unit_columns(recs), "stratified")
         tops = [max(recs[i].y for i in draw(np.random.default_rng(ss)) if recs[i].z == 1)
                 for ss in np.random.SeedSequence(7).spawn(100)]
         assert 0 < tops.count(2) < 100
@@ -395,7 +403,7 @@ class TestStackedReplicates:
         recs = covariate_records(41, n=120)
         e = np.array([0.3 + 0.4 * r.x[0] for r in recs])
         reps = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=10, propensity=e)
-        draw = _resampler(recs, "whole")
+        draw = _resampler(unit_columns(recs), "whole")
         want = []
         for ss in np.random.SeedSequence(10).spawn(100):
             idx = draw(np.random.default_rng(ss))
@@ -461,6 +469,58 @@ class TestInvalidUnits:
         with pytest.raises(OutOfRangeOutcome):
             bootstrap_replicates(invalid_records(field, value), estimator=estimator,
                                  n_boot=100, **options)
+
+
+def covariate_iv_records():
+    from test_noncompliance import TestCovariateEM
+
+    return TestCovariateEM().make_covariate_records(np.random.default_rng(1), 200)
+
+
+def _boot(estimator, **options):
+    return partial(bootstrap_replicates, estimator=estimator, n_boot=100, seed=11, **options)
+
+
+# public entry point -> (call on unit data, records)
+ENTRY_POINTS = {
+    "empirical_marginals": (empirical_marginals, sample_records),
+    "estimate_randomized": (estimate_randomized, sample_records),
+    "ipw_marginals": (ipw_marginals, lambda: covariate_records(31)),
+    "estimate_ipw": (estimate_ipw, lambda: covariate_records(31)),
+    "estimate_adjusted_discrete": (partial(estimate_adjusted, strata="discrete"),
+                                   lambda: covariate_records(32)),
+    "estimate_adjusted_model": (partial(estimate_adjusted, strata="model"),
+                                lambda: covariate_records(33)),
+    "moment_identify": (moment_identify, lambda: iv_records(34)),
+    "em_fit": (em_fit, lambda: iv_records(34)),
+    "em_fit_with_covariates": (em_fit_with_covariates, covariate_iv_records),
+    "bootstrap_randomized": (_boot("randomized"), sample_records),
+    "bootstrap_ipw": (_boot("ipw"), lambda: covariate_records(31)),
+    "bootstrap_adjusted_discrete": (_boot("adjusted", strata="discrete"), rare_stratum_records),
+    "bootstrap_adjusted_model": (_boot("adjusted", strata="model"),
+                                 lambda: covariate_records(33)),
+    "bootstrap_complier": (_boot("complier"), lambda: iv_records(34)),
+    "bootstrap_complier_adjusted": (_boot("complier_adjusted"), covariate_iv_records),
+    "bootstrap_bounds_ci": (partial(bootstrap_bounds_ci, estimator="ipw", n_boot=100, seed=11),
+                            lambda: covariate_records(31)),
+}
+
+
+class TestRecordsOrColumns:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_same_result(self, monkeypatch, name):
+        # the bootstrap's covariate EM stops after two iterations: the
+        # replicates stay cheap and still depend on every unit
+        monkeypatch.setattr(inference, "em_fit_with_covariates",
+                            partial(em_fit_with_covariates, tol=np.inf))
+        call, make = ENTRY_POINTS[name]
+        records = make()
+        a, b = call(records), call(unit_columns(records))
+        if isinstance(a, Replicates):
+            assert np.array_equal(a.point, b.point) and np.array_equal(a.rows, b.rows)
+            assert (a.n_failed, a.seed, a.failures) == (b.n_failed, b.seed, b.failures)
+        else:
+            assert a == b
 
 
 class TestEstimatorOptions:

@@ -17,7 +17,7 @@ from ordbounds import (
     full_report,
     moment_identify,
 )
-from ordbounds.distributions import covariate_matrix, unit_columns
+from ordbounds.distributions import unit_columns
 from ordbounds.exceptions import (
     DefiersObserved,
     EmptyArm,
@@ -253,7 +253,7 @@ class TestEMFit:
         rng = np.random.default_rng(75)
         recs = draw_iv_records(TRUTH, 1000, rng)
         m, trace = em_fit(recs, track_loglik=True)
-        counts = _cells(recs, 3)
+        counts = _cells(unit_columns(recs), 3)
         ll = em_loglik(
             counts,
             (m.pi_a, m.pi_c, m.pi_n),
@@ -282,7 +282,8 @@ BOUNDARY_RECORDS = (
 
 
 def study2_counts(seeds):
-    return np.array([_cells(generate_study2(1 + s % 6, 400, seed=s), 3) for s in seeds])
+    return np.array([_cells(unit_columns(generate_study2(1 + s % 6, 400, seed=s)), 3)
+                     for s in seeds])
 
 
 def model_arrays(m):
@@ -304,16 +305,16 @@ class TestCells:
         want = np.zeros((2, 2, 5))
         for r in recs:
             want[r.z, r.d, r.y] += 1
-        assert np.array_equal(_cells(recs, 5), want)
+        assert np.array_equal(_cells(unit_columns(recs), 5), want)
 
     def test_missing_d_rejected(self):
         with pytest.raises(ValueError):
-            _cells([UnitRecord(z=0, y=0, d=1), UnitRecord(z=1, y=0)], 2)
+            _cells(unit_columns([UnitRecord(z=0, y=0, d=1), UnitRecord(z=1, y=0)]), 2)
 
     @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (0, -1, 0), (1, 1, -1), (1, 0, 3)])
     def test_out_of_range_rejected(self, z, d, y):
         with pytest.raises(ValueError):
-            _cells([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)], 3)
+            _cells(unit_columns([UnitRecord(z=0, y=0, d=0), UnitRecord(z=z, y=y, d=d)]), 3)
 
     @pytest.mark.parametrize("arm", [0, 1])
     @pytest.mark.parametrize("fit", [_cells, moment_identify, em_fit])
@@ -324,7 +325,7 @@ class TestCells:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmptyArm):
-                fit(recs, 3) if fit is _cells else fit(recs)
+                fit(unit_columns(recs), 3) if fit is _cells else fit(recs)
 
 
 def invalid_records(field, value):
@@ -358,7 +359,7 @@ class TestComplierMLE:
     def test_boundary_em_beats_clipped_moments(self):
         mom = moment_identify(BOUNDARY_RECORDS)
         assert mom.negative_cells_clipped
-        counts = _cells(BOUNDARY_RECORDS, 2)
+        counts = _cells(unit_columns(BOUNDARY_RECORDS), 2)
         assert not complier_mle(counts[None]).interior[0]
         m, trace = em_fit(BOUNDARY_RECORDS, track_loglik=True)
         assert len(trace) > 1
@@ -406,7 +407,7 @@ class TestComplierMLE:
     def test_interior_trace_is_the_closed_form_loglik(self):
         recs = generate_study2(1, 400, seed=13)
         m, trace = em_fit(recs, track_loglik=True)
-        assert trace == [em_loglik(_cells(recs, 3), *model_arrays(m))]
+        assert trace == [em_loglik(_cells(unit_columns(recs), 3), *model_arrays(m))]
 
     def test_nonconvergence_reported_per_table(self):
         stack = study2_counts(range(116, 123))
@@ -484,8 +485,7 @@ def four_cell_loglik(fit, records):
     """Observed-data log-likelihood of a covariate strata fit, summed cell by
     cell: always-takers (z=0, d=1), never-takers (z=1, d=0) and the mixed
     cells (z=1, d=1) and (z=0, d=0)."""
-    z, y, d, _ = unit_columns(records)
-    X = covariate_matrix(records)
+    z, y, d, X = unit_columns(records)
     P = fit.pi(X)
     rows = np.arange(len(y))
 
