@@ -11,9 +11,12 @@ Subcommands:
 
 Unit-data CSV format: header row with columns ``z`` (0/1 assignment),
 optional ``d`` (0/1 receipt), ``y`` (nonnegative integer category), and any
-remaining columns treated as numeric covariates.  z and d must be 0 or 1, y
-a nonnegative integer, every covariate finite and every column name
-distinct; anything else exits 2.  The file is read once, straight into the
+remaining columns treated as numeric covariates.  Numbers are read as numpy
+parses them (``1.0`` is 1), every row has exactly the header's fields and
+blank lines are skipped.  A structural error (a row of another width, a
+non-numeric cell) exits 2 naming its line; a value error (z or d not 0 or 1,
+y not a nonnegative integer, a non-finite covariate) or a repeated column
+name exits 2 naming its column.  The file is parsed as one table into the
 validated columns (distributions.UnitColumns) that every command works on.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
@@ -103,6 +106,9 @@ def _report_payload(report) -> dict:
     }
 
 
+_parse_rows = functools.partial(np.loadtxt, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
 def _read_unit_csv(path: str, J: int | None):
     """The validated UnitColumns of a unit-data CSV and the names of its
     covariate columns."""
@@ -118,27 +124,29 @@ def _read_unit_csv(path: str, J: int | None):
         repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
         if repeated:
             raise OrdBoundsError(f"{path}: column {repeated[0]!r} appears more than once")
-        at = {c: i for i, c in enumerate(cols)}
-        iz, iy, i_d = at["z"], at["y"], at.get("d")
-        covs = [c for c in cols if c not in ("z", "d", "y")]
-        ix = [at[c] for c in covs]
-        z, y, d, x = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) < len(cols):
-                    raise ValueError(f"{len(row)} fields, header has {len(cols)}")
-                z.append(int(row[iz]))
-                y.append(int(row[iy]))
-                d.append(None if i_d is None else int(row[i_d]))
-                x.append([float(row[i]) for i in ix])
-            except ValueError as e:
-                raise OrdBoundsError(f"{path}:{reader.line_num}: bad row: {e}") from None
-    if not z:
+        lines = [(n, line) for n, line in enumerate(f, reader.line_num + 1) if line.strip("\r\n")]
+    if not lines:   # before the parse, which warns on no input
         raise OrdBoundsError(f"{path}: no data rows")
-    # z, d and y must be valid for every command
-    units = _checked_columns(z, y, None if i_d is None else d, np.array(x, dtype=float))
+    try:
+        table = _parse_rows([line for _, line in lines])
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(lines), len(cols)):
+        # the first bad line by the same parse; an unclosed quote runs on into the next lines
+        for num, line in lines:
+            try:
+                width = _parse_rows([line]).shape[1]
+                if line.count('"') % 2:
+                    raise ValueError("unclosed quote")
+                if width != len(cols):
+                    raise ValueError(f"{width} fields, header has {len(cols)}")
+            except ValueError as e:
+                raise OrdBoundsError(f"{path}:{num}: bad row: {e}") from None
+    col = dict(zip(cols, table.T))
+    covs = [c for c in cols if c not in ("z", "d", "y")]
+    # _checked_columns judges every value: z, d and y must be valid for every command
+    units = _checked_columns(col["z"], col["y"], col.get("d"),
+                             np.ascontiguousarray(table[:, [cols.index(c) for c in covs]]))
     if J is not None and units.J > J:
         raise OrdBoundsError(f"{path}: outcome exceeds --categories {J}")
     return units, covs
@@ -154,16 +162,13 @@ def _seed(args) -> int:
 def _bootstrap_payload(args, units, estimator, lowers, **options) -> dict:
     """The ci, n_boot, level and seed entries of one bootstrap of units: an
     interval for tau and eta with each (lower, label suffix) of lowers."""
-    from .inference import bootstrap_replicates, interval_from_replicates
+    from .inference import _intervals, bootstrap_replicates
 
     reps = bootstrap_replicates(units, estimator=estimator, n_boot=args.bootstrap,
                                 seed=_seed(args), J=args.categories, **options)
-    ci = {}
-    for estimand in ("tau", "eta"):
-        for lower, suffix in lowers:
-            ir = interval_from_replicates(reps, estimand, lower, level=args.alpha_level,
-                                          method=args.ci_method)
-            ci[estimand + suffix] = {"low": ir.ci_low, "high": ir.ci_high}
+    keys = [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
+    irs = _intervals(reps, [(e, lower) for e, lower, _ in keys], args.alpha_level, args.ci_method)
+    ci = {e + s: {"low": ir.ci_low, "high": ir.ci_high} for (e, _, s), ir in zip(keys, irs)}
     return {"ci": ci, "n_boot": args.bootstrap, "level": args.alpha_level, "seed": reps.seed}
 
 

@@ -384,29 +384,34 @@ def interval_from_replicates(replicates: Replicates, estimand: str = "tau",
     method="normal" widens the point bounds by z * bootstrap standard error.
     The interval is clipped to [0, 1].
     """
-    i, j = _columns(estimand, lower)
+    return _intervals(replicates, [(estimand, lower)], level, method)[0]
+
+
+def _intervals(replicates: Replicates, pairs, level: float, method: str) -> list:
+    """The interval_from_replicates of each (estimand, lower) of pairs."""
+    columns = [_columns(estimand, lower) for estimand, lower in pairs]
     n_boot, n_failed = replicates.n_boot, replicates.n_failed
     if n_failed > 0.05 * n_boot:
         raise ReplicateFailure(f"{n_failed} of {n_boot} bootstrap replicates failed")
-    point = replicates.point[[i, j]]
-    lows, highs = replicates.rows[:, i], replicates.rows[:, j]
+    point, rows = replicates.point, replicates.rows
     if method == "percentile":
         alpha = (1 - level) / 2
-        lo = float(np.quantile(lows, alpha))
-        hi = float(np.quantile(highs, 1 - alpha))
+        q = np.quantile(rows, [alpha, 1 - alpha], axis=0)
+        ends = [(q[0, i], q[1, j]) for i, j in columns]
     elif method == "normal":
         from statistics import NormalDist
 
         zc = NormalDist().inv_cdf((1 + level) / 2)
-        lo = float(point[0] - zc * lows.std())
-        hi = float(point[1] + zc * highs.std())
+        # one std per column: rows.std(axis=0) can differ in the last bit
+        ends = [(point[i] - zc * rows[:, i].std(), point[j] + zc * rows[:, j].std())
+                for i, j in columns]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return IntervalReport(
-        point_lower=float(point[0]), point_upper=float(point[1]),
-        ci_low=max(lo, 0.0), ci_high=min(hi, 1.0),
+    return [IntervalReport(
+        point_lower=float(point[i]), point_upper=float(point[j]),
+        ci_low=max(float(lo), 0.0), ci_high=min(float(hi), 1.0),
         level=level, n_boot=n_boot, seed=replicates.seed, n_failed=n_failed,
-    )
+    ) for (i, j), (lo, hi) in zip(columns, ends)]
 
 
 def bootstrap_bounds_ci(records, estimator: str = "randomized", estimand: str = "tau",

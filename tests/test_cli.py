@@ -188,12 +188,39 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["j"] == 4
 
-    def test_short_row_exits_2_with_its_line(self, capsys, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("z,y,x\n1,0,0.5\n0,1\n")
+    @pytest.mark.parametrize("text, line", [
+        ("z,y,x\n1,0,0.5\n0,1\n", 3),               # fewer fields than the header
+        ("z,y,x\n1,0,0.5,99\n0,1,0.25\n", 2),      # more fields than the header
+        ("z,y,x\n1,0,0.5\n0,1,0.25,\n", 3),        # a trailing comma
+        ("z,y,x\n1,0,0.5,99\n0,1,0.25,4\n", 2),    # every row too wide
+        ("z,y,x\n1,0,0.5\n \t \n0,1,0.25\n", 3),  # a whitespace-only line
+        ('z,y,x\n1,0,"0.5\n0,1,0.25\n', 2),        # an unclosed quote
+    ], ids=["short row", "extra field", "trailing comma", "all too wide", "whitespace",
+            "unclosed quote"])
+    def test_row_shape_error_exits_2_with_its_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
         code, err = run_cli_err(capsys, "analyze", "--data", str(path))
         assert code == 2
-        assert f"{path}:3: bad row" in err
+        assert f"{path}:{line}: bad row" in err
+
+    def test_header_only_exits_2_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("z,y,x\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_cli_err(capsys, "analyze", "--data", str(path))
+        assert code == 2
+        assert "no data rows" in err
+
+    def test_integer_valued_floats_read_as_records(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("z,d,y,x\n1.0,0.0,2.0,0.5\n0,1.0,0,1\n")
+        units, _ = _read_unit_csv(str(path), None)
+        want = unit_columns([UnitRecord(z=1.0, d=0.0, y=2.0, x=(0.5,)),
+                             UnitRecord(z=0, d=1.0, y=0, x=(1.0,))])
+        for a, b in zip(units, want):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
 
     def test_non_numeric_cell_exits_2_with_its_line(self, capsys, tmp_path):
         path = tmp_path / "cells.csv"
@@ -211,7 +238,8 @@ class TestAnalyze:
         path = tmp_path / "units.csv"
         write_csv(path, rows, ("z", "a", "d", "y", "b"))
         with open(path, "a") as f:
-            f.write("\n1,0.5,1,2,-1.5\n")   # a blank line is skipped
+            # CRLF rows above; a blank line is skipped; a quoted number is read
+            f.write('\n1,0.5,1,2,-1.5\n0,"0.25",1,3,2.5\n')
         with open(path, newline="") as f:
             want = [UnitRecord(z=int(r["z"]), y=int(r["y"]), d=int(r["d"]),
                                x=(float(r["a"]), float(r["b"])))
@@ -219,7 +247,8 @@ class TestAnalyze:
         units, covs = _read_unit_csv(str(path), None)
         assert covs == ["a", "b"]
         want = unit_columns(want)
-        assert all(np.array_equal(a, b) for a, b in zip(units, want)) and len(units.z) == 51
+        assert all(np.array_equal(a, b) for a, b in zip(units, want)) and len(units.z) == 52
+        assert units.x.flags.c_contiguous and want.x.flags.c_contiguous
 
     def test_categories_too_small_exits_2(self, capsys, tmp_path):
         path = tmp_path / "units.csv"
@@ -364,10 +393,10 @@ IV_ARGS = [["analyze-iv", *extra]
 
 
 class TestInvalidUnits:
-    """A unit with z or d outside {0, 1} or a negative y exits 2 with empty
-    stdout, whatever the command goes on to fit."""
+    """A unit with z or d outside {0, 1} or a y that is not a nonnegative
+    integer exits 2 with empty stdout, whatever the command goes on to fit."""
 
-    @pytest.mark.parametrize("field, value", [("z", 2), ("d", 2), ("y", -1)])
+    @pytest.mark.parametrize("field, value", [("z", 2), ("d", 2), ("y", -1), ("y", 1.5)])
     @pytest.mark.parametrize("argv", ANALYZE_ARGS + IV_ARGS, ids=" ".join)
     def test_exits_2(self, capsys, tmp_path, argv, field, value):
         from test_noncompliance import invalid_records
