@@ -14,10 +14,11 @@ optional ``d`` (0/1 receipt), ``y`` (nonnegative integer category), and any
 remaining columns treated as numeric covariates.  Numbers are read as numpy
 parses them (``1.0`` is 1), every row has exactly the header's fields and
 blank lines are skipped.  A structural error (a row of another width, a
-non-numeric cell) exits 2 naming its line; a value error (z or d not 0 or 1,
-y not a nonnegative integer, a non-finite covariate) or a repeated column
-name exits 2 naming its column.  The file is parsed as one table into the
-validated columns (distributions.UnitColumns) that every command works on.
+non-numeric cell) exits 2 naming its line, and a non-numeric cell's column
+too; a value error (z or d not 0 or 1, y not a nonnegative integer, a
+non-finite covariate) or a repeated column name exits 2 naming its column.
+The file is parsed as one table into the validated columns
+(distributions.UnitColumns) that every command works on.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
 """
@@ -134,14 +135,18 @@ def _read_unit_csv(path: str, J: int | None):
     if table is None or table.shape != (len(lines), len(cols)):
         # the first bad line by the same parse; an unclosed quote runs on into the next lines
         for num, line in lines:
+            k = None   # the field being parsed, once the line has the header's width
             try:
-                width = _parse_rows([line]).shape[1]
+                fields = _parse_rows([line], dtype=str)[0].tolist()
                 if line.count('"') % 2:
                     raise ValueError("unclosed quote")
-                if width != len(cols):
-                    raise ValueError(f"{width} fields, header has {len(cols)}")
+                if len(fields) != len(cols):
+                    raise ValueError(f"{len(fields)} fields, header has {len(cols)}")
+                for k in range(len(cols)):
+                    _parse_rows([line], usecols=k)
             except ValueError as e:
-                raise OrdBoundsError(f"{path}:{num}: bad row: {e}") from None
+                why = e if k is None else f"column {cols[k]!r} is not a number: {fields[k]!r}"
+                raise OrdBoundsError(f"{path}:{num}: bad row: {why}") from None
     col = dict(zip(cols, table.T))
     covs = [c for c in cols if c not in ("z", "d", "y")]
     # _checked_columns judges every value: z, d and y must be valid for every command
@@ -159,13 +164,13 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _bootstrap_payload(args, units, estimator, lowers, **options) -> dict:
-    """The ci, n_boot, level and seed entries of one bootstrap of units: an
-    interval for tau and eta with each (lower, label suffix) of lowers."""
-    from .inference import _intervals, bootstrap_replicates
+def _bootstrap_payload(args, units, estimator, fit, lowers, **options) -> dict:
+    """The ci, n_boot, level and seed entries of one bootstrap of units from
+    their fit: an interval for tau and eta with each (lower, label suffix) of lowers."""
+    from .inference import _bootstrap, _intervals
 
-    reps = bootstrap_replicates(units, estimator=estimator, n_boot=args.bootstrap,
-                                seed=_seed(args), J=args.categories, **options)
+    reps = _bootstrap(units, estimator, fit, args.bootstrap, _seed(args), args.categories,
+                      **options)
     keys = [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
     irs = _intervals(reps, [(e, lower) for e, lower, _ in keys], args.alpha_level, args.ci_method)
     ci = {e + s: {"low": ir.ci_low, "high": ir.ci_high} for (e, _, s), ir in zip(keys, irs)}
@@ -202,18 +207,13 @@ def cmd_construct(args):
 
 
 def cmd_analyze(args):
-    from .estimation import estimate_adjusted, estimate_ipw, estimate_randomized
+    from .inference import _ESTIMATORS
 
     units, covs = _read_unit_csv(args.data, args.categories)
-    if args.design == "randomized":
-        est = estimate_randomized(units, J=args.categories)
-    elif args.design == "ipw":
-        if not covs:
-            raise OrdBoundsError("--design ipw needs covariate columns")
-        est = estimate_ipw(units, J=args.categories)
-    else:
-        est = estimate_adjusted(units, strata=args.strata, J=args.categories)
-
+    if args.design == "ipw" and not covs:
+        raise OrdBoundsError("--design ipw needs covariate columns")
+    options = {"strata": args.strata} if args.design == "adjusted" else {}
+    est = _ESTIMATORS[args.design][0](units, J=args.categories, **options)
     payload = {
         "design": est.design,
         "n_treated": est.n_treated,
@@ -222,9 +222,8 @@ def cmd_analyze(args):
     }
     if args.bootstrap:
         payload.update(_bootstrap_payload(
-            args, units, args.design, (("bound", ""), ("independent", "_independent")),
-            **({"strata": args.strata} if args.design == "adjusted" else {}),
-        ))
+            args, units, args.design, est, (("bound", ""), ("independent", "_independent")),
+            **options))
     _emit(payload, args)
 
 
@@ -240,10 +239,8 @@ def cmd_analyze_iv(args):
     if units.d is None:
         raise OrdBoundsError("analyze-iv needs a 'd' column")
 
-    if args.moment:
-        strata = moment_identify(units, monotonicity=args.monotonicity, J=args.categories)
-    else:
-        strata = em_fit(units, monotonicity=args.monotonicity, J=args.categories)
+    fit_args = {"monotonicity": args.monotonicity, "J": args.categories}
+    strata = (moment_identify if args.moment else em_fit)(units, **fit_args)
     cb = complier_bounds(strata)
     payload = {
         "monotonicity": args.monotonicity,
@@ -259,12 +256,12 @@ def cmd_analyze_iv(args):
     if args.covariates:
         if not covs:
             raise OrdBoundsError("--covariates requires covariate columns in the CSV")
-        fit = em_fit_with_covariates(units, monotonicity=args.monotonicity,
-                                     J=args.categories)
-        rep = fit.complier_report(units.x)
-        payload["complier_adjusted"] = _report_payload(rep)
+        fit = em_fit_with_covariates(units, **fit_args)
+        payload["complier_adjusted"] = _report_payload(fit.complier_report(units.x))
     if args.bootstrap:
-        payload.update(_bootstrap_payload(args, units, "complier", (("bound", ""),),
+        # the bootstrap resamples the MLE, also under --moment
+        mle = em_fit(units, **fit_args) if args.moment else strata
+        payload.update(_bootstrap_payload(args, units, "complier", mle, (("bound", ""),),
                                           monotonicity=args.monotonicity))
     _emit(payload, args)
 
@@ -329,8 +326,6 @@ def cmd_oracle(args):
 
 def _add_common(p):
     p.add_argument("--out", help="write JSON to this file instead of stdout")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: ORDBOUNDS_SEED env var, then 0)")
 
 
 def _add_unit_analysis(p):
@@ -342,6 +337,8 @@ def _add_unit_analysis(p):
     p.add_argument("--alpha-level", type=float, default=0.95,
                    help="nominal CI coverage")
     p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
+    p.add_argument("--seed", type=int, default=None,
+                   help="bootstrap seed (default: ORDBOUNDS_SEED env var, then 0)")
 
 
 def _add_margins(p):
@@ -397,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--boot", type=int, default=500)
     p.add_argument("--adjusted", action="store_true")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the data draws and bootstraps (default: ORDBOUNDS_SEED, then 0)")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

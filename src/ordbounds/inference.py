@@ -12,8 +12,9 @@ the bootstrapped lower bound paired with the (1+level)/2 quantile of the
 bootstrapped upper bound, so the resulting interval is designed to cover the
 whole identified set.
 
-Every estimator works on the UnitColumns that bootstrap_replicates converts
-its data to once; a resample is an array of unit indices into them.
+Each estimator is a (fit, replicates) pair of _ESTIMATORS on UnitColumns: fit
+is its public full-sample estimator, and replicates, whose resamples index
+the units, take the point row from fit's result, which the CLI passes on.
 
 Resampling matches the design: arm-stratified with replacement (arm sizes
 preserved) for every estimator but inverse-propensity weighting, which
@@ -33,6 +34,7 @@ loop (one covariate EM per replicate, on the indexed columns).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,9 +52,9 @@ from .models import (
 )
 from .noncompliance import (
     _checked_cells,
-    _fit_counts,
     complier_bounds,
     complier_mle,
+    em_fit,
     em_fit_with_covariates,
 )
 
@@ -105,36 +107,32 @@ def _report_row(report):
     return np.array([float(getattr(report, c)) for c in COLUMNS])
 
 
-def _randomized(cols, n_boot, seed, J):
-    """Resampling units within arms is a multinomial redraw of the
-    within-arm counts."""
-    point = _report_row(estimate_randomized(cols, J=J).report)
-    y1, y0 = cols.y[cols.z == 1], cols.y[cols.z == 0]
-    n1, n0 = len(y1), len(y0)
-    f1 = np.bincount(y1, minlength=J or cols.J) / n1
-    f0 = np.bincount(y0, minlength=J or cols.J) / n0
+def _arm_redraws(counts, n_boot, seed):
+    """Arm-stratified unit resampling: an (n_boot, 2, ...) stack of multinomial
+    redraws of the arm counts (2, ...), from one stream, treated arm first."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p1 = rng.multinomial(n1, f1, size=n_boot) / n1
-    p0 = rng.multinomial(n0, f0, size=n_boot) / n0
-    return point, bound_rows(p1, p0), ()
-
-
-def _complier(cols, n_boot, seed, J, monotonicity="standard"):
-    """Complier bootstrap on (z, d, y) cell counts: arm-stratified unit
-    resampling is a multinomial redraw of each arm's cell counts.  One
-    full-sample fit gives the point row and the EM warm start of the
-    boundary replicates; all replicates go through complier_mle at once."""
-    counts = _checked_cells(cols, monotonicity, J)
-    J = counts.shape[-1]
-    fit, _ = _fit_counts(counts)
-    point = _report_row(complier_bounds(fit).complier)
     n1, n0 = counts[1].sum(), counts[0].sum()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws1 = rng.multinomial(int(n1), counts[1].ravel() / n1, size=n_boot)
     draws0 = rng.multinomial(int(n0), counts[0].ravel() / n0, size=n_boot)
-    stack = np.stack([draws0, draws1], axis=1).reshape(n_boot, 2, 2, J).astype(float)
-    init = (np.array([fit.pi_a, fit.pi_c, fit.pi_n]), fit.a_marginal.as_array(),
-            fit.n_marginal.as_array(), fit.c_treated.as_array(), fit.c_control.as_array())
+    return np.stack([draws0, draws1], axis=1).reshape(n_boot, *counts.shape)
+
+
+def _randomized(cols, est, n_boot, seed, J):
+    """Within-arm outcome counts, redrawn."""
+    Jr = J or cols.J
+    counts = np.bincount(cols.z * Jr + cols.y, minlength=2 * Jr).reshape(2, Jr)
+    p = _arm_redraws(counts, n_boot, seed) / counts.sum(axis=1, keepdims=True)
+    return _report_row(est.report), bound_rows(p[:, 1], p[:, 0]), ()
+
+
+def _complier(cols, mle, n_boot, seed, J, monotonicity="standard"):
+    """Complier bootstrap on (z, d, y) cell counts, redrawn.  The full-sample
+    StrataModel mle gives the point row and the EM warm start of the boundary
+    replicates; all replicates go through complier_mle at once."""
+    point = _report_row(complier_bounds(mle).complier)
+    stack = _arm_redraws(_checked_cells(cols, monotonicity, J), n_boot, seed).astype(float)
+    init = (np.array([mle.pi_a, mle.pi_c, mle.pi_n]), mle.a_marginal.as_array(),
+            mle.n_marginal.as_array(), mle.c_treated.as_array(), mle.c_control.as_array())
     # near-boundary resamples can need many cheap iterations
     boot = complier_mle(stack, init=init, max_iter=20000)
     ok = boot.converged
@@ -307,48 +305,56 @@ def _stacked(cols, scheme, n_boot, seed, J, rows_fn):
     return np.delete(rows, failed, axis=0), tuple((int(i), why[i]) for i in failed)
 
 
-def _ipw(cols, n_boot, seed, J, propensity=None, trim=0.01):
+def _ipw(cols, est, n_boot, seed, J, propensity=None, trim=0.01):
     """Inverse-propensity weighting: whole-sample resamples, one stacked
     propensity fit."""
-    point = _report_row(estimate_ipw(cols, propensity=propensity, J=J, trim=trim).report)
     Jr = J or cols.J
-    return point, *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_rows(cols, Jr, propensity, trim))
+    return (_report_row(est.report),
+            *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_rows(cols, Jr, propensity, trim)))
 
 
-def _adjusted(cols, n_boot, seed, J, strata="discrete"):
+def _adjusted(cols, est, n_boot, seed, J, strata="discrete"):
     """Covariate adjustment: arm-stratified resamples, stacked per-arm
     fits (strata="model") or per-stratum counts."""
-    point = _report_row(estimate_adjusted(cols, strata=strata, J=J).report)
     # the fits may see more categories than J; extra ones are padding
     Jr = max(J or 0, cols.J)
     make = _model_rows if strata == "model" else _discrete_rows
-    return point, *_stacked(cols, "stratified", n_boot, seed, Jr, make(cols, Jr))
+    return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, Jr, make(cols, Jr))
 
 
-def _complier_adjusted(cols, n_boot, seed, J, monotonicity="standard", init=None):
+def _complier_adjusted(cols, fit, n_boot, seed, J, monotonicity="standard", init=None):
     """The covariate complier estimator refits covariate EM per replicate."""
-    def report(sample):
-        fit = em_fit_with_covariates(sample, monotonicity=monotonicity, init=init, J=J)
-        return fit.complier_report(sample.x)
-
-    point = _report_row(report(cols))
+    point = _report_row(fit.complier_report(cols.x))
     rows, failures = [], []
     for r, idx in enumerate(_index_stack(cols, "stratified", n_boot, seed)):
+        sample = _take(cols, idx)
         try:
-            rows.append(_report_row(report(_take(cols, idx))))
+            refit = em_fit_with_covariates(sample, monotonicity=monotonicity, init=init, J=J)
+            rows.append(_report_row(refit.complier_report(sample.x)))
         except OrdBoundsError as e:
             failures.append((r, type(e).__name__))
     return point, np.array(rows).reshape(-1, len(COLUMNS)), tuple(failures)
 
 
-# estimator -> (UnitColumns, n_boot, seed, J, **options) -> (point, rows, failures)
+# estimator -> (fit(UnitColumns, J=J, **options), replicates(UnitColumns,
+# fit result, n_boot, seed, J, **options) -> (point, rows, failures))
 _ESTIMATORS = {
-    "randomized": _randomized,
-    "ipw": _ipw,
-    "adjusted": _adjusted,
-    "complier": _complier,
-    "complier_adjusted": _complier_adjusted,
+    "randomized": (estimate_randomized, _randomized),
+    "ipw": (estimate_ipw, _ipw),
+    "adjusted": (estimate_adjusted, _adjusted),
+    "complier": (em_fit, _complier),
+    "complier_adjusted": (em_fit_with_covariates, _complier_adjusted),
 }
+
+
+def _estimator(estimator, n_boot, options):
+    """The _ESTIMATORS pair of estimator, after the checks of its arguments."""
+    if n_boot < 100:
+        raise ValueError("n_boot must be at least 100")
+    if estimator not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    inspect.signature(_ESTIMATORS[estimator][1]).bind(None, None, n_boot, None, None, **options)
+    return _ESTIMATORS[estimator]
 
 
 def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1000,
@@ -360,16 +366,20 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     estimator is "randomized", "ipw", "adjusted", "complier" or
     "complier_adjusted"; options go to the estimator (propensity and trim
     for ipw, strata for adjusted, monotonicity for the complier estimators,
-    init for complier_adjusted); TypeError for an option the estimator does
-    not take.  A full-sample failure raises; a replicate failure is counted
-    in n_failed and named in failures.
+    init for complier_adjusted); TypeError, before anything is fitted, for an
+    option the estimator does not take.  The full sample is fitted once, by
+    the estimator's public function; a failure there raises, and a replicate
+    failure is counted in n_failed and named in failures.
     """
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    point, rows, failures = _ESTIMATORS[estimator](unit_columns(records), n_boot, seed, J,
-                                                   **options)
+    fit, _ = _estimator(estimator, n_boot, options)
+    cols = unit_columns(records)
+    return _bootstrap(cols, estimator, fit(cols, J=J, **options), n_boot, seed, J, **options)
+
+
+def _bootstrap(cols, estimator, fit_result, n_boot, seed, J, **options) -> Replicates:
+    """bootstrap_replicates of UnitColumns from their full-sample fit_result."""
+    point, rows, failures = _estimator(estimator, n_boot, options)[1](
+        cols, fit_result, n_boot, seed, J, **options)
     return Replicates(point, rows, len(failures), seed, failures)
 
 

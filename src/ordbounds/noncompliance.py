@@ -300,27 +300,6 @@ def _default_init(counts, pi):
     return pi, uniform, uniform, uniform, uniform
 
 
-def _fit_counts(counts, init: StrataModel | None = None, max_iter: int = 1000,
-                tol: float = 1e-8):
-    """complier_mle on one (2, 2, J) table of _checked_cells: the StrataModel
-    and the log-likelihood trace, or NonConvergence."""
-    if init is not None:
-        pi = np.array([init.pi_a, init.pi_c, init.pi_n], dtype=float)
-        if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
-            raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
-        init = (pi, init.a_marginal.as_array(), init.n_marginal.as_array(),
-                init.c_treated.as_array(), init.c_control.as_array())
-    fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
-    if not fit.converged[0]:
-        raise NonConvergence(f"EM did not converge in {max_iter} iterations")
-    params = [v[0] for v in fit[:5]]
-    if fit.interior[0]:
-        trace = [em_loglik(counts, *params)]
-    else:
-        trace = [float(row[0]) for row in fit.trace]
-    return _strata_model(*params), trace
-
-
 def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = None,
            max_iter: int = 1000, tol: float = 1e-8, J: int | None = None,
            track_loglik: bool = False):
@@ -338,8 +317,20 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     track_loglik is True).
     """
     counts = _checked_cells(unit_columns(records), monotonicity, J)
-    model, trace = _fit_counts(counts, init, max_iter, tol)
-    return (model, trace) if track_loglik else model
+    if init is not None:
+        pi = np.array([init.pi_a, init.pi_c, init.pi_n], dtype=float)
+        if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
+            raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
+        init = (pi, init.a_marginal.as_array(), init.n_marginal.as_array(),
+                init.c_treated.as_array(), init.c_control.as_array())
+    fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
+    if not fit.converged[0]:
+        raise NonConvergence(f"EM did not converge in {max_iter} iterations")
+    params = [v[0] for v in fit[:5]]
+    if not track_loglik:
+        return _strata_model(*params)
+    trace = [em_loglik(counts, *params)] if fit.interior[0] else [float(r[0]) for r in fit.trace]
+    return _strata_model(*params), trace
 
 
 def _em_from_counts(counts, pi, a, n, c1, c0, max_iter, tol):
@@ -450,8 +441,7 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     those of init or of the covariate-free fit.
     """
     cols = unit_columns(records)
-    counts = _checked_cells(cols, monotonicity, J)
-    J = counts.shape[-1]
+    J = _checked_cells(cols, monotonicity, J).shape[-1]
     z, y, d, X = cols
     classes = ("c", "a", "n") if monotonicity == "standard" else ("c", "n")
     admits = {"c": z == d, "a": d == 1, "n": d == 0}
@@ -467,7 +457,7 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
         terms = _strata_terms(init, X, y, z, classes)
     else:
         # warm start from the covariate-free fit
-        flat, _ = _fit_counts(counts)
+        flat = em_fit(cols, monotonicity=monotonicity, J=J)
         a, n, c1, c0 = (m.as_array()[y] for m in (flat.a_marginal, flat.n_marginal,
                                                   flat.c_treated, flat.c_control))
         t = {"c": flat.pi_c * np.where(z == 1, c1, c0), "a": flat.pi_a * a, "n": flat.pi_n * n}

@@ -228,6 +228,9 @@ class TestAnalyze:
         code, err = run_cli_err(capsys, "analyze", "--data", str(path))
         assert code == 2
         assert f"{path}:4: bad row" in err
+        # the cell's header column, not the position inside a one-line parse
+        assert "column 'x'" in err and "'n/a'" in err
+        assert "row 0" not in err
 
     def test_reader_matches_dict_reader(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -349,16 +352,21 @@ class TestAnalyzeIV:
 
     @pytest.mark.parametrize("method", ["percentile", "normal"])
     def test_ci_block_equals_separate_calls(self, capsys, tmp_path, method):
-        path = self.make_iv_data(tmp_path)
-        code, out = run_cli(capsys, "analyze-iv", "--data", str(path), "--bootstrap", "100",
-                            "--seed", "8", "--ci-method", method)
-        assert code == 0
-        ci = json.loads(out)["ci"]
-        records, _ = _read_unit_csv(str(path), None)
-        for estimand in ("tau", "eta"):
-            ir = bootstrap_bounds_ci(records, estimator="complier", estimand=estimand,
-                                     n_boot=100, seed=8, method=method)
-            assert ci[estimand] == {"low": ir.ci_low, "high": ir.ci_high}
+        # --moment on a draw whose moment solution is clipped: the bootstrap
+        # still resamples the MLE
+        boundary = tmp_path / "boundary.csv"
+        write_csv(boundary, [(r.z, r.d, r.y) for r in ordbounds.generate_study2(1, 200, seed=0)],
+                  ("z", "d", "y"))
+        for path, extra in ((self.make_iv_data(tmp_path), []), (boundary, ["--moment"])):
+            code, out = run_cli(capsys, "analyze-iv", "--data", str(path), "--bootstrap", "100",
+                                "--seed", "8", "--ci-method", method, *extra)
+            assert code == 0
+            ci = json.loads(out)["ci"]
+            records, _ = _read_unit_csv(str(path), None)
+            for estimand in ("tau", "eta"):
+                ir = bootstrap_bounds_ci(records, estimator="complier", estimand=estimand,
+                                         n_boot=100, seed=8, method=method)
+                assert ci[estimand] == {"low": ir.ci_low, "high": ir.ci_high}
 
     @pytest.mark.parametrize("cmd", ["analyze", "analyze-iv"])
     def test_too_few_replicates_exits_2(self, capsys, tmp_path, cmd):
@@ -483,6 +491,65 @@ class TestNonFiniteMargins:
         assert code == 2
         assert captured.out == ""
         assert "ValidationError" in captured.err
+
+
+class TestOneFitPerJob:
+    """A bootstrap job fits the full sample once: the bootstrap's point row
+    comes from the estimate the command reports."""
+
+    @pytest.mark.parametrize("argv, name, calls", [
+        (["--design", "randomized"], "empirical_marginals", 1),
+        (["--design", "ipw"], "fit_logit", 1),
+        (["--design", "adjusted", "--strata", "model"], "fit_cumulative_logit", 2),
+    ], ids=["randomized", "ipw", "adjusted model"])
+    def test_analyze(self, capsys, tmp_path, monkeypatch, argv, name, calls):
+        # each counted function is what the estimator calls from the estimation module
+        from ordbounds import estimation
+        from test_inference import covariate_records
+
+        path = covariate_csv(tmp_path, covariate_records(41, n=200))
+        seen = []
+        fit = getattr(estimation, name)
+        monkeypatch.setattr(estimation, name, lambda *a, **k: seen.append(1) or fit(*a, **k))
+        code, _ = run_cli(capsys, "analyze", "--data", str(path), *argv, "--bootstrap", "100")
+        assert code == 0
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("extra", [[], ["--moment"]], ids=["em", "moment"])
+    def test_analyze_iv(self, capsys, tmp_path, monkeypatch, extra):
+        from ordbounds import inference, noncompliance
+
+        path = TestAnalyzeIV().make_iv_data(tmp_path)
+        tables = []
+        mle = noncompliance.complier_mle
+
+        def spy(counts, **options):
+            tables.append(len(counts))
+            return mle(counts, **options)
+
+        monkeypatch.setattr(noncompliance, "complier_mle", spy)
+        monkeypatch.setattr(inference, "complier_mle", spy)
+        code, _ = run_cli(capsys, "analyze-iv", "--data", str(path), "--bootstrap", "100",
+                          *extra)
+        assert code == 0
+        assert tables == [1, 100]
+
+
+class TestSeedOption:
+    """--seed belongs to the commands that draw random numbers."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--p1", "0.5,0.5", "--p0", "0.5,0.5"],
+        ["construct", "--p1", "0.5,0.5", "--p0", "0.5,0.5", "--target", "tau_max"],
+        ["oracle", "--p1", "0.5,0.5", "--p0", "0.5,0.5", "--objective", "tau"],
+    ], ids=["bounds", "construct", "oracle"])
+    def test_rejected_without_random_draws(self, capsys, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--seed", "1"])
+        assert err.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -534,8 +534,16 @@ class TestEstimatorOptions:
         ("adjusted", {"trim": 0.1}),
         ("complier", {"strata": "model"}),
         ("complier_adjusted", {"trim": 0.1}),
+        # the full-sample fit takes these, the bootstrap does not
+        ("complier", {"max_iter": 5}),
+        ("complier_adjusted", {"tol": 1e-3}),
     ])
-    def test_unknown_option_raises(self, estimator, options):
+    def test_unknown_option_raises(self, monkeypatch, estimator, options):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        monkeypatch.setitem(inference._ESTIMATORS, estimator,
+                            (fit, inference._ESTIMATORS[estimator][1]))
         recs = covariate_records(36)
         with pytest.raises(TypeError):
             bootstrap_replicates(recs, estimator=estimator, n_boot=100, **options)
@@ -547,3 +555,47 @@ class TestEstimatorOptions:
         a = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=3, trim=0.01)
         b = bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=3, trim=0.3)
         assert a.n_failed < b.n_failed
+
+
+class TestArmRedraws:
+    """The randomized and complier bootstraps redraw each arm's counts with
+    two multinomial calls on one stream, the treated arm first."""
+
+    @pytest.mark.parametrize("J", [None, 5])
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_randomized_rows(self, J, seed):
+        from ordbounds.bounds import bound_rows
+
+        recs = covariate_records(43, n=120)
+        y1 = np.array([r.y for r in recs if r.z == 1])
+        y0 = np.array([r.y for r in recs if r.z == 0])
+        f1 = np.bincount(y1, minlength=J or 3) / len(y1)
+        f0 = np.bincount(y0, minlength=J or 3) / len(y0)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        p1 = rng.multinomial(len(y1), f1, size=100) / len(y1)
+        p0 = rng.multinomial(len(y0), f0, size=100) / len(y0)
+        reps = bootstrap_replicates(recs, n_boot=100, seed=seed, J=J)
+        assert np.array_equal(reps.rows, bound_rows(p1, p0))
+
+    @pytest.mark.parametrize("seed", [0, 14])
+    def test_complier_stack(self, monkeypatch, seed):
+        recs = iv_records(44, n=400)
+        cols = unit_columns(recs)
+        J = cols.J
+        counts = np.zeros((2, 2, J))
+        np.add.at(counts, (cols.z, cols.d, cols.y), 1)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        n1, n0 = counts[1].sum(), counts[0].sum()
+        draws1 = rng.multinomial(int(n1), counts[1].ravel() / n1, size=100)
+        draws0 = rng.multinomial(int(n0), counts[0].ravel() / n0, size=100)
+        want = np.stack([draws0, draws1], axis=1).reshape(100, 2, 2, J)
+        stacks = []
+        mle = inference.complier_mle
+
+        def spy(counts, **options):
+            stacks.append(counts)
+            return mle(counts, **options)
+
+        monkeypatch.setattr(inference, "complier_mle", spy)
+        bootstrap_replicates(recs, estimator="complier", n_boot=100, seed=seed)
+        assert len(stacks) == 1 and np.array_equal(stacks[0], want)
