@@ -10,10 +10,10 @@ the complier outcomes).
 This demo runs small desk-scale versions (the full replication lives in the
 acceptance test suite) and prints the usual bias / coverage summary rows.
 
-Run:  python3 demos/06_monte_carlo_studies.py        (about a minute)
+Run:  python3 demos/06_monte_carlo_studies.py        (a few seconds)
 """
 
-from ordbounds import StudySpec, run_study, study1_truth, study2_truth
+from ordbounds import StudySpec, run_study, study1_truth, study2_truth_quadrature
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     print()
 
     print("study 2: noncompliance with covariates, n=1000, case 2")
-    truth = study2_truth(2, n_draws=2_000_000, seed=0)
+    truth = study2_truth_quadrature(2)
     print(f"  true tau_c={truth['tau_c']:.3f}  unadjusted bounds "
           f"[{truth['tau_c_L']:.3f}, {truth['tau_c_U']:.3f}]  adjusted "
           f"[{truth['tau_c_L_adj']:.3f}, {truth['tau_c_U_adj']:.3f}]")

@@ -8,6 +8,8 @@ from ordbounds import (
     generate_study2,
     run_study,
     study1_truth,
+    study2_truth,
+    study2_truth_quadrature,
 )
 from ordbounds import simulation
 from ordbounds.exceptions import EmptyArm, OddN, ReplicateFailure
@@ -175,3 +177,89 @@ class TestStudy2Models:
         # d = 1 under z = 1 for c and a, under z = 0 for a only
         assert abs(z0.mean() - pi[1]) < 0.02
         assert abs(z1.mean() - pi[0] - pi[1]) < 0.02
+
+
+# the printed true values of study 2 (tau_c, tau_c_L, tau_c_U, tau_c_L_adj,
+# tau_c_U_adj), as in the acceptance suite
+STUDY2_PRINTED_TRUTH = {
+    1: (0.686, 0.488, 0.970, 0.503, 0.772),
+    2: (0.770, 0.553, 1.000, 0.563, 0.935),
+    3: (0.856, 0.622, 1.000, 0.622, 1.000),
+    4: (0.782, 0.590, 1.000, 0.602, 0.846),
+    5: (0.738, 0.542, 1.000, 0.556, 0.817),
+    6: (0.686, 0.488, 0.970, 0.503, 0.772),
+}
+CASES = range(1, 7)
+
+
+def gauss_legendre_truth(case, panels):
+    """The quadrature truth on a composite 20-point rule with the given
+    number of panels over [-12, 12], built here from numpy's nodes."""
+    t, v = np.polynomial.legendre.leggauss(20)
+    h = 24.0 / panels
+    x1 = (-12.0 + h * (np.arange(panels)[:, None] + 0.5) + h / 2 * t).ravel()
+    w = np.tile(h / 2 * v, panels) * np.exp(-x1 ** 2 / 2) / np.sqrt(2 * np.pi)
+    X = np.column_stack([np.concatenate([x1, x1]), np.repeat([0.0, 1.0], len(x1))])
+    weights = np.concatenate([w, w]) / 2
+    c1, c0 = simulation._complier_models(case)
+    return simulation._truth_summary(simulation._truth_sums(c1, c0, X, weights), weights.sum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStudy2Truth:
+    @pytest.mark.parametrize("bad", [0, 7, -1])
+    def test_bad_case_raises(self, bad):
+        with pytest.raises(ValueError, match="case must be 1..6"):
+            study2_truth(bad, n_draws=10)
+        with pytest.raises(ValueError, match="case must be 1..6"):
+            study2_truth_quadrature(bad)
+        with pytest.raises(ValueError, match="case must be 1..6"):
+            generate_study2(bad, 10, seed=0)
+
+    @pytest.mark.parametrize("n_draws", [0, -5])
+    def test_bad_draw_count_raises(self, n_draws):
+        with pytest.raises(ValueError, match="n_draws"):
+            study2_truth(1, n_draws=n_draws)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rule_matches_a_finer_rule(self, case):
+        q = study2_truth_quadrature(case)
+        fine = gauss_legendre_truth(case, 20 * simulation._QUAD_PANELS)
+        assert q.keys() == fine.keys()
+        for key in q:
+            assert q[key] == pytest.approx(fine[key], abs=1e-6), key
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_monte_carlo(self, case):
+        q = study2_truth_quadrature(case)
+        mc = study2_truth(case, n_draws=200_000, seed=0)
+        assert list(q) == list(mc)
+        for key in q:
+            assert type(q[key]) is float
+            assert q[key] == pytest.approx(mc[key], abs=5e-3), key
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_printed_truth(self, case):
+        q = study2_truth_quadrature(case)
+        got = (q["tau_c"], q["tau_c_L"], q["tau_c_U"], q["tau_c_L_adj"], q["tau_c_U_adj"])
+        for g, want in zip(got, STUDY2_PRINTED_TRUTH[case]):
+            assert abs(g - want) <= 0.005, (case, got)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bounds_nest(self, case):
+        q = study2_truth_quadrature(case)
+        for e in ("tau", "eta"):
+            chain = [q[f"{e}_c_L"], q[f"{e}_c_L_adj"], q[f"{e}_c"], q[f"{e}_c_U_adj"], q[f"{e}_c_U"]]
+            assert all(a <= b + 1e-12 for a, b in zip(chain, chain[1:])), (e, chain)
+        if case == 3:   # the complier outcomes do not depend on x
+            for key in ("tau_c_L", "tau_c_U", "eta_c_L", "eta_c_U"):
+                assert q[key + "_adj"] == pytest.approx(q[key], abs=1e-12)
+
+    def test_run_study_uses_the_quadrature(self, monkeypatch):
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("run_study drew a Monte Carlo truth")
+
+        monkeypatch.setattr(simulation, "study2_truth", no_monte_carlo)
+        res = run_study(StudySpec(study=2, case_id=4, n_units=2000, n_reps=2, n_boot=100))
+        assert res.truth == study2_truth_quadrature(4)
+        assert res.n_failed == 0
