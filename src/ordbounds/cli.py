@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -110,6 +111,13 @@ def _report_payload(report) -> dict:
 _parse_rows = functools.partial(np.loadtxt, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
+def _numbered_lines(body, first):
+    """The non-blank lines of body, split as a file opened with newline="",
+    each with its line number counted from first."""
+    return [(n, line) for n, line in enumerate(io.StringIO(body, newline=""), first)
+            if line.strip("\r\n")]
+
+
 def _read_unit_csv(path: str, J: int | None):
     """The validated UnitColumns of a unit-data CSV and the names of its
     covariate columns."""
@@ -125,16 +133,20 @@ def _read_unit_csv(path: str, J: int | None):
         repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
         if repeated:
             raise OrdBoundsError(f"{path}: column {repeated[0]!r} appears more than once")
-        lines = [(n, line) for n, line in enumerate(f, reader.line_num + 1) if line.strip("\r\n")]
-    if not lines:   # before the parse, which warns on no input
+        first, body = reader.line_num + 1, f.read()
+    if not body.strip("\r\n"):   # before the parse, which warns on no input
         raise OrdBoundsError(f"{path}: no data rows")
+    # an unclosed quote runs on into the next lines, so quoted text is parsed line by line
+    lines = _numbered_lines(body, first) if '"' in body else None
     try:
-        table = _parse_rows([line for _, line in lines])
+        table = _parse_rows(io.StringIO(body, newline="") if lines is None
+                            else [line for _, line in lines])
     except ValueError:
         table = None
-    if table is None or table.shape != (len(lines), len(cols)):
-        # the first bad line by the same parse; an unclosed quote runs on into the next lines
-        for num, line in lines:
+    if (table is None or table.shape[1] != len(cols)
+            or lines is not None and len(table) != len(lines)):
+        # the first bad line by the same parse
+        for num, line in lines or _numbered_lines(body, first):
             k = None   # the field being parsed, once the line has the header's width
             try:
                 fields = _parse_rows([line], dtype=str)[0].tolist()

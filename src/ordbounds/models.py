@@ -14,13 +14,18 @@ Conventions
   logit's through the (alpha_0, log-gap) chain rule).
 * Optimization is one Newton-Raphson with step-halving over a (B, p) stack
   of parameter rows, each fitted under its own row of data weights (a
-  bootstrap resample is a row of counts on the original units).  Every row
-  converges when its gradient sup-norm is below 1e-8 within 200 iterations
-  and otherwise gets a per-row status (NonConvergence or
-  SeparationDetected) instead of stopping the stack.  fit_logit,
-  fit_cumulative_logit and fit_multinomial_logit are the one-row case and
-  raise that status; fit_logit_rows and fit_cumulative_logit_rows return
-  it.  Intercept-only fits use the closed forms directly.
+  bootstrap resample is a row of counts on the original units, a covariate
+  EM M-step a row of posteriors).  Every row converges when its gradient
+  sup-norm is below 1e-8 within 200 iterations and otherwise gets a per-row
+  status (NonConvergence or SeparationDetected) instead of stopping the
+  stack.  fit_logit, fit_cumulative_logit and fit_multinomial_logit are the
+  one-row case and raise that status; fit_logit_rows,
+  fit_cumulative_logit_rows and fit_multinomial_logit_rows return it.  The
+  last two take start rows (an earlier fit's parameters) in place of the
+  default start.  Intercept-only fits use the closed forms directly.
+* Where a row's Hessian is singular or not finite (a unit's probability at
+  the 1e-300 floor), Newton takes the scaled gradient instead; units of
+  weight 0 add exactly 0 to every derivative.
 """
 
 from __future__ import annotations
@@ -78,8 +83,13 @@ def _weights(weights, n):
     return w
 
 
+def _full_rank(M):
+    """Whether the design matrix M has full column rank."""
+    return not M.shape[1] or np.linalg.matrix_rank(M) == M.shape[1]
+
+
 def _check_rank(M):
-    if M.shape[1] and np.linalg.matrix_rank(M) < M.shape[1]:
+    if not _full_rank(M):
         raise RankDeficient("design matrix is rank deficient")
 
 
@@ -158,8 +168,13 @@ def _gram(c, M):
 
 def _ascent_direction(grad, hess):
     """Newton direction of each row; the gradient scaled to sup-norm <= 1
-    where the Hessian is singular or the Newton step does not ascend."""
-    A = hess - 1e-10 * np.eye(grad.shape[1])
+    where the Hessian is not finite or singular or the Newton step does not
+    ascend."""
+    eye = np.eye(grad.shape[1])
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    if not finite.all():   # solved against -I, then given the gradient below
+        hess = np.where(finite[:, None, None], hess, -eye)
+    A = hess - 1e-10 * eye
     try:
         step = np.linalg.solve(A, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:   # some row is singular: solve row by row
@@ -170,6 +185,7 @@ def _ascent_direction(grad, hess):
             except np.linalg.LinAlgError:
                 pass
     direction = -step
+    direction[~finite] = 0.0   # a zero step falls back to the gradient
     back = (grad * direction).sum(axis=1) <= 0
     g = grad[back]
     direction[back] = g / np.maximum(np.abs(g).max(axis=1), 1.0)[:, None]
@@ -262,6 +278,11 @@ def _cumlogit_derivs(theta, y, X, w, J):
     derivatives in (eta_hi, eta_lo) are carried to (alpha, beta) by one-hot
     indicators and then to (a0, log-gaps) by alpha = A (a0, gaps); the
     curvature of the exp in the gaps adds the gap gradient to the diagonal.
+
+    A zero-weight unit adds exactly 0.  Where a weighted unit's probability
+    sits at the 1e-300 floor its squared score overflows, and the row's
+    Hessian holds inf or nan without a warning (_ascent_direction then takes
+    the gradient).
     """
     k = len(theta)
     n = len(y)
@@ -279,31 +300,32 @@ def _cumlogit_derivs(theta, y, X, w, J):
     ll = (a * np.log(p)).sum(axis=1)
 
     f_hi, f_lo = F_hi * (1.0 - F_hi), F_lo * (1.0 - F_lo)      # 0 without the cutpoint
-    g_hi, g_lo = f_hi / p, -f_lo / p                           # d log p / d eta
-    # d f / d eta = f (1 - 2F)
-    h_hi = a * (f_hi * (1.0 - 2.0 * F_hi) / p - g_hi * g_hi)
-    h_lo = a * (-f_lo * (1.0 - 2.0 * F_lo) / p - g_lo * g_lo)
-    h_x = a * (-g_hi * g_lo)
-    g_hi, g_lo = a * g_hi, a * g_lo
-
-    grad_cut = g_hi @ Yhi + g_lo @ Ylo
-    H_cc = np.zeros((k, J - 1, J - 1))
-    i = np.arange(J - 1)
-    H_cc[:, i, i] = h_hi @ Yhi + h_lo @ Ylo
-    off = (h_x @ Yhi)[:, 1:]                                   # alpha_m with alpha_{m-1}
-    H_cc[:, i[1:], i[:-1]] = off
-    H_cc[:, i[:-1], i[1:]] = off
-    H_cb = (Yhi.T * (h_hi + h_x)[:, None, :]) @ X + (Ylo.T * (h_lo + h_x)[:, None, :]) @ X
-    H_bb = _gram(h_hi + 2.0 * h_x + h_lo, X)
-
+    weighted = a > 0
+    g_hi = np.where(weighted, f_hi / p, 0.0)                   # d log p / d eta
+    g_lo = np.where(weighted, -f_lo / p, 0.0)
+    ag_hi, ag_lo = a * g_hi, a * g_lo
     # alpha_m = a0 + sum_{r <= m} gap_r
     A = np.tril(np.ones((J - 1, J - 1))) * np.hstack([np.ones((k, 1)), gaps])[:, None, :]
     At = A.transpose(0, 2, 1)
-    grad_t = (At @ grad_cut[:, :, None])[:, :, 0]
-    H_tt = At @ H_cc @ A
-    H_tt[:, i[1:], i[1:]] += grad_t[:, 1:]
-    H_tb = At @ H_cb
-    grad = np.hstack([grad_t, (g_hi + g_lo) @ X])
+    grad_t = (At @ (ag_hi @ Yhi + ag_lo @ Ylo)[:, :, None])[:, :, 0]
+    grad = np.hstack([grad_t, (ag_hi + ag_lo) @ X])
+
+    with np.errstate(over="ignore", invalid="ignore"):        # g * g at the floor
+        # d f / d eta = f (1 - 2F)
+        h_hi = a * (f_hi * (1.0 - 2.0 * F_hi) / p - g_hi * g_hi)
+        h_lo = a * (-f_lo * (1.0 - 2.0 * F_lo) / p - g_lo * g_lo)
+        h_x = a * (-g_hi * g_lo)
+        H_cc = np.zeros((k, J - 1, J - 1))
+        i = np.arange(J - 1)
+        H_cc[:, i, i] = h_hi @ Yhi + h_lo @ Ylo
+        off = (h_x @ Yhi)[:, 1:]                               # alpha_m with alpha_{m-1}
+        H_cc[:, i[1:], i[:-1]] = off
+        H_cc[:, i[:-1], i[1:]] = off
+        H_cb = (Yhi.T * (h_hi + h_x)[:, None, :]) @ X + (Ylo.T * (h_lo + h_x)[:, None, :]) @ X
+        H_bb = _gram(h_hi + 2.0 * h_x + h_lo, X)
+        H_tt = At @ H_cc @ A
+        H_tt[:, i[1:], i[1:]] += grad_t[:, 1:]
+        H_tb = At @ H_cb
     hess = np.concatenate([np.concatenate([H_tt, H_tb], axis=2),
                            np.concatenate([H_tb.transpose(0, 2, 1), H_bb], axis=2)], axis=1)
     return ll, grad, hess
@@ -315,23 +337,28 @@ def _cumlogit_loglik_grad(theta, y, X, w, J):
     return float(ll[0]), grad[0]
 
 
-def fit_cumulative_logit_rows(y, X, W, J):
+def fit_cumulative_logit_rows(y, X, W, J, start=None):
     """Proportional-odds MLE for each weight row of W (B, n) on one data set:
     cutpoints (B, J-1), slopes (B, d) and the per-row failures of _newton.
 
-    Every y must be below J; the caller checks categories and rank.  Without
-    covariates the closed form is returned.
+    Newton starts from start, a (cutpoints, slopes) pair of (B, J-1) and
+    (B, d) rows such as an earlier fit returned, and by default from the
+    weighted cumulative frequencies and zero slopes.  Every y must be below
+    J; the caller checks categories and rank.  Without covariates the closed
+    form is returned.
     """
-    cum = W @ (y[:, None] <= np.arange(J - 1)) / W.sum(axis=1, keepdims=True)
-    cum = np.clip(cum, 1e-9, 1 - 1e-9)
-    tied = (np.diff(cum, axis=1) <= 0).any(axis=1)  # ties from empty categories
-    cum[tied] = np.maximum.accumulate(cum[tied] + 1e-10 * np.arange(J - 1), axis=1)
-    cuts = _logit(cum)
     d = X.shape[1]
+    if start is None or d == 0:
+        cum = W @ (y[:, None] <= np.arange(J - 1)) / W.sum(axis=1, keepdims=True)
+        cum = np.clip(cum, 1e-9, 1 - 1e-9)
+        tied = (np.diff(cum, axis=1) <= 0).any(axis=1)  # ties from empty categories
+        cum[tied] = np.maximum.accumulate(cum[tied] + 1e-10 * np.arange(J - 1), axis=1)
+        cuts, slope = _logit(cum), np.zeros((len(W), d))
+    else:
+        cuts, slope = start
     if d == 0:
-        return cuts, np.empty((len(W), 0)), np.full(len(W), None, dtype=object)
-    theta = np.hstack([cuts[:, :1], np.log(np.maximum(np.diff(cuts, axis=1), 1e-6)),
-                       np.zeros((len(W), d))])
+        return cuts, slope, np.full(len(W), None, dtype=object)
+    theta = np.hstack([cuts[:, :1], np.log(np.maximum(np.diff(cuts, axis=1), 1e-6)), slope])
     theta, error = _newton(lambda t, rows: _cumlogit_derivs(t, y, X, W[rows], J), theta,
                            cap_slice=slice(J - 1, None))
     return _cumlogit_cuts(theta, J)[0], theta[:, J - 1 :], error
@@ -439,6 +466,25 @@ def _mnlogit_loglik_grad(theta, gidx, M, w, G):
     return float(ll[0]), grad[0]
 
 
+def fit_multinomial_logit_rows(gidx, M, W, G, start=None):
+    """Multinomial-logit MLE for each weight row of W (B, n) on the labels
+    gidx (indices into G classes, 0 the reference) and the design M
+    (intercept column first): coefficient rows (B, (G-1) q), holding classes
+    1..G-1 in turn, and the per-row failures of _newton.
+
+    Newton starts from the rows of start, by default from zeros.  The caller
+    checks labels and rank.  With the intercept column alone the closed form,
+    the log ratios of the class shares (floored at 1e-12), is returned.
+    """
+    if M.shape[1] == 1:
+        shares = np.stack([W[:, gidx == c].sum(axis=1) for c in range(G)], axis=1)
+        shares = np.clip(shares / W.sum(axis=1, keepdims=True), 1e-12, None)
+        return np.log(shares[:, 1:] / shares[:, :1]), np.full(len(W), None, dtype=object)
+    if start is None:
+        start = np.zeros((len(W), (G - 1) * M.shape[1]))
+    return _newton(lambda t, rows: _mnlogit_derivs(t, gidx, M, W[rows], G), start)
+
+
 def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialLogitModel:
     """Multinomial-logit MLE; the first entry of ``classes`` is the reference
     class whose coefficients are fixed at zero."""
@@ -458,17 +504,14 @@ def fit_multinomial_logit(g, X=None, weights=None, classes=None) -> MultinomialL
     except KeyError as e:
         raise ValueError(f"label {e.args[0]!r} not in classes {classes}") from None
 
-    if X.shape[1] == 0:
-        shares = np.array([w[gidx == i].sum() for i in range(G)]) / w.sum()
-        shares = np.clip(shares, 1e-12, None)
-        coef = tuple((float(np.log(shares[i] / shares[0])),) for i in range(1, G))
-        return MultinomialLogitModel(classes, coef)
-
     M = np.hstack([np.ones((n, 1)), X])
     _check_rank(M)
-    W = w[None]
-    theta, error = _newton(lambda t, rows: _mnlogit_derivs(t, gidx, M, W[rows], G),
-                           np.zeros((1, (G - 1) * M.shape[1])))
+    theta, error = fit_multinomial_logit_rows(gidx, M, w[None], G)
     _raise_failure(error)
-    B = theta[0].reshape(G - 1, M.shape[1])
-    return MultinomialLogitModel(classes, tuple(tuple(row) for row in B))
+    return _mnlogit_model(classes, theta[0])
+
+
+def _mnlogit_model(classes, theta) -> MultinomialLogitModel:
+    """The model of one coefficient row of fit_multinomial_logit_rows."""
+    B = theta.reshape(len(classes) - 1, -1)
+    return MultinomialLogitModel(tuple(classes), tuple(tuple(float(v) for v in row) for row in B))

@@ -14,7 +14,10 @@ the tables at that finite-sample boundary, batched over a stack of count
 tables (complier_mle).  With covariates (multinomial logit for the stratum,
 proportional odds for the outcomes) the MLE is always fitted by EM, whose
 E-step posteriors are one (n, G) matrix over the strata each (z, d) cell
-admits; an outcome fit that fails falls back to an intercept-only model.
+admits.  Each M-step is two stacked Newton fits, one for the stratum model
+and one for the four outcome models, started from the previous iterate's
+parameters; a fit whose warm start fails is refitted cold, and an outcome
+fit that still fails falls back to an intercept-only model.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .exceptions import (
     DefiersObserved,
     DegenerateInit,
     EmptyArm,
-    FitError,
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
@@ -41,10 +43,12 @@ from .models import (
     CumulativeLogitModel,
     MultinomialLogitModel,
     _check_rank,
+    _full_rank,
     _logit,
+    _mnlogit_model,
     _raise_failure,
     fit_cumulative_logit_rows,
-    fit_multinomial_logit,
+    fit_multinomial_logit_rows,
 )
 
 
@@ -432,13 +436,21 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     A unit admits compliers where z = d, always-takers where d = 1 (standard
     monotonicity only) and never-takers where d = 0: the mask allowed.  The
     E-step normalises each unit's admitted joint terms pi_g(x) p_g(y | x)
-    into its posterior row; the M-step fits the stratum model on the (unit,
-    stratum) entries and each outcome model on its stratum's units, weighted
-    by the posteriors.  The observed-data log-likelihood, the sum of the logs
-    of the row sums, is non-decreasing across iterations (each M-step
-    maximizes the weighted fits to convergence).  Each fit's joint terms
-    serve both its log-likelihood and the next E-step; the first E-step uses
-    those of init or of the covariate-free fit.
+    into its posterior row.  The M-step is two stacked Newton fits: the
+    stratum model on the admitted (unit, stratum) pairs, and every outcome
+    model at once on all units, one weight row per model (its stratum's
+    posteriors on its units, 0 elsewhere).  The observed-data log-likelihood,
+    the sum of the logs of the row sums, is non-decreasing across iterations
+    (each M-step maximizes the weighted fits to convergence).  Each fit's
+    joint terms serve both its log-likelihood and the next E-step; the first
+    E-step uses those of init or of the covariate-free fit.
+
+    The first M-step starts every fit cold, as a fit on its own would; later
+    ones start from the previous iterate's parameters.  A fit whose warm
+    start fails is refitted cold; an outcome fit that still fails, or whose
+    weights leave fewer than two categories or whose units' design is rank
+    deficient, becomes an intercept-only model, and a stratum fit that still
+    fails raises.
     """
     cols = unit_columns(records)
     J = _checked_cells(cols, monotonicity, J).shape[-1]
@@ -464,16 +476,33 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
         terms = np.column_stack([t[g] for g in classes])
     joint = terms * allowed
 
+    # the stratum fit's (unit, stratum) pairs and design
+    M = np.hstack([np.ones((len(y), 1)), X])
+    _check_rank(M)
+    pair_i, pair_g = np.nonzero(allowed)
+    M = M[pair_i]
+    # the fitted outcome models: stratum columns and unit masks (k, n)
+    names = [name for name, (s, _) in outcomes.items() if s in classes]
+    strata = [classes.index(outcomes[name][0]) for name in names]
+    units = np.array([outcomes[name][1] for name in names])
+    full_rank = [_full_rank(X[u]) for u in units]
+
     trace = []
+    g_theta = outcome_start = None
     for it_num in range(1, max_iter + 1):
         post = joint / np.maximum(joint.sum(axis=1, keepdims=True), 1e-300)
-        i, g = np.nonzero(post > 1e-12)
-        g_model = fit_multinomial_logit(np.array(classes)[g], X[i], weights=post[i, g],
-                                        classes=classes)
-        models = {name: _safe_cumlogit(y[u], X[u], post[u, classes.index(s)], J)
-                  if s in classes else None for name, (s, u) in outcomes.items()}
-        fit = CovariateStrataFit(g_model=g_model, **models, loglik=np.nan, n_iter=it_num,
-                                 loglik_trace=trace)
+        W = np.where(post > 1e-12, post, 0.0)[pair_i, pair_g][None]
+        warm = g_theta
+        g_theta, error = fit_multinomial_logit_rows(pair_g, M, W, len(classes), warm)
+        if warm is not None and error[0] is not None:
+            g_theta, error = fit_multinomial_logit_rows(pair_g, M, W, len(classes))
+        _raise_failure(error)
+        models, outcome_start = _safe_cumlogit_rows(y, X, post[:, strata].T * units, units, J,
+                                                    full_rank, outcome_start)
+        fitted = dict.fromkeys(outcomes)   # a_model stays None under strong monotonicity
+        fitted.update(zip(names, models))
+        fit = CovariateStrataFit(g_model=_mnlogit_model(classes, g_theta[0]), **fitted,
+                                 loglik=np.nan, n_iter=it_num, loglik_trace=trace)
         joint = _strata_terms(fit, X, y, z, classes) * allowed
         fit.loglik = float(np.log(np.maximum(joint.sum(axis=1), 1e-300)).sum())
         trace.append(fit.loglik)
@@ -482,20 +511,40 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     raise NonConvergence(f"covariate EM did not converge in {max_iter} iterations")
 
 
-def _safe_cumlogit(y, X, w, J):
-    """Weighted J-category proportional-odds fit tolerant of degenerate
-    weights: a near-degenerate intercept-only model where the weights leave
-    fewer than two categories or the fit fails."""
-    if w.sum() <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
-        return _intercept_only(np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J),
-                               X.shape[1])
-    try:
-        _check_rank(X)
-        cut, slope, error = fit_cumulative_logit_rows(y, X, w[None], J)
-        _raise_failure(error)
-        return CumulativeLogitModel(tuple(cut[0]), tuple(slope[0]))
-    except FitError:
-        return _intercept_only(np.bincount(y, weights=w, minlength=J) + 1e-9, X.shape[1])
+def _safe_cumlogit_rows(y, X, W, units, J, full_rank, start=None):
+    """Weighted J-category proportional-odds fits of the weight rows W (k, n),
+    each row zero outside its units (its row of the mask units), tolerant of
+    degenerate weights.
+
+    The rows whose weights leave two categories and whose units' design has
+    full rank (full_rank, one flag per row) are fitted in one stack from
+    start, a (cutpoints, slopes) pair as returned; a row whose warm start
+    fails is refitted from the cold start.  Every other row, and a row whose
+    fit still fails, gets a near-degenerate intercept-only model.
+
+    Returns the k models and their (cutpoints, slopes) rows.
+    """
+    k, d = len(W), X.shape[1]
+    cut, slope = np.empty((k, J - 1)), np.zeros((k, d))
+    seen = (W > 1e-12) @ (y[:, None] == np.arange(J))
+    valid = (W.sum(axis=1) > 1e-10) & (seen.sum(axis=1) >= 2)
+    fitted = valid & np.asarray(full_rank, dtype=bool)
+    rows = np.flatnonzero(fitted)
+    if rows.size:
+        warm = None if start is None else (start[0][rows], start[1][rows])
+        cut[rows], slope[rows], error = fit_cumulative_logit_rows(y, X, W[rows], J, warm)
+        bad = np.array([e is not None for e in error], dtype=bool)
+        if warm is not None and bad.any():
+            cut[rows[bad]], slope[rows[bad]], error[bad] = fit_cumulative_logit_rows(
+                y, X, W[rows[bad]], J)
+        fitted[rows] = [e is None for e in error]
+    for r in np.flatnonzero(~fitted):
+        w = W[r, units[r]]
+        counts = (np.bincount(y[units[r]], weights=w, minlength=J) + 1e-9 if valid[r]
+                  else np.bincount(y[units[r]], weights=np.maximum(w, 1e-12), minlength=J))
+        cut[r], slope[r] = _intercept_only(counts, d).cutpoints, 0.0
+    models = [CumulativeLogitModel(tuple(c), tuple(b)) for c, b in zip(cut, slope)]
+    return models, (cut, slope)
 
 
 def _intercept_only(counts, n_slopes):

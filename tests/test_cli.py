@@ -204,6 +204,15 @@ class TestAnalyze:
         assert code == 2
         assert f"{path}:{line}: bad row" in err
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_bad_row_line_counts_every_line_ending(self, capsys, tmp_path, end):
+        path = tmp_path / "ends.csv"
+        rows = ["z,y,x", "1,0,0.5", "", "0,1,0.25", "1,1,n/a", "0,0,1", ""]
+        path.write_bytes(end.join(rows).encode())
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path))
+        assert code == 2
+        assert f"{path}:5: bad row" in err and "column 'x'" in err
+
     def test_header_only_exits_2_without_warning(self, capsys, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("z,y,x\n\n")
@@ -301,6 +310,20 @@ class TestAnalyzeBootstrap:
                                 "--strata", "discrete", "--bootstrap", "100", "--seed", "3")
         assert code == 3
         assert "ReplicateFailure" in err
+
+    def test_separated_model_resamples_exit_3_without_warnings(self, capsys, tmp_path):
+        # most resamples of these 16 units separate; some put a unit's outcome
+        # probability at the 1e-300 floor, where its squared score overflows
+        path = tmp_path / "units.csv"
+        path.write_text('z,d,y,x\n1,1,2,"0.5"\n\n1,1,1,-0.2\n1,1,2,1.1\n1,1,0,-0.7\n1,1,1,0.3\n'
+                        "1,0,0,-1.0\n1,0,1,0.8\n1,1,2,0.1\n0,0,0,0.4\n0,0,1,-0.5\n0,0,0,0.9\n"
+                        "0,1,2,-0.1\n0,0,1,0.2\n0,0,2,-0.9\n0,0,0,0.6\n0,1,1,-0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = run_cli_err(capsys, "analyze", "--data", str(path), "--design",
+                                    "adjusted", "--strata", "model", "--bootstrap", "100")
+        assert code == 3
+        assert err.startswith("error: ReplicateFailure")
 
 
 class TestAnalyzeIV:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ordbounds.exceptions import (
     TooFewCategories,
 )
 from ordbounds.models import (
+    _ascent_direction,
     _cumlogit_derivs,
     _cumlogit_loglik_grad,
     _logit_derivs,
@@ -24,6 +27,8 @@ from ordbounds.models import (
     _mnlogit_derivs,
     _mnlogit_loglik_grad,
     _sigmoid,
+    fit_cumulative_logit_rows,
+    fit_multinomial_logit_rows,
 )
 
 
@@ -144,6 +149,87 @@ class TestHessians:
         M = np.hstack([np.ones((n, 1)), rng.normal(size=(n, q - 1))])
         check_hessian(lambda t, w: _mnlogit_derivs(t, gidx, M, w, G),
                       rng.normal(size=(4, (G - 1) * q)), weight_rows(rng, n, np.arange(5)))
+
+
+class TestStartRows:
+    """A start only moves where Newton begins: every row of a warm-started
+    stack ends at its own cold one-row fit."""
+
+    def test_cumulative_rows_reproduce_cold_fits(self):
+        rng = np.random.default_rng(61)
+        n, J = 300, 4
+        X = rng.normal(size=(n, 2))
+        y = np.minimum((X @ [1.0, -0.5] + rng.logistic(size=n) + 2).astype(int).clip(0), J - 1)
+        W = rng.uniform(0.1, 2.0, size=(3, n))
+        W[1, :100] = 0.0
+        cold = [fit_cumulative_logit(y, X, weights=w) for w in W]
+        # started near the fit, as the covariate EM's M-steps are (the stop rule
+        # bounds the gradient, so a far start can end ~1e-8 away)
+        start = (np.array([m.cutpoints for m in cold]) + rng.normal(scale=0.05, size=(3, 1)),
+                 np.array([m.slope for m in cold]) + rng.normal(scale=0.05, size=(3, 2)))
+        cut, slope, error = fit_cumulative_logit_rows(y, X, W, J, start)
+        assert all(e is None for e in error)
+        assert np.abs(cut - [m.cutpoints for m in cold]).max() <= 1e-8
+        assert np.abs(slope - [m.slope for m in cold]).max() <= 1e-8
+
+    def test_multinomial_rows_reproduce_cold_fits(self):
+        rng = np.random.default_rng(62)
+        n, G = 300, 3
+        X = rng.normal(size=(n, 2))
+        M = np.hstack([np.ones((n, 1)), X])
+        gidx = rng.integers(0, G, size=n)
+        W = rng.uniform(0.1, 2.0, size=(3, n))
+        W[2, 50:120] = 0.0
+        cold = [np.ravel(fit_multinomial_logit(gidx, X, weights=w, classes=(0, 1, 2)).coef)
+                for w in W]
+        # started near the fit, as the covariate EM's M-steps are (the stop rule
+        # bounds the gradient, so a far start can end ~1e-8 away)
+        start = np.array(cold) + rng.normal(scale=0.05, size=(3, 6))
+        theta, error = fit_multinomial_logit_rows(gidx, M, W, G, start)
+        assert all(e is None for e in error)
+        assert np.abs(theta - cold).max() <= 1e-8
+
+
+class TestProbabilityFloor:
+    """Units whose outcome probability sits at the 1e-300 floor."""
+
+    # a log-gap of -800 merges the two cutpoints, so category 1 has probability
+    # 0 (floored at 1e-300) while F(1 - F) = 1/4 at x = 0: its score is ~1e299
+    THETA = np.array([[0.0, -800.0, 1.0]])
+
+    def test_zero_weight_units_add_exactly_zero(self):
+        rng = np.random.default_rng(63)
+        X = rng.normal(size=(40, 1))
+        y = 2 * rng.integers(0, 2, size=40)   # categories 0 and 2 only
+        w = rng.uniform(0.5, 1.5, size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cumlogit_derivs(self.THETA, np.r_[y, 1, 1], np.vstack([X, [[0.0], [0.1]]]),
+                                   np.r_[w, 0.0, 0.0][None], 3)
+        want = _cumlogit_derivs(self.THETA, y, X, w[None], 3)
+        for g, v in zip(got, want):
+            assert np.isfinite(g).all()
+            assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
+
+    def test_weighted_unit_at_the_floor_gives_a_gradient_step(self):
+        X = np.array([[0.0], [0.5], [-0.5], [1.0]])
+        y = np.array([1, 0, 2, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, grad, hess = _cumlogit_derivs(self.THETA, y, X, np.ones((1, 4)), 3)
+            direction = _ascent_direction(grad, hess)
+        assert not np.isfinite(hess).all() and np.isfinite(grad).all()
+        assert np.allclose(direction, grad / max(np.abs(grad).max(), 1.0))
+
+    def test_ascent_direction_per_row(self):
+        # a score at the floor can make the gradient itself huge
+        grad = np.array([[1e200, -2e200], [0.5, 0.25]])
+        hess = np.array([[[np.inf, 0.0], [0.0, -1.0]], [[-2.0, 0.0], [0.0, -1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direction = _ascent_direction(grad, hess)
+        assert np.allclose(direction[0], [0.5, -1.0])        # the scaled gradient
+        assert np.allclose(direction[1], [0.25, 0.25], atol=1e-9)   # the Newton step
 
 
 class TestFitFailures:

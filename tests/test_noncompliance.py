@@ -21,16 +21,27 @@ from ordbounds.distributions import unit_columns
 from ordbounds.exceptions import (
     DefiersObserved,
     EmptyArm,
+    FitError,
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
     OutOfRangeOutcome,
 )
+from ordbounds import models, noncompliance
+from ordbounds.models import (
+    CumulativeLogitModel,
+    _check_rank,
+    _raise_failure,
+    fit_cumulative_logit_rows,
+    fit_multinomial_logit,
+)
 from ordbounds.noncompliance import (
+    CovariateStrataFit,
     _cells,
     _em_from_counts,
     _intercept_only,
-    _safe_cumlogit,
+    _safe_cumlogit_rows,
+    _strata_terms,
     complier_mle,
     em_loglik,
 )
@@ -481,6 +492,120 @@ class TestCovariateEM:
         assert np.allclose(fit.pi(X).sum(axis=1), 1)
 
 
+def cold_cumlogit(y, X, w, J):
+    """One outcome model's M-step fit from the default start, on its own
+    units: intercept-only where the weights leave fewer than two categories,
+    the design is rank deficient or the fit fails."""
+    if w.sum() <= 1e-10 or len(np.unique(y[w > 1e-12])) < 2:
+        return _intercept_only(np.bincount(y, weights=np.maximum(w, 1e-12), minlength=J),
+                               X.shape[1])
+    try:
+        _check_rank(X)
+        cut, slope, error = fit_cumulative_logit_rows(y, X, w[None], J)
+        _raise_failure(error)
+        return CumulativeLogitModel(tuple(cut[0]), tuple(slope[0]))
+    except FitError:
+        return _intercept_only(np.bincount(y, weights=w, minlength=J) + 1e-9, X.shape[1])
+
+
+def reference_em(records, monotonicity="standard", max_iter=500, tol=1e-7):
+    """Covariate EM with cold-start, per-model M-steps: every iteration fits
+    the stratum model on the (unit, stratum) pairs whose posterior exceeds
+    1e-12 and each outcome model on its own units, each fit from its default
+    start.  The reference for em_fit_with_covariates's stacked, warm-started
+    M-steps."""
+    cols = unit_columns(records)
+    z, y, d, X = cols
+    J = cols.J
+    classes = ("c", "a", "n") if monotonicity == "standard" else ("c", "n")
+    admits = {"c": z == d, "a": d == 1, "n": d == 0}
+    allowed = np.column_stack([admits[g] for g in classes])
+    outcomes = {"a_model": ("a", admits["a"]), "n_model": ("n", admits["n"]),
+                "c_treated_model": ("c", admits["c"] & (z == 1)),
+                "c_control_model": ("c", admits["c"] & (z == 0))}
+    flat = em_fit(cols, monotonicity=monotonicity)
+    a, n, c1, c0 = (m.as_array()[y] for m in (flat.a_marginal, flat.n_marginal,
+                                              flat.c_treated, flat.c_control))
+    t = {"c": flat.pi_c * np.where(z == 1, c1, c0), "a": flat.pi_a * a, "n": flat.pi_n * n}
+    joint = np.column_stack([t[g] for g in classes]) * allowed
+    trace = []
+    for it_num in range(1, max_iter + 1):
+        post = joint / np.maximum(joint.sum(axis=1, keepdims=True), 1e-300)
+        i, g = np.nonzero(post > 1e-12)
+        g_model = fit_multinomial_logit(np.array(classes)[g], X[i], weights=post[i, g],
+                                        classes=classes)
+        fitted = {name: cold_cumlogit(y[u], X[u], post[u, classes.index(s)], J)
+                  if s in classes else None for name, (s, u) in outcomes.items()}
+        fit = CovariateStrataFit(g_model=g_model, **fitted, loglik=np.nan, n_iter=it_num,
+                                 loglik_trace=trace)
+        joint = _strata_terms(fit, X, y, z, classes) * allowed
+        fit.loglik = float(np.log(np.maximum(joint.sum(axis=1), 1e-300)).sum())
+        trace.append(fit.loglik)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+            return fit
+    raise NonConvergence(f"covariate EM did not converge in {max_iter} iterations")
+
+
+def study2_sample(s, monotonicity):
+    """Seeded study-2 draw s: x1 alone for odd s, and without the z=0, d=1
+    units under strong monotonicity."""
+    recs = generate_study2(1 + s % 6, (400, 600, 1000)[s % 3], seed=s)
+    if s % 2:
+        recs = [replace(r, x=r.x[:1]) for r in recs]
+    if monotonicity == "strong":
+        recs = [r for r in recs if not (r.z == 0 and r.d == 1)]
+    return recs
+
+
+def report_row(fit, records):
+    rep = fit.complier_report(unit_columns(records).x)
+    return np.array([rep.tau_L, rep.tau_I, rep.tau_U, rep.eta_L, rep.eta_I, rep.eta_U])
+
+
+# on this draw EM drives the treated compliers' x2 slope out along a nearly
+# flat ray (past -17), where a Newton stop at gradient 1e-8 leaves the slope
+# poorly determined (see TestWarmStartedMSteps.test_quasi_separated_m_step)
+QUASI_SEPARATED = (0, "standard")
+
+
+class TestWarmStartedMSteps:
+    @pytest.mark.parametrize("mode", ["standard", "strong"])
+    @pytest.mark.parametrize("s", range(6))
+    def test_matches_cold_start_reference(self, s, mode):
+        recs = study2_sample(s, mode)
+        fit = em_fit_with_covariates(recs, monotonicity=mode)
+        ref = reference_em(recs, mode)
+        assert (np.diff(fit.loglik_trace) >= 0).all()
+        assert fit.loglik >= ref.loglik - 1e-9
+        if (s, mode) != QUASI_SEPARATED:
+            assert fit.n_iter == ref.n_iter
+            assert np.abs(report_row(fit, recs) - report_row(ref, recs)).max() <= 1e-7
+
+    def test_quasi_separated_m_step(self, monkeypatch):
+        """At the 50th M-step of the quasi-separated draw the warm start ends
+        nearer the weighted MLE than the cold start does."""
+        seen = []
+        rows = noncompliance._safe_cumlogit_rows
+
+        def spy(y, X, W, units, J, full_rank, start=None):
+            seen.append((y, X, W.copy(), J, start))
+            return rows(y, X, W, units, J, full_rank, start)
+
+        monkeypatch.setattr(noncompliance, "_safe_cumlogit_rows", spy)
+        em_fit_with_covariates(study2_sample(*QUASI_SEPARATED))
+        y, X, W, J, (cut, slope) = seen[49]
+        w, start = W[2:3], (cut[2:3], slope[2:3])   # the treated compliers' row
+        cold = fit_cumulative_logit_rows(y, X, w, J)
+        warm = fit_cumulative_logit_rows(y, X, w, J, start)
+        monkeypatch.setattr(models, "GRAD_TOL", 1e-13)
+        precise = fit_cumulative_logit_rows(y, X, w, J, warm[:2])
+        assert all(fit[2][0] is None for fit in (cold, warm, precise))
+        slope_x2 = [fit[1][0, 1] for fit in (cold, warm, precise)]
+        assert slope_x2[2] < -16
+        # cold 0.0065 short of the MLE, warm 0.0012
+        assert abs(slope_x2[1] - slope_x2[2]) < 0.5 * abs(slope_x2[0] - slope_x2[2])
+
+
 def four_cell_loglik(fit, records):
     """Observed-data log-likelihood of a covariate strata fit, summed cell by
     cell: always-takers (z=0, d=1), never-takers (z=1, d=0) and the mixed
@@ -519,7 +644,7 @@ class TestSafeCumlogit:
         y_zero = np.where(np.arange(60) < 5, 3, y)   # top category at weight 0 only
         w_zero = np.where(np.arange(60) < 5, 0.0, w)
         for yy, ww in ((y, w), (y_zero, w_zero)):
-            model = _safe_cumlogit(yy, X, ww, 4)
+            model = _safe_cumlogit_rows(yy, X, ww[None], np.ones((1, 60), bool), 4, [True])[0][0]
             assert model.J == 4 and model.slope[0] != 0   # a fit, not the fallback
             p = model.predict_proba(X)
             assert np.isfinite(p).all() and np.abs(p.sum(axis=1) - 1).max() <= 1e-12
