@@ -8,8 +8,11 @@ Two layers:
   variants b, c, d are its transpose, transposed reversal and reversal;
 * extremal couplings: joint distributions with the given treated/control
   margins attaining each sharp bound of tau and eta, plus the independent
-  (outer-product) coupling.  The eta targets are tau constructions of the
-  swapped margins, whose deltas are the negated deltas of the pair.
+  (outer-product) coupling.  One block construction, the tau_min one, which
+  splits at the construction index j2, serves all four bounds: tau_max is
+  the tau_min construction of the shifted pair (Y(0), Y(1) + 1), which
+  splits at j1, and the eta targets are tau constructions of the swapped
+  margins, whose deltas are the negated deltas of the pair.
 
 The dominance checks and the construction indices read the tail sums of
 distributions._tail_sums, the kernel behind the bounds.  All routines work
@@ -146,26 +149,6 @@ def _product_fill(r, c, zero):
     return [[_clamp(rk * cl / m) for cl in c] for rk in r]
 
 
-def _tau_max_matrix(p1, p0, deltas, J, zero):
-    j1, _ = construction_indices(p0, deltas)
-    if j1 == 0:
-        # stochastic dominance: a single lower triangular allocation works
-        return triangular_transport(p1, p0, "a").matrix
-    P = [[zero] * J for _ in range(J)]
-    tl = triangular_transport(p1[:j1], p0[:j1], "a").matrix
-    br = triangular_transport(p1[j1:], p0[j1:], "c").matrix
-    for k in range(j1):
-        P[k][:j1] = tl[k]
-    for k in range(J - j1):
-        P[j1 + k][j1:] = br[k]
-    r = [p1[k] - sum(P[k][:j1]) for k in range(j1)]
-    c = [p0[l] - sum(P[k][l] for k in range(j1, J)) for l in range(j1, J)]
-    tr = _product_fill(r, c, zero)
-    for k in range(j1):
-        P[k][j1:] = tr[k]
-    return P
-
-
 def _tau_min_matrix(p1, p0, deltas, J, zero):
     _, j2 = construction_indices(p0, deltas)
     P = [[zero] * J for _ in range(J)]
@@ -186,9 +169,14 @@ def _tau_min_matrix(p1, p0, deltas, J, zero):
 def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
     """Joint distribution with the given margins attaining the named bound.
 
-    target is one of tau_min, tau_max, eta_min, eta_max, independent.  The eta
-    targets are obtained from the tau constructions by switching the treatment
-    and control labels, which negates the deltas, and transposing.
+    target is one of tau_min, tau_max, eta_min, eta_max, independent.  One
+    block construction, the tau_min one, serves all four bounds.  Y(1) >= Y(0)
+    fails exactly when Y(0) >= Y(1) + 1, so max pr{Y(1) >= Y(0)} = 1 -
+    min pr{Y(0) >= Y(1) + 1}: tau_max is the tau_min construction Q of the
+    pair (Y(0), Y(1) + 1) over J + 1 categories, whose deltas are 0 and then
+    -(p0[j] + delta_j), read back as P[k][l] = Q[l][k + 1].  The eta targets
+    are the tau constructions of the swapped margins, whose deltas are the
+    negated deltas, transposed.
     """
     p1 = list(m.treated.probs)
     p0 = list(m.control.probs)
@@ -197,14 +185,18 @@ def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
     if target == "independent":
         mat = [[p1[k] * p0[l] for l in range(J)] for k in range(J)]
         return JointDistribution(tuple(tuple(r) for r in mat))
-    build = {"tau_max": _tau_max_matrix, "tau_min": _tau_min_matrix,
-             "eta_max": _tau_min_matrix, "eta_min": _tau_max_matrix}
-    if target not in build:
+    if target not in ("tau_min", "tau_max", "eta_min", "eta_max"):
         raise ValueError(f"unknown target {target!r}")
-    d = _deltas(*_arrays(p1, p0))
-    if target.startswith("tau"):
-        mat = build[target](p1, p0, d.tolist(), J, zero)
+    d = _deltas(*_arrays(p1, p0)).tolist()
+    if target.startswith("eta"):   # the swapped pair's deltas are -d
+        p1, p0, d = p0, p1, [-v for v in d]
+    if target in ("tau_min", "eta_max"):
+        mat = _tau_min_matrix(p1, p0, d, J, zero)
     else:
-        mat = _transpose(build[target](p0, p1, (-d).tolist(), J, zero))
+        shifted = [zero] + [-(p + dj) for p, dj in zip(p0, d)]
+        Q = _tau_min_matrix(p0 + [zero], [zero] + p1, shifted, J + 1, zero)
+        mat = [[Q[l][k + 1] for l in range(J)] for k in range(J)]
+    if target.startswith("eta"):
+        mat = _transpose(mat)
     mat = [[_clamp(v) for v in row] for row in mat]
     return JointDistribution(tuple(tuple(r) for r in mat))

@@ -161,9 +161,6 @@ class JointDistribution:
     def exact(self) -> bool:
         return _is_exact([v for r in self.matrix for v in r])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in r] for r in self.matrix])
-
     def row_margin(self) -> MarginalDistribution:
         return self._margin(self.matrix)
 

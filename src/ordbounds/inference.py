@@ -52,6 +52,7 @@ from .models import (
 )
 from .noncompliance import (
     _checked_cells,
+    _strata_params,
     complier_bounds,
     complier_mle,
     em_fit,
@@ -131,10 +132,8 @@ def _complier(cols, mle, n_boot, seed, J, monotonicity="standard"):
     replicates; all replicates go through complier_mle at once."""
     point = _report_row(complier_bounds(mle).complier)
     stack = _arm_redraws(_checked_cells(cols, monotonicity, J), n_boot, seed).astype(float)
-    init = (np.array([mle.pi_a, mle.pi_c, mle.pi_n]), mle.a_marginal.as_array(),
-            mle.n_marginal.as_array(), mle.c_treated.as_array(), mle.c_control.as_array())
     # near-boundary resamples can need many cheap iterations
-    boot = complier_mle(stack, init=init, max_iter=20000)
+    boot = complier_mle(stack, init=_strata_params(mle), max_iter=20000)
     ok = boot.converged
     failures = tuple((int(i), "NonConvergence") for i in np.flatnonzero(~ok))
     return point, bound_rows(boot.c1[ok], boot.c0[ok]), failures
@@ -322,14 +321,14 @@ def _adjusted(cols, est, n_boot, seed, J, strata="discrete"):
     return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, Jr, make(cols, Jr))
 
 
-def _complier_adjusted(cols, fit, n_boot, seed, J, monotonicity="standard", init=None):
+def _complier_adjusted(cols, fit, n_boot, seed, J, monotonicity="standard"):
     """The covariate complier estimator refits covariate EM per replicate."""
     point = _report_row(fit.complier_report(cols.x))
     rows, failures = [], []
     for r, idx in enumerate(_index_stack(cols, "stratified", n_boot, seed)):
         sample = _take(cols, idx)
         try:
-            refit = em_fit_with_covariates(sample, monotonicity=monotonicity, init=init, J=J)
+            refit = em_fit_with_covariates(sample, monotonicity=monotonicity, J=J)
             rows.append(_report_row(refit.complier_report(sample.x)))
         except OrdBoundsError as e:
             failures.append((r, type(e).__name__))
@@ -365,11 +364,11 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
 
     estimator is "randomized", "ipw", "adjusted", "complier" or
     "complier_adjusted"; options go to the estimator (propensity and trim
-    for ipw, strata for adjusted, monotonicity for the complier estimators,
-    init for complier_adjusted); TypeError, before anything is fitted, for an
-    option the estimator does not take.  The full sample is fitted once, by
-    the estimator's public function; a failure there raises, and a replicate
-    failure is counted in n_failed and named in failures.
+    for ipw, strata for adjusted, monotonicity for the complier estimators);
+    TypeError, before anything is fitted, for an option the estimator does
+    not take.  The full sample is fitted once, by the estimator's public
+    function; a failure there raises, and a replicate failure is counted in
+    n_failed and named in failures.
     """
     fit, _ = _estimator(estimator, n_boot, options)
     cols = unit_columns(records)

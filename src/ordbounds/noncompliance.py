@@ -202,6 +202,12 @@ def _strata_model(pi, a, n, c1, c0, negative_cells_clipped=False) -> StrataModel
     )
 
 
+def _strata_params(s: StrataModel):
+    """The float arrays (pi, a, n, c1, c0) of s; the inverse of _strata_model."""
+    return (np.array([s.pi_a, s.pi_c, s.pi_n], dtype=float),
+            *(m.as_array() for m in (s.a_marginal, s.n_marginal, s.c_treated, s.c_control)))
+
+
 def moment_identify(records, monotonicity: str = "standard", J: int | None = None) -> StrataModel:
     """Method-of-moments strata identification.
 
@@ -322,11 +328,10 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     """
     counts = _checked_cells(unit_columns(records), monotonicity, J)
     if init is not None:
-        pi = np.array([init.pi_a, init.pi_c, init.pi_n], dtype=float)
+        init = _strata_params(init)
+        pi = init[0]
         if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
             raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
-        init = (pi, init.a_marginal.as_array(), init.n_marginal.as_array(),
-                init.c_treated.as_array(), init.c_control.as_array())
     fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
     if not fit.converged[0]:
         raise NonConvergence(f"EM did not converge in {max_iter} iterations")
@@ -469,10 +474,8 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
         terms = _strata_terms(init, X, y, z, classes)
     else:
         # warm start from the covariate-free fit
-        flat = em_fit(cols, monotonicity=monotonicity, J=J)
-        a, n, c1, c0 = (m.as_array()[y] for m in (flat.a_marginal, flat.n_marginal,
-                                                  flat.c_treated, flat.c_control))
-        t = {"c": flat.pi_c * np.where(z == 1, c1, c0), "a": flat.pi_a * a, "n": flat.pi_n * n}
+        pi, a, n, c1, c0 = _strata_params(em_fit(cols, monotonicity=monotonicity, J=J))
+        t = {"c": pi[1] * np.where(z == 1, c1[y], c0[y]), "a": pi[0] * a[y], "n": pi[2] * n[y]}
         terms = np.column_stack([t[g] for g in classes])
     joint = terms * allowed
 

@@ -13,8 +13,15 @@ from ordbounds import (
     tau_bounds,
 )
 from ordbounds.bounds import construction_indices
-from ordbounds.coupling import _check_tail_dominance, _clamp
-from ordbounds.distributions import MarginalDistribution, MarginalPair, _is_exact, delta_effects
+from ordbounds.coupling import _check_tail_dominance, _clamp, _product_fill
+from ordbounds.distributions import (
+    MarginalDistribution,
+    MarginalPair,
+    _arrays,
+    _deltas,
+    _is_exact,
+    delta_effects,
+)
 from ordbounds.exceptions import DominanceViolated, LengthMismatch
 
 from conftest import frac_pair, random_pair
@@ -401,3 +408,81 @@ class TestEtaFromNegatedDeltas:
                         want = tuple(zip(*extremal_coupling(sw, tau).matrix))
                         assert got == want
                         assert types(got) == types(want)
+
+
+def ref_tau_max(p1, p0):
+    """The tau_max construction that the shifted-pair reading replaced: split
+    at j1, a lower triangular allocation above the split, a reversed one
+    below and a rank-one fill of the top-right block; one lower triangular
+    allocation under stochastic dominance (j1 = 0)."""
+    J = len(p1)
+    zero = 0 if _is_exact(p1) and _is_exact(p0) else 0.0
+    j1, _ = construction_indices(p0, _deltas(*_arrays(p1, p0)).tolist())
+    if j1 == 0:
+        P = [list(r) for r in triangular_transport(p1, p0, "a").matrix]
+    else:
+        P = [[zero] * J for _ in range(J)]
+        tl = triangular_transport(p1[:j1], p0[:j1], "a").matrix
+        br = triangular_transport(p1[j1:], p0[j1:], "c").matrix
+        for k in range(j1):
+            P[k][:j1] = tl[k]
+        for k in range(J - j1):
+            P[j1 + k][j1:] = br[k]
+        r = [p1[k] - sum(P[k][:j1]) for k in range(j1)]
+        c = [p0[l] - sum(P[k][l] for k in range(j1, J)) for l in range(j1, J)]
+        tr = _product_fill(r, c, zero)
+        for k in range(j1):
+            P[k][j1:] = tr[k]
+    return tuple(tuple(_clamp(v) for v in row) for row in P)
+
+
+class TestTauMaxFromShiftedPair:
+    """tau_max is the tau_min construction of (Y(0), Y(1) + 1), and eta_min
+    that of the swapped pair: the matrices of the dedicated split-at-j1
+    construction, equal as Fractions on exact input and within 1e-15 on float
+    input."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            for J in range(2, 13):
+                for kind in ("dense", "sparse", "tied"):
+                    a, b = draw(rng, J, kind), draw(rng, J, kind)
+                    yield a, b
+                    yield shifted_up(rng, a), a   # the treated arm dominates
+                    yield a, shifted_up(rng, a)   # the control arm dominates
+
+    @staticmethod
+    def both(m):
+        p1, p0 = list(m.treated.probs), list(m.control.probs)
+        return ((extremal_coupling(m, "tau_max").matrix, ref_tau_max(p1, p0)),
+                (extremal_coupling(m, "eta_min").matrix, tuple(zip(*ref_tau_max(p0, p1)))))
+
+    def test_exact_pairs_equal_reference(self):
+        splits = set()
+        for a, b in self.pairs(47):
+            m = MarginalPair(MarginalDistribution(a), MarginalDistribution(b))
+            splits.add(construction_indices(b, delta_effects(m).deltas)[0] == 0)
+            for got, want in self.both(m):
+                assert got == want
+        assert splits == {True, False}
+
+    def test_float_pairs_within_1e15(self):
+        for a, b in self.pairs(48):
+            m = MarginalPair(MarginalDistribution([float(v) for v in a]),
+                             MarginalDistribution([float(v) for v in b]))
+            for got, want in self.both(m):
+                got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+                assert np.abs(got - want).max() <= 1e-15
+
+    def test_shifted_deltas_and_split(self):
+        # the deltas of (p0 + [0], [0] + p1) are 0 and then -(p0[j] + delta_j),
+        # and that pair's lower-bound split is the upper-bound split j1
+        for a, b in self.pairs(49):
+            d = _deltas(*_arrays(a, b)).tolist()
+            shifted = [0] + [-(p + dj) for p, dj in zip(b, d)]
+            want = _deltas(*_arrays(b + [0], [0] + a)).tolist()
+            assert shifted == want
+            assert (construction_indices([0] + a, shifted)[1]
+                    == construction_indices(b, d)[0])

@@ -537,6 +537,7 @@ class TestEstimatorOptions:
         # the full-sample fit takes these, the bootstrap does not
         ("complier", {"max_iter": 5}),
         ("complier_adjusted", {"tol": 1e-3}),
+        ("complier_adjusted", {"init": None}),
     ])
     def test_unknown_option_raises(self, monkeypatch, estimator, options):
         def fit(*args, **kwargs):
