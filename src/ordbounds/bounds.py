@@ -10,8 +10,11 @@ independent potential outcomes, tau_I = sum_k p1[k] F0[k] and
 eta_I = sum_k p1[k] (F0[k] - p0[k]), F0 the control CDF.
 
 One kernel, bound_rows, computes these six numbers (columns COLUMNS) for
-stacked marginal pairs of shape (..., J); exact marginals (Fraction or int)
-go through it as object arrays and come back exact.  One function,
+stacked marginal pairs of shape (..., J).  Exact marginals (object arrays of
+Fractions or ints) go through the same kernel as Python-int numerators over
+one common denominator D, with 1 written as D: the deltas and the four bound
+columns come out over D, tau_I and eta_I over D^2, and each becomes a
+Fraction once, at the end.  One function,
 weighted_report, makes every BoundsReport: a weighted average of kernel rows
 (covariate strata or model rows; one row of weight 1 in full_report) plus the
 deltas, dominance and construction indices of the pooled marginals.  It flags
@@ -23,12 +26,14 @@ that tests check the gap rule against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .distributions import DeltaVector, MarginalPair, _arrays, _deltas
+from .distributions import DeltaVector, MarginalPair, _arrays, _common_denominator, _deltas
 
 COLUMNS = ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U")
+_over = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -52,20 +57,27 @@ def bound_rows(p1, p0) -> np.ndarray:
     p1, p0 = np.asarray(p1), np.asarray(p0)
     dtype = np.result_type(p1, p0)
     p1, p0 = p1.astype(dtype, copy=False), p0.astype(dtype, copy=False)
+    one = 1
+    if dtype == object:   # exact: numerators over D, and one is D
+        nums, one = _common_denominator(np.concatenate((p1.ravel(), p0.ravel())).tolist())
+        nums = np.array(nums, dtype=object)
+        p1, p0 = nums[:p1.size].reshape(p1.shape), nums[p1.size:].reshape(p0.shape)
     # filled column by column, with d and F0 never alive together, so a large
     # stack needs about one (..., J) temporary beyond its inputs
     d = _deltas(p1, p0)
     rows = np.empty(d.shape[:-1] + (len(COLUMNS),), dtype=dtype)
     rows[..., 0] = (p0 + d).max(axis=-1)
-    rows[..., 2] = 1 + d.min(axis=-1)
+    rows[..., 2] = one + d.min(axis=-1)
     rows[..., 3] = d.max(axis=-1)
     d -= p1
-    rows[..., 5] = 1 + d.min(axis=-1)
+    rows[..., 5] = one + d.min(axis=-1)
     del d
     F0 = np.cumsum(p0, axis=-1)
     rows[..., 1] = (p1 * F0).sum(axis=-1)
     F0 -= p0
     rows[..., 4] = (p1 * F0).sum(axis=-1)
+    if dtype == object:
+        return _over(rows, np.array([one, one * one, one, one, one * one, one], dtype=object))
     return _clipped(rows)
 
 

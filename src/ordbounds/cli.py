@@ -20,7 +20,12 @@ non-finite covariate) or a repeated column name exits 2 naming its column.
 The file is parsed as one table into the validated columns
 (distributions.UnitColumns) that every command works on.
 
-Exit codes: 0 success, 2 input or validation error, 3 numerical failure.
+An oracle objective CSV holds one row of J comma-separated coefficients per
+outcome of Y(1): integer and a/b cells are read exactly, other cells as
+floats, and the optimum is exact when the margins and every cell are.
+
+Exit codes: 0 success, 2 input or validation error (a rejected command line
+too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -314,10 +319,24 @@ def _load_objective(spec: str, J: int):
         return LinearObjective(tuple(tuple(1 for _ in range(J)) for _ in range(J)))
     try:
         with open(spec) as f:
-            rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+            rows = [[_objective_cell(v) for v in line.split(",")] for line in f if line.strip()]
     except OSError as e:
         raise OrdBoundsError(f"cannot read objective {spec!r}: {e}") from None
     return LinearObjective(tuple(tuple(r) for r in rows))
+
+
+def _objective_cell(text: str):
+    """An objective CSV cell: int for an integer, Fraction for a/b, float
+    otherwise, so that an objective of integers and a/b cells stays exact."""
+    if "/" in text:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as e:
+            raise OrdBoundsError(f"objective cell {text.strip()!r}: {e}") from None
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def cmd_oracle(args):
@@ -422,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:   # argparse's exit: 2 for a rejected argv, 0 for --help
+        return e.code
     try:
         args.func(args)
     except _NUMERICAL_ERRORS as e:

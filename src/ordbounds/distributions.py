@@ -3,7 +3,12 @@
 All types are immutable and support two arithmetic modes:
 
 * exact mode -- entries are ``fractions.Fraction`` (or int); validation and
-  all derived quantities are exact;
+  all derived quantities are exact.  Validation, the margins of a joint
+  distribution and estimands_of_joint work on Python-int numerators over one
+  common denominator D, the lcm of the entries' denominators
+  (_common_denominator), and make Fractions once, at the end: a vector sums
+  to one when its numerators sum to D, and an entry is negative when its
+  numerator is;
 * float mode -- entries are finite floats; sum-to-one is checked within 1e-9
   and nonnegativity with slack 1e-12.
 
@@ -20,6 +25,7 @@ which convert records with unit_columns once; _checked_columns validates it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,19 +51,37 @@ def _is_exact(values) -> bool:
     return all(isinstance(v, (Fraction, int, np.integer)) for v in values)
 
 
+def _common_denominator(values):
+    """Exact values (Fraction or int) as Python-int numerators over one common
+    denominator D, the lcm of their denominators: (numerators, D)."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:   # numpy integers have no as_integer_ratio
+        ratios = [(int(v.numerator), int(v.denominator)) for v in values]
+    D = math.lcm(*[d for _, d in ratios])
+    return [n * (D // d) for n, d in ratios], D
+
+
 def _check_probs(values, what: str):
     """Nonnegativity and sum-to-one checks shared by marginal and joint types."""
     exact = _is_exact(values)
+    if exact:
+        nums, D = _common_denominator(values)
+        for v, n in zip(values, nums):
+            if n < 0:
+                raise NegativeEntry(f"{what} has negative entry {v}")
+        total = sum(nums)
+        if total != D:
+            raise SumNotOne(f"{what} sums to {Fraction(total, D)}, "
+                            f"deviation {Fraction(total - D, D)}")
+        return exact
     for v in values:
-        if v < (0 if exact else -NEG_TOL):
+        if v < -NEG_TOL:
             raise NegativeEntry(f"{what} has negative entry {v}")
     total = sum(values)
-    if exact:
-        if total != 1:
-            raise SumNotOne(f"{what} sums to {total}, deviation {total - 1}")
-    elif not math.isfinite(total):   # a NaN entry passes every comparison above
+    if not math.isfinite(total):   # a NaN entry passes every comparison above
         raise ValidationError(f"{what} has a non-finite entry: sum {total}")
-    elif abs(total - 1.0) > SUM_TOL:
+    if abs(total - 1.0) > SUM_TOL:
         raise SumNotOne(f"{what} sums to {total}, deviation {total - 1.0}")
     return exact
 
@@ -157,20 +181,33 @@ class JointDistribution:
     def J(self) -> int:
         return len(self.matrix)
 
-    @property
+    @functools.cached_property
     def exact(self) -> bool:
         return _is_exact([v for r in self.matrix for v in r])
 
+    @functools.cached_property
+    def _numerators(self):
+        """Exact matrix as rows of integer numerators over one common
+        denominator D: (rows, D)."""
+        nums, D = _common_denominator([v for r in self.matrix for v in r])
+        return [nums[k * self.J:(k + 1) * self.J] for k in range(self.J)], D
+
     def row_margin(self) -> MarginalDistribution:
-        return self._margin(self.matrix)
+        return self._margin(False)
 
     def col_margin(self) -> MarginalDistribution:
-        return self._margin(zip(*self.matrix))
+        return self._margin(True)
 
-    def _margin(self, lines) -> MarginalDistribution:
-        """The sums of lines (rows or columns), float ones clamped at 0."""
-        clamp = (lambda v: v) if self.exact else (lambda v: max(v, 0.0))
-        return MarginalDistribution(tuple(clamp(sum(r)) for r in lines))
+    def _margin(self, columns: bool) -> MarginalDistribution:
+        """The row or column sums: exact ones from the numerators over D,
+        float ones clamped at 0."""
+        if self.exact:
+            rows, D = self._numerators
+            sums = (Fraction(sum(r), D) for r in (zip(*rows) if columns else rows))
+        else:
+            rows = self.matrix
+            sums = (max(sum(r), 0.0) for r in (zip(*rows) if columns else rows))
+        return MarginalDistribution(tuple(sums))
 
     def margins(self) -> MarginalPair:
         return MarginalPair(self.row_margin(), self.col_margin())
@@ -223,6 +260,11 @@ def estimands_of_joint(P: JointDistribution):
 
     tau = pr{Y(1) >= Y(0)}, eta = pr{Y(1) > Y(0)}, alpha = tau + eta - 1.
     """
+    if P.exact:
+        rows, D = P._numerators
+        eta = sum(v for k, r in enumerate(rows) for v in r[:k])
+        tau = eta + sum(r[k] for k, r in enumerate(rows))
+        return Fraction(tau, D), Fraction(eta, D), Fraction(tau + eta - D, D)
     tau = sum(P.matrix[k][l] for k in range(P.J) for l in range(P.J) if k >= l)
     eta = sum(P.matrix[k][l] for k in range(P.J) for l in range(P.J) if k > l)
     return tau, eta, tau + eta - 1

@@ -13,10 +13,16 @@ cycle that the entering cell closes in the tree.  Bland's rule (the first
 cell in row-major order with negative reduced cost enters; the smallest cell
 among the tied decreasing cells leaves) keeps the highly degenerate polytope
 from cycling.  Exact and float inputs share this one code path and differ
-only in the number type: Fractions with pricing tolerance 0 when the
-marginals and objective are exact, floats otherwise, priced with tolerance
-1e-12 times the largest |c_kl| so that the stopping rule does not depend on
-the objective's scale.
+only in the number type.  Exact margins and objective run on Python ints:
+the flows are the margins times D, the lcm of the margins' denominators, and
+the costs are the coefficients times Dc, the lcm of the objective's, priced
+with tolerance 0.  Integer supplies and demands keep every basic solution
+integral, because the transportation matrix is totally unimodular (Dantzig
+1963, Linear Programming and Extensions, ch. 14), and integer costs keep the
+potentials integral; the optimum is returned as the Fraction value/(D Dc)
+and the matrix as Fractions flow/D.  Float inputs run on floats, priced with
+tolerance 1e-12 times the largest |c_kl| so that the stopping rule does not
+depend on the objective's scale.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import JointDistribution, MarginalPair, _is_exact
+from .distributions import JointDistribution, MarginalPair, _common_denominator, _is_exact
 from .exceptions import DimensionMismatch, ValidationError
 
 _PIVOT_TOL = 1e-12
@@ -139,23 +145,29 @@ def optimize(m: MarginalPair, obj: LinearObjective, sense: str = "max"):
     """Optimum of sum c_kl p_kl over couplings of the given margins.
 
     Returns (value, argmatrix) where argmatrix is an optimal vertex as a
-    JointDistribution.
+    JointDistribution; both are exact Fractions when the margins and every
+    coefficient are exact.
     """
     if obj.J != m.J:
         raise DimensionMismatch(f"objective is {obj.J}x{obj.J} but marginals have J={m.J}")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     J = m.J
-    exact = m.exact and _is_exact([v for r in obj.coeffs for v in r])
-    num = Fraction if exact else float
-    zero = num(0)
-    cvals = [[num(v) for v in r] for r in obj.coeffs]
-    tol = 0 if exact else _PIVOT_TOL * max(abs(v) for r in cvals for v in r)
+    coeffs = [v for r in obj.coeffs for v in r]
+    margins = [*m.treated.probs, *m.control.probs]
+    exact = m.exact and _is_exact(coeffs)
+    if exact:
+        coeffs, Dc = _common_denominator(coeffs)
+        margins, D = _common_denominator(margins)
+        zero, tol = 0, 0
+    else:
+        coeffs, margins = [float(v) for v in coeffs], [float(v) for v in margins]
+        zero, tol = 0.0, _PIVOT_TOL * max(abs(v) for v in coeffs)
+    cvals = [coeffs[k * J:(k + 1) * J] for k in range(J)]
     flip = -1 if sense == "max" else 1
     c = [[flip * v for v in r] for r in cvals]
 
-    flow = _northwest_basis([num(v) for v in m.treated.probs],
-                            [num(v) for v in m.control.probs], J, zero)
+    flow = _northwest_basis(margins[:J], margins[J:], J, zero)
     while True:
         parent, up, depth, order = _tree(flow, J)
         pot = _potentials(c, parent, up, order, zero)
@@ -177,7 +189,10 @@ def optimize(m: MarginalPair, obj: LinearObjective, sense: str = "max"):
 
     x = [[flow.get((k, l), zero) for l in range(J)] for k in range(J)]
     value = sum(cvals[k][l] * x[k][l] for k in range(J) for l in range(J))
-    if not exact:
+    if exact:   # back from numerators over D and D Dc
+        value = Fraction(value, D * Dc)
+        x = [[Fraction(v, D) for v in r] for r in x]
+    else:
         x = [[0.0 if -1e-10 < v < 0 else v for v in r] for r in x]
     return value, JointDistribution(tuple(tuple(r) for r in x))
 

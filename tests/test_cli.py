@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import ordbounds
 from ordbounds import bootstrap_bounds_ci
 from ordbounds.cli import _read_unit_csv, build_parser, main
-from ordbounds.distributions import unit_columns
+from ordbounds.distributions import MarginalDistribution, MarginalPair, unit_columns
 from ordbounds.estimation import UnitRecord
 
 
@@ -111,11 +112,13 @@ class TestConstruct:
         assert lines[1].startswith("y1=0,0.25,0.25")
 
     def test_bad_target_exits_2(self, capsys):
-        # argparse validates the --target choices itself
-        with pytest.raises(SystemExit) as err:
-            main(["construct", "--p1", "0.5,0.5", "--p0", "0.5,0.5",
-                  "--target", "tau_mid"])
-        assert err.value.code == 2
+        # argparse validates the --target choices itself; main returns its code
+        code = main(["construct", "--p1", "0.5,0.5", "--p0", "0.5,0.5",
+                     "--target", "tau_mid"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "argument --target: invalid choice: 'tau_mid'" in captured.err
 
 
 class TestAnalyze:
@@ -490,6 +493,46 @@ class TestOracle:
         )
         assert json.loads(out1)["tau"] == pytest.approx(json.loads(out2)["value"])
 
+    def test_integer_csv_objective_equals_named(self, capsys, tmp_path):
+        # an integer CSV copy of the tau indicator gives --objective tau's output
+        path = tmp_path / "tau.csv"
+        path.write_text("1,0,0\n1,1,0\n1,1,1\n")
+        margins = ["--p1", "1/5,3/5,1/5", "--p0", "2/5,1/5,2/5"]
+        outs = [run_cli(capsys, "oracle", *margins, "--objective", spec, "--sense", sense)
+                for sense in ("min", "max") for spec in (str(path), "tau")]
+        assert all(code == 0 for code, _ in outs)
+        for (_, from_csv), (_, named) in zip(outs[0::2], outs[1::2]):
+            got, want = json.loads(from_csv), json.loads(named)
+            assert (got.pop("objective"), want.pop("objective")) == (str(path), "tau")
+            assert got == want
+        assert [json.loads(out)["value"] for _, out in outs[1::2]] == [0.4, 0.8]
+
+    def test_csv_objective_cells(self, tmp_path):
+        from ordbounds.cli import _load_objective
+        from ordbounds.lp_oracle import optimize
+
+        path = tmp_path / "half.csv"
+        path.write_text("1/2,0,-1\n 2 ,0.5,0\n0,0,1e0\n")
+        obj = _load_objective(str(path), 3)
+        assert obj.coeffs == ((Fraction(1, 2), 0, -1), (2, 0.5, 0), (0, 0, 1.0))
+        assert [type(v) for v in obj.coeffs[0] + obj.coeffs[1][:1]] == [Fraction, int, int, int]
+        # integer and a/b cells only: the optimum is exact
+        path.write_text("1/2,0,-1\n2,1/3,0\n0,0,1\n")
+        m = MarginalPair(MarginalDistribution((Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))),
+                         MarginalDistribution((Fraction(2, 5), Fraction(1, 5), Fraction(2, 5))))
+        value, _ = optimize(m, _load_objective(str(path), 3), "min")
+        assert type(value) is Fraction
+        assert value == Fraction(1, 6)
+
+    def test_zero_denominator_objective_cell_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0,1/0\n0,0\n")
+        code = main(["oracle", "--p1", "1/2,1/2", "--p0", "1/2,1/2", "--objective", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "objective cell '1/0'" in captured.err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_objective_file_exits_2(self, capsys, tmp_path, bad):
         path = tmp_path / "f.csv"
@@ -569,10 +612,8 @@ class TestSeedOption:
     def test_rejected_without_random_draws(self, capsys, argv):
         assert main(argv) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main([*argv, "--seed", "1"])
-        assert err.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert main([*argv, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -602,10 +643,7 @@ class TestParser:
         assert build_parser() is build_parser()
         in_process = []
         for argv in self.CALLS:
-            try:
-                code = main(list(argv))
-            except SystemExit as e:
-                code = e.code
+            code = main(list(argv))
             captured = capsys.readouterr()
             in_process.append((code, captured.out, captured.err))
         src = os.path.dirname(os.path.dirname(ordbounds.__file__))

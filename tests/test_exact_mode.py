@@ -1,0 +1,270 @@
+"""Exact mode on integer numerators over one common denominator.
+
+Every exact result must equal, as Fractions, the result of plain Fraction
+arithmetic.  The references below are that arithmetic, written out here: the
+bounds kernel on object arrays of Fractions, the transportation simplex with
+Fraction flows and costs, and the sum and sign checks of a probability
+vector.  The draws cover J 2-50 and denominators up to 10^6, among them
+vectors whose denominators are distinct primes (so D is their product).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ordbounds import (
+    JointDistribution,
+    MarginalDistribution,
+    MarginalPair,
+    estimands_of_joint,
+    extremal_coupling,
+    full_report,
+    indicator_objective,
+    optimize,
+    sign_objective,
+)
+from ordbounds.bounds import bound_rows
+from ordbounds.distributions import _arrays, _check_probs, _common_denominator
+from ordbounds.exceptions import NegativeEntry, SumNotOne
+from ordbounds.lp_oracle import LinearObjective, _cycle, _northwest_basis, _potentials, _tree
+
+F = Fraction
+KINDS = ("common", "coprime", "sparse", "int")
+
+
+# -- references: plain Fraction arithmetic -----------------------------------
+
+def ref_bound_rows(p1, p0):
+    """The bounds kernel on object arrays of Fractions: (..., 6) rows."""
+    p1, p0 = np.array(p1, dtype=object), np.array(p0, dtype=object)
+    tail = lambda p: np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    d = tail(p1) - tail(p0)
+    d[..., 0] = 0
+    F0 = np.cumsum(p0, axis=-1)
+    return np.stack([(p0 + d).max(axis=-1), (p1 * F0).sum(axis=-1), 1 + d.min(axis=-1),
+                     d.max(axis=-1), (p1 * (F0 - p0)).sum(axis=-1),
+                     1 + (d - p1).min(axis=-1)], axis=-1)
+
+
+def ref_optimize(m, obj, sense):
+    """The transportation simplex on Fraction flows and costs, pricing with
+    tolerance 0 and Bland's rule."""
+    J = m.J
+    cvals = [[F(v) for v in r] for r in obj.coeffs]
+    flip = -1 if sense == "max" else 1
+    c = [[flip * v for v in r] for r in cvals]
+    flow = _northwest_basis([F(v) for v in m.treated.probs],
+                            [F(v) for v in m.control.probs], J, F(0))
+    while True:
+        parent, up, depth, order = _tree(flow, J)
+        pot = _potentials(c, parent, up, order, F(0))
+        entering = next(((i, j) for i in range(J) for j in range(J)
+                         if (i, j) not in flow and c[i][j] - pot[i] - pot[J + j] < 0), None)
+        if entering is None:
+            break
+        i, j = entering
+        path = _cycle(parent, up, depth, J + j, i)
+        leaving = min(path[0::2], key=lambda cell: (flow[cell], cell))
+        theta = flow[leaving]
+        for cell in path[0::2]:
+            flow[cell] -= theta
+        for cell in path[1::2]:
+            flow[cell] += theta
+        del flow[leaving]
+        flow[entering] = theta
+    x = [[flow.get((k, l), F(0)) for l in range(J)] for k in range(J)]
+    return sum(cvals[k][l] * x[k][l] for k in range(J) for l in range(J)), x
+
+
+def ref_check_probs(values, what):
+    """The sign and sum checks of an exact probability vector."""
+    for v in values:
+        if v < 0:
+            raise NegativeEntry(f"{what} has negative entry {v}")
+    total = sum(values)
+    if total != 1:
+        raise SumNotOne(f"{what} sums to {total}, deviation {total - 1}")
+
+
+def outcome(check, values):
+    try:
+        check(values, "vector")
+    except (NegativeEntry, SumNotOne) as e:
+        return type(e), str(e)
+    return None
+
+
+# -- draws -------------------------------------------------------------------
+
+def primes(rng, k, lo=2, hi=10**6):
+    """k distinct primes in [lo, hi)."""
+    found = set()
+    while len(found) < k:
+        q = int(rng.integers(lo, hi))
+        if q > 1 and all(q % f for f in range(2, int(q ** 0.5) + 1)):
+            found.add(q)
+    return sorted(found)
+
+
+def draw(rng, J, kind):
+    """An exact probability vector over J categories.
+
+    common: weights over one denominator n up to 10^6 (reduced entry by
+    entry); coprime: the first J-1 entries over distinct primes, the last the
+    remainder; sparse: common with about half the entries the int 0; int: a
+    unit vector of ints."""
+    if kind == "int":
+        v = [0] * J
+        v[int(rng.integers(J))] = 1
+        return v
+    if kind == "coprime":
+        v = [F(int(rng.integers(q // J)), q) for q in primes(rng, J - 1, lo=J)]
+        return v + [1 - sum(v)]
+    n = int(rng.integers(J, 10**6))
+    w = rng.multinomial(n, rng.dirichlet(np.ones(J)))
+    v = [F(int(x), n) for x in w]
+    if kind == "sparse":
+        keep = rng.random(J) < 0.5
+        keep[int(rng.integers(J))] = True
+        w = np.where(keep, w, 0)
+        v = [F(int(x), int(w.sum())) if x else 0 for x in w]
+    return v
+
+
+def pairs(seed, Js, per_kind=2):
+    rng = np.random.default_rng(seed)
+    for J in Js:
+        for k1 in KINDS:
+            for k0 in KINDS:
+                for _ in range(per_kind):
+                    yield draw(rng, J, k1), draw(rng, J, k0)
+
+
+def pair(p1, p0):
+    return MarginalPair(MarginalDistribution(p1), MarginalDistribution(p0))
+
+
+# -- tests -------------------------------------------------------------------
+
+class TestBoundRows:
+    JS = (2, 3, 4, 5, 7, 10, 15, 20, 30, 40, 50)
+
+    def test_equal_reference(self):
+        for p1, p0 in pairs(171, self.JS, per_kind=1):
+            got = bound_rows(*_arrays(p1, p0))
+            assert got.tolist() == ref_bound_rows(p1, p0).tolist()
+            assert all(type(v) is F for v in got.tolist())
+
+    def test_stacked_input(self):
+        # one common denominator for the whole stack, rows as computed alone
+        rng = np.random.default_rng(172)
+        for J in (2, 5, 12, 50):
+            p1 = [[draw(rng, J, KINDS[(i + j) % 4]) for j in range(3)] for i in range(2)]
+            p0 = [[draw(rng, J, KINDS[(i * j) % 4]) for j in range(3)] for i in range(2)]
+            got = bound_rows(np.array(p1, dtype=object), np.array(p0, dtype=object))
+            assert got.shape == (2, 3, 6)
+            assert got.tolist() == ref_bound_rows(p1, p0).tolist()
+
+    def test_report_from_numerators(self):
+        for p1, p0 in pairs(173, (2, 6, 25), per_kind=1):
+            rep = full_report(pair(p1, p0))
+            want = ref_bound_rows(p1, p0).tolist()
+            assert [rep.tau_L, rep.tau_I, rep.tau_U, rep.eta_L, rep.eta_I, rep.eta_U] == want
+
+
+class TestOracle:
+    OBJECTIVES = [(name, sense) for name in ("tau", "eta", "sign") for sense in ("min", "max")]
+
+    @staticmethod
+    def objective(name, J):
+        return {"tau": indicator_objective(J), "eta": indicator_objective(J, strict=True),
+                "sign": sign_objective(J)}[name]
+
+    @pytest.mark.parametrize("name, sense", OBJECTIVES)
+    def test_equal_reference(self, name, sense):
+        for p1, p0 in pairs(174, (2, 3, 5, 8, 12), per_kind=1):
+            m = pair(p1, p0)
+            obj = self.objective(name, m.J)
+            value, mat = optimize(m, obj, sense)
+            want, x = ref_optimize(m, obj, sense)
+            assert type(value) is F and value == want
+            assert [list(r) for r in mat.matrix] == x
+
+    def test_fraction_coefficients(self):
+        # an objective over its own denominators (Dc > 1)
+        rng = np.random.default_rng(175)
+        for p1, p0 in pairs(176, (2, 4, 9), per_kind=1):
+            J = len(p1)
+            obj = LinearObjective(tuple(
+                tuple(F(int(rng.integers(-20, 21)), int(rng.choice([1, 2, 3, 7, 999983])))
+                      for _ in range(J)) for _ in range(J)))
+            assert _common_denominator([v for r in obj.coeffs for v in r])[1] > 1
+            for sense in ("min", "max"):
+                value, mat = optimize(pair(p1, p0), obj, sense)
+                want, x = ref_optimize(pair(p1, p0), obj, sense)
+                assert value == want
+                assert [list(r) for r in mat.matrix] == x
+
+
+class TestValidation:
+    def test_same_decisions_as_fraction_checks(self):
+        D = 999983 * 999979   # about 10^12
+        rng = np.random.default_rng(177)
+        cases = [draw(rng, J, kind) for J in (2, 7, 50) for kind in KINDS]
+        cases += [
+            [F(1, 999983), F(1, 999979), 1 - F(1, 999983) - F(1, 999979) + F(1, D)],  # off by 1/D
+            [F(1, 999983), F(1, 999979), 1 - F(1, 999983) - F(1, 999979) - F(1, D)],
+            [F(-1, 7), F(8, 7)],   # negative entry, sum one
+            [F(1, 2), F(-1, 999983), F(1, 2) + F(1, 999983)],
+            [0, 1], [1, 0, 0], [1, 1], [0, 0], [-1, 2], [2, -1, 0],   # int only
+            [np.int64(0), np.int64(1)], [np.int64(1), np.int64(1)],
+            [F(1, 3), F(1, 3), 0, F(1, 3)],
+        ]
+        seen = set()
+        for values in cases:
+            want = outcome(ref_check_probs, values)
+            assert outcome(_check_probs, values) == want
+            seen.add(None if want is None else want[0])
+        assert seen == {None, NegativeEntry, SumNotOne}
+
+    def test_sum_off_by_one_over_D(self):
+        D = 999983 * 999979
+        values = [F(1, 999983), F(1, 999979), 1 - F(1, 999983) - F(1, 999979) + F(1, D)]
+        with pytest.raises(SumNotOne, match=f"deviation 1/{D}"):
+            MarginalDistribution(values)
+
+
+class TestJoint:
+    def joints(self, seed):
+        # the couplings run on Fractions: at J = 50, only denominators up to 10^6
+        rng = np.random.default_rng(seed)
+        large = [(draw(rng, 50, k1), draw(rng, 50, k0)) for k1 in KINDS[::2] for k0 in KINDS[::2]]
+        for p1, p0 in [*pairs(seed, (2, 3, 6, 13), per_kind=1), *large]:
+            m = pair(p1, p0)
+            for target in ("tau_min", "tau_max", "eta_min", "eta_max", "independent"):
+                yield extremal_coupling(m, target)
+
+    def test_margins_and_estimands_equal_reference(self):
+        for P in self.joints(178):
+            rows = [list(r) for r in P.matrix]
+            J = P.J
+            assert P.row_margin().probs == tuple(sum(r) for r in rows)
+            assert P.col_margin().probs == tuple(sum(c) for c in zip(*rows))
+            tau = sum(rows[k][l] for k in range(J) for l in range(k + 1))
+            eta = sum(rows[k][l] for k in range(J) for l in range(k))
+            assert estimands_of_joint(P) == (tau, eta, tau + eta - 1)
+
+    def test_int_joint(self):
+        P = JointDistribution(((0, 1), (0, 0)))
+        assert P.row_margin().probs == (1, 0)
+        assert P.col_margin().probs == (0, 1)
+        assert estimands_of_joint(P) == (0, 0, -1)
+
+    def test_exact_is_computed_once(self):
+        P = JointDistribution(((F(1, 2), 0), (0, F(1, 2))))
+        Q = JointDistribution(((F(1, 2), 0), (0, F(1, 2))))
+        before = repr(P)
+        assert P.exact and "exact" in vars(P)
+        assert P == Q and repr(P) == before == repr(Q)
+        assert not JointDistribution(((0.5, 0.0), (0.0, 0.5))).exact
