@@ -53,18 +53,25 @@ from .exceptions import (
 _NUMERICAL_ERRORS = (NonConvergence, FitError, ReplicateFailure)
 
 
-def _jsonify(obj):
-    """JSON-safe copy with floats at 17 significant digits."""
+# the integer-valued fields of the payloads; every other number is written as a float
+_COUNT_FIELDS = frozenset({"j", "n_treated", "n_control", "n_boot", "seed", "n_failed",
+                           "study", "case", "n_units", "n_reps"})
+
+
+def _jsonify(obj, key=None):
+    """JSON-safe copy: the _COUNT_FIELDS as ints, every other number as a
+    float, so that an exact run spells each value as the float run does
+    (0.0, not 0)."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: _jsonify(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, key) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)) and key in _COUNT_FIELDS:
         return int(obj)
-    if isinstance(obj, (Fraction, float, np.floating)):
-        return float(f"{float(obj):.17g}")
+    if isinstance(obj, (int, np.integer, Fraction, float, np.floating)):
+        return float(obj)
     return obj
 
 

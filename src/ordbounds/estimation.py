@@ -10,6 +10,14 @@ Three designs:
 * adjusted -- covariate-adjusted bounds: conditional bounds computed per
   covariate level (discrete strata or per-arm proportional-odds fits) and
   averaged over the empirical covariate distribution of all units.
+
+The ipw and adjusted estimators are each one stacked kernel, owned here: on
+weight rows W (k, n) over the units it returns the weights w (k', m) and
+marginal pairs p1, p0 (k', m, J) of the k' rows that succeeded, and why,
+each failed row's exception.  A row's bounds average those of its m pairs
+(m = 1 for ipw, S for discrete strata, n for model strata) with weights w.
+The public estimators run the kernel on one all-ones row and raise its
+exception; the bootstrap (inference) runs it on the resample counts.
 """
 
 from __future__ import annotations
@@ -24,12 +32,26 @@ from .distributions import (
     MarginalDistribution,
     MarginalPair,
     _is_exact,
-    _take,
     empirical_marginals,
     unit_columns,
 )
-from .exceptions import EmptyArm, ExtremePropensity, StratumMissingArm
-from .models import CumulativeLogitModel, fit_cumulative_logit, fit_logit
+from .exceptions import (
+    DimensionMismatch,
+    EmptyArm,
+    ExtremePropensity,
+    OutOfRangeOutcome,
+    RankDeficient,
+    StratumMissingArm,
+    TooFewCategories,
+    ValidationError,
+)
+from .models import (
+    _as_design,
+    _sigmoid,
+    cumulative_logit_proba,
+    fit_cumulative_logit_rows,
+    fit_logit_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -89,27 +111,9 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     logistic model of z on x.
     """
     cols = unit_columns(records)
-    z, y = cols.z, cols.y
-    J = cols.J if J is None else J
-    if z.sum() == 0 or z.sum() == len(z):
-        raise EmptyArm("both arms required")
-    if propensity is None:
-        e = fit_logit(z, cols.x).predict_proba(cols.x)
-    elif np.isscalar(propensity):
-        e = np.full(len(z), float(propensity))
-    else:
-        e = np.asarray(propensity, dtype=float)
-    bad = np.nonzero((e < trim) | (e > 1 - trim))[0]
-    if bad.size:
-        raise ExtremePropensity(bad.tolist())
-    w1 = z / e
-    w0 = (1 - z) / (1 - e)
-    p1 = np.array([w1[y == k].sum() for k in range(J)])
-    p0 = np.array([w0[y == l].sum() for l in range(J)])
-    return MarginalPair(
-        MarginalDistribution(tuple(p1 / p1.sum())),
-        MarginalDistribution(tuple(p0 / p0.sum())),
-    )
+    kernel = _ipw_kernel(cols, cols.J if J is None else J, propensity, trim)
+    _, p1, p0 = _full_sample(kernel, len(cols.z))
+    return MarginalPair(MarginalDistribution(tuple(p1[0])), MarginalDistribution(tuple(p0[0])))
 
 
 def estimate_ipw(records: Sequence[UnitRecord], propensity=None, J: int | None = None,
@@ -130,29 +134,19 @@ def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
     are averaged over all N units' covariates.
     """
     cols = unit_columns(records)
-    z, y, X = cols.z, cols.y, cols.x
+    z = cols.z
     if z.all() or not z.any():
         raise EmptyArm("both arms required")
-    J = cols.J if J is None else J
-
+    J = max(cols.J if J is None else J, 2)
     if strata == "discrete":
-        s, keys = _strata(X)
-        weighted = []
-        for k, key in enumerate(keys):
-            members = s == k
-            try:
-                weighted.append((np.count_nonzero(members) / len(s),
-                                 empirical_marginals(_take(cols, members), J=J)))
-            except EmptyArm:
-                raise StratumMissingArm(f"stratum {key!r} lacks one arm") from None
-        report = adjusted_bounds_from_strata(weighted)
+        if cols.J > J:
+            raise OutOfRangeOutcome(f"outcome {cols.y.max()} outside 0..{J - 1}")
+        kernel = _discrete_kernel(cols, J)
     elif strata == "model":
-        fit1 = fit_cumulative_logit(y[z == 1], X[z == 1])
-        fit0 = fit_cumulative_logit(y[z == 0], X[z == 0])
-        report = conditional_report_from_models(fit1, fit0, X, J=J)
+        kernel = _model_kernel(cols, max(J, cols.J))
     else:
         raise ValueError(f"unknown strata mode {strata!r}")
-    return _estimated(report, "adjusted", z)
+    return _estimated(weighted_report(*_full_sample(kernel, len(z))), "adjusted", z)
 
 
 def _strata(x):
@@ -164,24 +158,149 @@ def _strata(x):
     return np.array([at[r] for r in rows], dtype=np.int64), keys
 
 
-def conditional_report_from_models(fit1: CumulativeLogitModel, fit0: CumulativeLogitModel,
-                                   X: np.ndarray, J: int | None = None,
-                                   weights=None) -> BoundsReport:
-    """Adjusted bounds from per-arm outcome models evaluated at rows of X."""
-    p1 = fit1.predict_proba(X)
-    p0 = fit0.predict_proba(X)
-    Jm = max(p1.shape[1], p0.shape[1], J or 0)
-    if weights is None:
-        w = np.full(len(p1), 1.0 / len(p1))
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-    return weighted_report(w, _pad(p1, Jm), _pad(p0, Jm))
+# -- stacked kernels ---------------------------------------------------------
+
+def _full_sample(kernel, n):
+    """The weights (m,) and marginal pairs (m, J) of the full sample: the
+    kernel on one all-ones weight row.  Its failure raises."""
+    w, p1, p0, why = kernel(np.ones((1, n)))
+    if why[0] is not None:
+        raise why[0]
+    return w[0], p1[0], p0[0]
 
 
-def _pad(p: np.ndarray, J: int) -> np.ndarray:
-    if p.shape[1] == J:
-        return p
-    out = np.zeros((p.shape[0], J))
-    out[:, : p.shape[1]] = p
-    return out
+def _sums_by_label(w, labels, m):
+    """(k, m) sums of the weight rows w (k, n) over units with each label
+    0..m-1."""
+    k = len(w)
+    at = (labels + m * np.arange(k)[:, None]).ravel()
+    return np.bincount(at, weights=w.ravel(), minlength=k * m).reshape(k, m)
+
+
+def _drop(why, live, failed, error):
+    """Record error(i) as the failure of the row live[i] for each i with
+    failed[i]; return the rows still live."""
+    for i in np.flatnonzero(failed):
+        why[live[i]] = error(i)
+    return live[~failed]
+
+
+def _weighted_rank(M, W):
+    """Rank of the resampled design: M with each unit repeated W[k] times
+    has the singular values of sqrt(W[k]) M."""
+    return np.linalg.matrix_rank(np.sqrt(W)[:, :, None] * M)
+
+
+def _rank_deficient(i):
+    return RankDeficient("design matrix is rank deficient")
+
+
+def _ipw_kernel(cols, J, propensity=None, trim=0.01):
+    """The stacked kernel of the inverse-propensity estimator: one stacked
+    propensity logit, or the given propensity (a scalar or a finite value
+    per unit, checked here, before any fit), the trim check on the weighted
+    units and Hajek marginals (m = 1) of the outcomes below J."""
+    z, y = cols.z, cols.y
+    inside = y < J
+    n = len(z)
+    if propensity is not None:
+        given = np.asarray(propensity, dtype=float)
+        if given.shape not in ((), (n,)):
+            raise DimensionMismatch(f"propensity of shape {given.shape} for {n} units")
+        if not np.isfinite(given).all():
+            raise ValidationError(
+                f"propensity must be finite, got {given[~np.isfinite(given)][0]}")
+
+    def kernel(W):
+        why = np.full(len(W), None, dtype=object)
+        live = np.arange(len(W))
+        n1 = W @ z
+        live = _drop(why, live, (n1 == 0) | (n1 == n), lambda i: EmptyArm("both arms required"))
+        if propensity is None:
+            M = np.hstack([np.ones((n, 1)), _as_design(cols.x, n)])
+            live = _drop(why, live, _weighted_rank(M, W[live]) < M.shape[1], _rank_deficient)
+            coef, error = fit_logit_rows(z, M, W[live])
+            ok = np.equal(error, None)
+            live = _drop(why, live, ~ok, error.__getitem__)
+            e = _sigmoid(coef[ok] @ M.T)
+        else:
+            e = np.broadcast_to(given, (len(live), n))
+        Wl = W[live]
+        outside = ((e < trim) | (e > 1 - trim)) & (Wl > 0)
+        extreme = outside.any(axis=1)
+        live = _drop(why, live, extreme,
+                     lambda i: ExtremePropensity(np.flatnonzero(outside[i]).tolist()))
+        e, Wl = e[~extreme], Wl[~extreme]
+        # units outside the resample may have e at 0 or 1
+        w1 = np.divide(Wl * z, e, out=np.zeros_like(Wl), where=Wl > 0)
+        w0 = np.divide(Wl * (1 - z), 1 - e, out=np.zeros_like(Wl), where=Wl > 0)
+        p1, p0 = (_sums_by_label(w[:, inside], y[inside], J)[:, None] for w in (w1, w0))
+        return (np.ones((len(live), 1)), p1 / p1.sum(axis=2, keepdims=True),
+                p0 / p0.sum(axis=2, keepdims=True), why)
+
+    return kernel
+
+
+def _model_kernel(cols, J):
+    """The stacked kernel of the adjusted estimator with per-arm
+    proportional-odds fits, evaluated at every unit (m = n, weights W / n).
+    A fit infers its J from the top category its arm observed, so the rows
+    of each arm are fitted in groups of equal J; cutpoints above a group's
+    top are +inf (probability 0)."""
+    z, y = cols.z, cols.y
+    n = len(z)
+    X = _as_design(cols.x, n)
+    d = X.shape[1]
+    arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
+
+    def kernel(W):
+        why = np.full(len(W), None, dtype=object)
+        live = np.arange(len(W))
+        cut = np.full((2, len(W), J - 1), np.inf)
+        slope = np.zeros((2, len(W), d))
+        for arm, units in enumerate(arms):
+            ya, Xa = y[units], X[units]
+            Wa = W[live][:, units]
+            few = (_sums_by_label(Wa, ya, J) > 0).sum(axis=1) < 2
+            live = _drop(why, live, few,
+                         lambda i: TooFewCategories("need at least 2 observed outcome categories"))
+            Wa = Wa[~few]
+            if d:
+                low = _weighted_rank(Xa, Wa) < d
+                live = _drop(why, live, low, _rank_deficient)
+                Wa = Wa[~low]
+            Ja = np.where(Wa > 0, ya, -1).max(axis=1, initial=-1) + 1
+            error = np.full(len(live), None, dtype=object)
+            for Jg in np.unique(Ja):
+                g = np.flatnonzero(Ja == Jg)
+                c, s, error[g] = fit_cumulative_logit_rows(np.minimum(ya, Jg - 1), Xa, Wa[g], Jg)
+                cut[arm, live[g], : Jg - 1] = c
+                slope[arm, live[g]] = s
+            live = _drop(why, live, ~np.equal(error, None), error.__getitem__)
+        p1 = cumulative_logit_proba(cut[0, live], slope[0, live], X)
+        p0 = cumulative_logit_proba(cut[1, live], slope[1, live], X)
+        return W[live] / n, p1, p0, why
+
+    return kernel
+
+
+def _discrete_kernel(cols, J):
+    """The stacked kernel of the adjusted estimator with discrete strata
+    (m = S, weighted by stratum size): per-stratum, per-arm outcome counts
+    by one bincount.  Every y must be below J."""
+    s, keys = _strata(cols.x)
+    S, n = len(keys), len(s)
+    cells = (2 * s + cols.z) * J + cols.y
+
+    def kernel(W):
+        why = np.full(len(W), None, dtype=object)
+        counts = _sums_by_label(W, cells, S * 2 * J).reshape(len(W), S, 2, J)
+        size = counts.sum(axis=3)                                     # (k, S, 2)
+        missing = (size.sum(axis=2) > 0) & (size == 0).any(axis=2)   # (k, S)
+        live = _drop(why, np.arange(len(W)), missing.any(axis=1),
+                     lambda i: StratumMissingArm(f"stratum {keys[missing[i].argmax()]!r} "
+                                                 "lacks one arm"))
+        freq = counts[live] / np.maximum(size[live], 1)[..., None]
+        return size[live].sum(axis=2) / n, freq[:, :, 1], freq[:, :, 0], why
+
+    return kernel

@@ -23,13 +23,11 @@ randomized and complier estimators an arm-stratified resample is a
 multinomial redraw of each arm's counts, and all replicates are evaluated as
 one stack.  The ipw and adjusted estimators draw replicate r's unit indices
 from a dedicated stream spawned from (seed, r), turn each resample into a
-row of unit counts, and fit and evaluate all rows at once: one stacked
-propensity logit (ipw), stacked per-arm proportional-odds fits grouped by
-the top category each arm-resample observed (adjusted, strata="model"), or
-per-stratum counts over the strata of estimate_adjusted (adjusted,
-strata="discrete").  Each replicate's rows and failures equal those of
-refitting it alone.  Only complier_adjusted still refits each replicate in a
-loop (one covariate EM per replicate, on the indexed columns).
+row of unit counts and run all rows through the stacked kernel that
+estimation owns; their public estimators are that kernel's one-row case.
+_stacked averages the kernel's bounds with one einsum and names each
+failure.  Only complier_adjusted still refits each replicate in a loop (one
+covariate EM per replicate, on the indexed columns).
 """
 
 from __future__ import annotations
@@ -42,14 +40,16 @@ import numpy as np
 
 from .bounds import COLUMNS, bound_rows
 from .distributions import _take, unit_columns
-from .estimation import _strata, estimate_adjusted, estimate_ipw, estimate_randomized
-from .exceptions import OrdBoundsError, ReplicateFailure
-from .models import (
-    _sigmoid,
-    cumulative_logit_proba,
-    fit_cumulative_logit_rows,
-    fit_logit_rows,
+from .estimation import (
+    _discrete_kernel,
+    _ipw_kernel,
+    _model_kernel,
+    _sums_by_label,
+    estimate_adjusted,
+    estimate_ipw,
+    estimate_randomized,
 )
+from .exceptions import OrdBoundsError, ReplicateFailure
 from .noncompliance import (
     _checked_cells,
     _strata_params,
@@ -157,151 +157,23 @@ def _index_stack(cols, scheme, n_boot, seed):
                      for ss in np.random.SeedSequence(seed).spawn(n_boot)])
 
 
-def _sums_by_label(w, labels, m):
-    """(k, m) sums of the weight rows w (k, n) over units with each label
-    0..m-1."""
-    k = len(w)
-    at = (labels + m * np.arange(k)[:, None]).ravel()
-    return np.bincount(at, weights=w.ravel(), minlength=k * m).reshape(k, m)
-
-
-def _drop(why, live, failed, names):
-    """Record names as the failure of the replicates live[failed]; return
-    the replicates still live."""
-    why[live[failed]] = names
-    return live[~failed]
-
-
-def _drop_fit_failures(why, live, error):
-    """_drop for the per-row failures of a stacked fit; also returns the
-    mask of the rows that converged."""
-    ok = np.array([e is None for e in error], dtype=bool)
-    return _drop(why, live, ~ok, [type(e).__name__ for e in error[~ok]]), ok
-
-
-def _weighted_rank(M, W):
-    """Rank of the resampled design: M with each unit repeated W[k] times
-    has the singular values of sqrt(W[k]) M."""
-    return np.linalg.matrix_rank(np.sqrt(W)[:, :, None] * M)
-
-
-def _ipw_rows(cols, J, propensity=None, trim=0.01):
-    """W -> (rows, why) of the inverse-propensity estimator: one stacked
-    propensity logit, the trim check on resampled units, Hajek marginals."""
-    z, y = cols.z, cols.y
-    inside = y < J
-    n = len(z)
-    if propensity is None:
-        M = np.hstack([np.ones((n, 1)), cols.x])
-
-    def rows_fn(W):
-        why = np.full(len(W), None, dtype=object)
-        live = np.arange(len(W))
-        n1 = W @ z
-        live = _drop(why, live, (n1 == 0) | (n1 == n), "EmptyArm")
-        if propensity is None:
-            live = _drop(why, live, _weighted_rank(M, W[live]) < M.shape[1], "RankDeficient")
-            coef, error = fit_logit_rows(z, M, W[live])
-            live, ok = _drop_fit_failures(why, live, error)
-            e = _sigmoid(coef[ok] @ M.T)
-        else:
-            e = np.broadcast_to(np.asarray(propensity, dtype=float), (len(live), n))
-        Wl = W[live]
-        extreme = (((e < trim) | (e > 1 - trim)) & (Wl > 0)).any(axis=1)
-        live = _drop(why, live, extreme, "ExtremePropensity")
-        e, Wl = e[~extreme], Wl[~extreme]
-        # units outside the resample may have e at 0 or 1
-        w1 = np.divide(Wl * z, e, out=np.zeros_like(Wl), where=Wl > 0)
-        w0 = np.divide(Wl * (1 - z), 1 - e, out=np.zeros_like(Wl), where=Wl > 0)
-        # as ipw_marginals, outcomes outside 0..J-1 are left out
-        p1, p0 = (_sums_by_label(w[:, inside], y[inside], J) for w in (w1, w0))
-        rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = bound_rows(p1 / p1.sum(axis=1, keepdims=True),
-                                  p0 / p0.sum(axis=1, keepdims=True))
-        return rows, why
-
-    return rows_fn
-
-
-def _model_rows(cols, J):
-    """W -> (rows, why) of the adjusted estimator with per-arm
-    proportional-odds fits.  A fit infers its J from the top category its
-    arm-resample observed, so the rows of each arm are fitted in groups of
-    equal J; cutpoints above a group's top are +inf (probability 0)."""
-    z, y, X = cols.z, cols.y, cols.x
-    n, d = X.shape
-    arms = (np.flatnonzero(z == 1), np.flatnonzero(z == 0))
-
-    def rows_fn(W):
-        why = np.full(len(W), None, dtype=object)
-        live = np.arange(len(W))
-        cut = np.full((2, len(W), J - 1), np.inf)
-        slope = np.zeros((2, len(W), d))
-        for arm, units in enumerate(arms):
-            ya, Xa = y[units], X[units]
-            Wa = W[live][:, units]
-            observed = (_sums_by_label(Wa, ya, J) > 0).sum(axis=1)
-            live = _drop(why, live, observed < 2, "TooFewCategories")
-            Wa = Wa[observed >= 2]
-            if d:
-                low = _weighted_rank(Xa, Wa) < d
-                live = _drop(why, live, low, "RankDeficient")
-                Wa = Wa[~low]
-            Ja = np.where(Wa > 0, ya, -1).max(axis=1, initial=-1) + 1
-            error = np.full(len(live), None, dtype=object)
-            for Jg in np.unique(Ja):
-                g = np.flatnonzero(Ja == Jg)
-                c, s, error[g] = fit_cumulative_logit_rows(np.minimum(ya, Jg - 1), Xa, Wa[g], Jg)
-                cut[arm, live[g], : Jg - 1] = c
-                slope[arm, live[g]] = s
-            live, _ = _drop_fit_failures(why, live, error)
-        p1 = cumulative_logit_proba(cut[0, live], slope[0, live], X)
-        p0 = cumulative_logit_proba(cut[1, live], slope[1, live], X)
-        rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = np.einsum("kn,kni->ki", W[live] / n, bound_rows(p1, p0))
-        return rows, why
-
-    return rows_fn
-
-
-def _discrete_rows(cols, J):
-    """W -> (rows, why) of the adjusted estimator with discrete strata (the
-    strata of estimate_adjusted): per-stratum, per-arm outcome counts by one
-    bincount."""
-    s, keys = _strata(cols.x)
-    S, n = len(keys), len(s)
-    cells = (2 * s + cols.z) * J + cols.y
-
-    def rows_fn(W):
-        why = np.full(len(W), None, dtype=object)
-        counts = _sums_by_label(W, cells, S * 2 * J).reshape(len(W), S, 2, J)
-        size = counts.sum(axis=3)                                   # (k, S, 2)
-        missing = ((size.sum(axis=2) > 0) & (size == 0).any(axis=2)).any(axis=1)
-        live = _drop(why, np.arange(len(W)), missing, "StratumMissingArm")
-        freq = counts[live] / np.maximum(size[live], 1)[..., None]
-        share = size[live].sum(axis=2) / n
-        rows = np.full((len(W), len(COLUMNS)), np.nan)
-        rows[live] = np.einsum("ks,ksi->ki", share, bound_rows(freq[:, :, 1], freq[:, :, 0]))
-        return rows, why
-
-    return rows_fn
-
-
 # elements of one (replicates x units x categories) block of a stacked bootstrap
 _BLOCK = 2 ** 20
 
 
-def _stacked(cols, scheme, n_boot, seed, J, rows_fn):
-    """Rows and failures of every replicate, fitted and evaluated as stacks
-    of resample counts, in blocks of replicates that bound memory."""
+def _stacked(cols, scheme, n_boot, seed, J, kernel):
+    """Rows and failures of every replicate: the kernel's weighted marginal
+    stacks of the resample counts, in blocks of replicates that bound
+    memory, each evaluated by one bound_rows."""
     n = len(cols.z)
     idx = _index_stack(cols, scheme, n_boot, seed)
-    parts = [rows_fn(_sums_by_label(np.ones(b.shape), b, n))
-             for b in np.array_split(idx, -(-n_boot * n * J // _BLOCK))]
-    rows = np.concatenate([r for r, _ in parts])
-    why = np.concatenate([w for _, w in parts])
-    failed = np.flatnonzero([w is not None for w in why])
-    return np.delete(rows, failed, axis=0), tuple((int(i), why[i]) for i in failed)
+    rows, why = [], []
+    for b in np.array_split(idx, -(-n_boot * n * J // _BLOCK)):
+        w, p1, p0, why_b = kernel(_sums_by_label(np.ones(b.shape), b, n))
+        rows.append(np.einsum("km,kmi->ki", w, bound_rows(p1, p0)))
+        why.extend(why_b)
+    return np.concatenate(rows), tuple((i, type(e).__name__) for i, e in enumerate(why)
+                                       if e is not None)
 
 
 def _ipw(cols, est, n_boot, seed, J, propensity=None, trim=0.01):
@@ -309,7 +181,7 @@ def _ipw(cols, est, n_boot, seed, J, propensity=None, trim=0.01):
     propensity fit."""
     Jr = J or cols.J
     return (_report_row(est.report),
-            *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_rows(cols, Jr, propensity, trim)))
+            *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_kernel(cols, Jr, propensity, trim)))
 
 
 def _adjusted(cols, est, n_boot, seed, J, strata="discrete"):
@@ -317,8 +189,8 @@ def _adjusted(cols, est, n_boot, seed, J, strata="discrete"):
     fits (strata="model") or per-stratum counts."""
     # the fits may see more categories than J; extra ones are padding
     Jr = max(J or 0, cols.J)
-    make = _model_rows if strata == "model" else _discrete_rows
-    return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, Jr, make(cols, Jr))
+    kernel = (_model_kernel if strata == "model" else _discrete_kernel)(cols, Jr)
+    return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, Jr, kernel)
 
 
 def _complier_adjusted(cols, fit, n_boot, seed, J, monotonicity="standard"):

@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundsReport, eta_bounds, full_report, tau_bounds
+from .bounds import BoundsReport, eta_bounds, full_report, tau_bounds, weighted_report
 from .distributions import MarginalDistribution, MarginalPair, unit_columns
-from .estimation import conditional_report_from_models
 from .exceptions import (
     DefiersObserved,
     DegenerateInit,
@@ -405,14 +404,15 @@ class CovariateStrataFit:
         return self.pi(X)[:, 0]
 
     def complier_report(self, X) -> BoundsReport:
-        """Covariate-adjusted complier bounds: conditional bounds averaged
-        with pi_c(x) weights."""
+        """Covariate-adjusted complier bounds: the conditional bounds of the
+        two complier outcome models (of equal J) averaged with pi_c(x)
+        weights."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
-        return conditional_report_from_models(
-            self.c_treated_model, self.c_control_model, X, weights=self.pi_c(X)
-        )
+        w = self.pi_c(X)
+        return weighted_report(w / w.sum(), self.c_treated_model.predict_proba(X),
+                               self.c_control_model.predict_proba(X))
 
 
 def _strata_terms(fit, X, y, z, classes):

@@ -563,13 +563,14 @@ class TestOneFitPerJob:
     """A bootstrap job fits the full sample once: the bootstrap's point row
     comes from the estimate the command reports."""
 
-    @pytest.mark.parametrize("argv, name, calls", [
-        (["--design", "randomized"], "empirical_marginals", 1),
-        (["--design", "ipw"], "fit_logit", 1),
-        (["--design", "adjusted", "--strata", "model"], "fit_cumulative_logit", 2),
+    @pytest.mark.parametrize("argv, name", [
+        (["--design", "randomized"], "empirical_marginals"),
+        (["--design", "ipw"], "_full_sample"),
+        (["--design", "adjusted", "--strata", "model"], "_full_sample"),
     ], ids=["randomized", "ipw", "adjusted model"])
-    def test_analyze(self, capsys, tmp_path, monkeypatch, argv, name, calls):
-        # each counted function is what the estimator calls from the estimation module
+    def test_analyze(self, capsys, tmp_path, monkeypatch, argv, name):
+        # each counted function is what the estimator calls from the estimation
+        # module; _full_sample is the one-row kernel evaluation of ipw and adjusted
         from ordbounds import estimation
         from test_inference import covariate_records
 
@@ -579,7 +580,7 @@ class TestOneFitPerJob:
         monkeypatch.setattr(estimation, name, lambda *a, **k: seen.append(1) or fit(*a, **k))
         code, _ = run_cli(capsys, "analyze", "--data", str(path), *argv, "--bootstrap", "100")
         assert code == 0
-        assert len(seen) == calls
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("extra", [[], ["--moment"]], ids=["em", "moment"])
     def test_analyze_iv(self, capsys, tmp_path, monkeypatch, extra):
@@ -599,6 +600,42 @@ class TestOneFitPerJob:
                           *extra)
         assert code == 0
         assert tables == [1, 100]
+
+
+def json_types(obj):
+    """obj with every JSON scalar replaced by its Python type name."""
+    if isinstance(obj, dict):
+        return {k: json_types(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [json_types(v) for v in obj]
+    return type(obj).__name__
+
+
+class TestExactJsonSpelling:
+    """An exact run spells every probability as a float, as the float run
+    of the same margins does; counts stay ints."""
+
+    EXACT = ["--p1", "1/5,3/5,1/5", "--p0", "2/5,1/5,2/5"]
+    FLOAT = ["--p1", "0.2,0.6,0.2", "--p0", "0.4,0.2,0.4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"],
+        *[["construct", "--target", t]
+          for t in ("tau_min", "tau_max", "eta_min", "eta_max", "independent")],
+        *[["oracle", "--objective", o, "--sense", s]
+          for o in ("tau", "eta", "sign", "ones") for s in ("min", "max")],
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    def test_same_token_types(self, capsys, argv):
+        code, exact = run_cli(capsys, *argv, *self.EXACT)
+        assert code == 0
+        code, floats = run_cli(capsys, *argv, *self.FLOAT)
+        assert code == 0
+        assert json_types(json.loads(exact)) == json_types(json.loads(floats))
+
+    def test_bounds_spelling(self, capsys):
+        _, out = run_cli(capsys, "bounds", *self.EXACT)
+        assert '"delta": [\n    0.0,\n    0.2,\n    -0.2\n  ]' in out
+        assert json.loads(out)["j"] == 3 and '"j": 3,' in out
 
 
 class TestSeedOption:

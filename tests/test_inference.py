@@ -21,10 +21,22 @@ from ordbounds import (
     ipw_marginals,
     moment_identify,
 )
-from ordbounds import inference
-from ordbounds.distributions import unit_columns
-from ordbounds.exceptions import EmptyArm, OrdBoundsError, OutOfRangeOutcome, ReplicateFailure
+from ordbounds import estimation, inference
+from ordbounds.bounds import full_report, weighted_report
+from ordbounds.distributions import MarginalDistribution, MarginalPair, _take, unit_columns
+from ordbounds.estimation import _strata, adjusted_bounds_from_strata
+from ordbounds.exceptions import (
+    DimensionMismatch,
+    EmptyArm,
+    ExtremePropensity,
+    OrdBoundsError,
+    OutOfRangeOutcome,
+    ReplicateFailure,
+    StratumMissingArm,
+    ValidationError,
+)
 from ordbounds.inference import _report_row, _resampler
+from ordbounds.models import fit_cumulative_logit, fit_logit
 
 from test_estimation import make_records
 
@@ -254,19 +266,62 @@ class TestReplicateFailures:
         assert reps.failures == () and reps.n_failed == 0
 
 
+def reference_estimate(records, estimator, J=None, propensity=None, trim=0.01,
+                       strata="discrete"):
+    """The BoundsReport of the full-sample ipw or adjusted estimator as
+    written before both became the one-row case of the stacked kernels: one
+    fit_logit and a per-category loop (ipw); per-stratum empirical marginals
+    or two fit_cumulative_logit calls (adjusted).  An independent reference
+    for the kernels."""
+    cols = unit_columns(records)
+    z, y, X = cols.z, cols.y, cols.x
+    J = cols.J if J is None else J
+    if estimator == "ipw":
+        if z.sum() == 0 or z.sum() == len(z):
+            raise EmptyArm("both arms required")
+        if propensity is None:
+            e = fit_logit(z, X).predict_proba(X)
+        elif np.isscalar(propensity):
+            e = np.full(len(z), float(propensity))
+        else:
+            e = np.asarray(propensity, dtype=float)
+        bad = np.nonzero((e < trim) | (e > 1 - trim))[0]
+        if bad.size:
+            raise ExtremePropensity(bad.tolist())
+        w1, w0 = z / e, (1 - z) / (1 - e)
+        p1 = np.array([w1[y == k].sum() for k in range(J)])
+        p0 = np.array([w0[y == k].sum() for k in range(J)])
+        return full_report(MarginalPair(MarginalDistribution(tuple(p1 / p1.sum())),
+                                        MarginalDistribution(tuple(p0 / p0.sum()))))
+    if z.all() or not z.any():
+        raise EmptyArm("both arms required")
+    if strata == "discrete":
+        s, keys = _strata(X)
+        weighted = []
+        for k, key in enumerate(keys):
+            members = s == k
+            try:
+                weighted.append((np.count_nonzero(members) / len(s),
+                                 empirical_marginals(_take(cols, members), J=J)))
+            except EmptyArm:
+                raise StratumMissingArm(f"stratum {key!r} lacks one arm") from None
+        return adjusted_bounds_from_strata(weighted)
+    p1 = fit_cumulative_logit(y[z == 1], X[z == 1]).predict_proba(X)
+    p0 = fit_cumulative_logit(y[z == 0], X[z == 0]).predict_proba(X)
+    Jm = max(p1.shape[1], p0.shape[1], J)
+    pad = lambda p: np.hstack([p, np.zeros((len(p), Jm - p.shape[1]))])
+    return weighted_report(np.full(len(p1), 1.0 / len(p1)), pad(p1), pad(p0))
+
+
 def reference_replicates(records, estimator, n_boot, seed, J=None, **options):
     """The per-replicate refit loop: the same spawned streams and resamplers,
-    one estimate_ipw or estimate_adjusted per replicate."""
-    if estimator == "ipw":
-        estimate = lambda sample: estimate_ipw(sample, J=J, **options)
-    else:
-        estimate = lambda sample: estimate_adjusted(sample, J=J, **options)
+    one reference_estimate per replicate."""
     draw = _resampler(unit_columns(records), "whole" if estimator == "ipw" else "stratified")
     rows, failures = [], []
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(n_boot)):
         sample = [records[i] for i in draw(np.random.default_rng(ss))]
         try:
-            rows.append(_report_row(estimate(sample).report))
+            rows.append(_report_row(reference_estimate(sample, estimator, J=J, **options)))
         except OrdBoundsError as e:
             failures.append((r, type(e).__name__))
     return np.array(rows).reshape(-1, 6), tuple(failures)
@@ -407,7 +462,8 @@ class TestStackedReplicates:
         want = []
         for ss in np.random.SeedSequence(10).spawn(100):
             idx = draw(np.random.default_rng(ss))
-            want.append(_report_row(estimate_ipw([recs[i] for i in idx], propensity=e[idx]).report))
+            want.append(_report_row(reference_estimate([recs[i] for i in idx], "ipw",
+                                                       propensity=e[idx])))
         assert reps.n_failed == 0
         assert np.abs(reps.rows - np.array(want)).max() <= 1e-12
 
@@ -600,3 +656,96 @@ class TestArmRedraws:
         monkeypatch.setattr(inference, "complier_mle", spy)
         bootstrap_replicates(recs, estimator="complier", n_boot=100, seed=seed)
         assert len(stacks) == 1 and np.array_equal(stacks[0], want)
+
+
+# design -> (public estimator, reference_estimate estimator, options)
+DESIGNS = {
+    "ipw": (estimate_ipw, "ipw", {}),
+    "ipw_trim": (estimate_ipw, "ipw", {"trim": 0.3}),
+    "ipw_given": (estimate_ipw, "ipw", {"propensity": 0.4}),
+    "discrete": (estimate_adjusted, "adjusted", {"strata": "discrete"}),
+    "model": (estimate_adjusted, "adjusted", {"strata": "model"}),
+}
+REFERENCE_RECORDS = {
+    "covariate_31": lambda: covariate_records(31),
+    "covariate_32": lambda: covariate_records(32),
+    "covariate_33": lambda: covariate_records(33),
+    "rare_stratum": rare_stratum_records,
+    "near_separated": near_separated_records,
+    "near_separated_arm": lambda: near_separated_records(arm=0),
+    "logistic_assignment": lambda: logistic_assignment_records(0, 2.0),
+    # inputs on which the full-sample fits fail
+    "one_arm": lambda: [UnitRecord(z=1, y=i % 3, x=(float(i % 2),)) for i in range(20)],
+    "zero_covariate": lambda: [UnitRecord(z=i % 2, y=i % 3, x=(0.0,)) for i in range(40)],
+    "one_treated_category": lambda: [UnitRecord(z=i % 2, y=(i % 3) * (1 - i % 2),
+                                                x=(float(i % 5),)) for i in range(40)],
+    "separated_control": lambda: [
+        UnitRecord(z=i % 2, y=(i // 2) % 3 if i % 2 else int(i >= 20), x=(i / 20 - 1,))
+        for i in range(40)],
+}
+
+
+def _outcome(call):
+    """call()'s result, or the exception it raised."""
+    try:
+        return call()
+    except OrdBoundsError as e:
+        return e
+
+
+class TestPublicEstimatorsEqualTheReference:
+    """The public ipw and adjusted estimators, the one-row case of the
+    stacked kernels, give the reference's report (ipw within 1e-15: the
+    kernel sums each category by one bincount) or raise its exception."""
+
+    @pytest.mark.parametrize("records", sorted(REFERENCE_RECORDS))
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_same_report_or_error(self, design, records):
+        public, estimator, options = DESIGNS[design]
+        recs = REFERENCE_RECORDS[records]()
+        want = _outcome(lambda: reference_estimate(recs, estimator, **options))
+        got = _outcome(lambda: public(recs, **options))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        got = got.report
+        if estimator == "ipw":
+            assert np.abs(_report_row(got) - _report_row(want)).max() <= 1e-15
+            # a construction index can differ where two deltas tie to rounding
+            assert np.abs(np.subtract(got.deltas.deltas, want.deltas.deltas)).max() <= 1e-15
+        else:
+            assert got == want
+
+    def test_every_failure_is_compared(self):
+        names = {type(_outcome(lambda: reference_estimate(make(), estimator, **options))).__name__
+                 for _, estimator, options in DESIGNS.values()
+                 for make in REFERENCE_RECORDS.values()}
+        assert names >= {"EmptyArm", "ExtremePropensity", "RankDeficient", "StratumMissingArm",
+                         "TooFewCategories", "SeparationDetected"}
+
+
+BAD_PROPENSITIES = {
+    "short": (lambda n: np.full(n - 1, 0.5), DimensionMismatch),
+    "column": (lambda n: np.full((n, 1), 0.5), DimensionMismatch),
+    "nan": (lambda n: np.where(np.arange(n) == 3, np.nan, 0.5), ValidationError),
+}
+
+
+class TestGivenPropensity:
+    """A given propensity is a scalar or one finite value per unit; every
+    ipw entry point checks it before the full-sample kernel runs."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PROPENSITIES))
+    @pytest.mark.parametrize("call", [ipw_marginals, estimate_ipw, _boot("ipw")],
+                             ids=["ipw_marginals", "estimate_ipw", "bootstrap"])
+    def test_rejected_before_the_fit(self, monkeypatch, call, bad):
+        def fit(*args):
+            raise AssertionError("fitted before the propensity was checked")
+
+        monkeypatch.setattr(estimation, "_full_sample", fit)
+        make, error = BAD_PROPENSITIES[bad]
+        recs = covariate_records(31)
+        with pytest.raises(error) as raised:
+            call(recs, propensity=make(len(recs)))
+        assert type(raised.value) is error
+        assert "propensity" in str(raised.value)
