@@ -9,16 +9,18 @@ where delta_j = pr{Y(1) >= j} - pr{Y(0) >= j}, together with the values under
 independent potential outcomes, tau_I = sum_k p1[k] F0[k] and
 eta_I = sum_k p1[k] (F0[k] - p0[k]), F0 the control CDF.
 
-One kernel, bound_rows, computes these six numbers (columns COLUMNS) for
-stacked marginal pairs of shape (..., J).  Exact marginals (object arrays of
-Fractions or ints) go through the same kernel as Python-int numerators over
-one common denominator D, with 1 written as D: the deltas and the four bound
-columns come out over D, tau_I and eta_I over D^2, and each becomes a
-Fraction once, at the end.  One function,
-weighted_report, makes every BoundsReport: a weighted average of kernel rows
-(covariate strata or model rows; one row of weight 1 in full_report) plus the
-deltas, dominance and construction indices of the pooled marginals.  It flags
-point identification by the bound gap, U - L <= 0 exact and <= 1e-12 float.
+One kernel, _rows behind bound_rows, computes these six numbers (columns
+COLUMNS) for stacked marginal pairs of shape (..., J).  Exact marginals
+(object arrays of Fractions or ints) go through the same kernel as Python-int
+numerators over one common denominator D, with 1 written as D: the deltas and
+the four bound columns come out over D, tau_I and eta_I over D^2, and each
+becomes a Fraction once, at the end.  One function, weighted_report, makes
+every BoundsReport: a weighted average of kernel rows (covariate strata or
+model rows; one row of weight 1 in full_report) plus the deltas, dominance
+and construction indices of the pooled marginals.  An exact report does all
+of it on numerators over one D of the weights and both stacks, and makes its
+Fractions at the end.  It flags point identification by the bound gap,
+U - L <= 0 exact and <= 1e-12 float.
 point_identified is the theorem's support-set criterion, kept as the oracle
 that tests check the gap rule against.
 """
@@ -56,16 +58,36 @@ def bound_rows(p1, p0) -> np.ndarray:
     """Rows (..., 6) in the order COLUMNS of stacked marginal pairs (..., J)."""
     p1, p0 = np.asarray(p1), np.asarray(p0)
     dtype = np.result_type(p1, p0)
-    p1, p0 = p1.astype(dtype, copy=False), p0.astype(dtype, copy=False)
-    one = 1
     if dtype == object:   # exact: numerators over D, and one is D
-        nums, one = _common_denominator(np.concatenate((p1.ravel(), p0.ravel())).tolist())
-        nums = np.array(nums, dtype=object)
-        p1, p0 = nums[:p1.size].reshape(p1.shape), nums[p1.size:].reshape(p0.shape)
+        p1, p0, D = _numerator_arrays(p1, p0)
+        return _over(_rows(p1, p0, D), _row_denominators(D))
+    return _clipped(_rows(p1.astype(dtype, copy=False), p0.astype(dtype, copy=False), 1))
+
+
+def _numerator_arrays(*arrays):
+    """Exact object arrays as object arrays of Python-int numerators over
+    one common denominator D: (*arrays, D)."""
+    nums, D = _common_denominator(np.concatenate([a.ravel() for a in arrays]).tolist())
+    nums, out = np.array(nums, dtype=object), []
+    for a in arrays:
+        out.append(nums[:a.size].reshape(a.shape))
+        nums = nums[a.size:]
+    return (*out, D)
+
+
+def _row_denominators(D):
+    """The denominators of the kernel rows of numerators over D: D for the
+    deltas and the four bounds, D^2 for tau_I and eta_I."""
+    return np.array([D, D * D, D, D, D * D, D], dtype=object)
+
+
+def _rows(p1, p0, one):
+    """The kernel: rows (..., 6) of p1, p0 (..., J) of one dtype, in which
+    the total mass is one."""
     # filled column by column, with d and F0 never alive together, so a large
     # stack needs about one (..., J) temporary beyond its inputs
     d = _deltas(p1, p0)
-    rows = np.empty(d.shape[:-1] + (len(COLUMNS),), dtype=dtype)
+    rows = np.empty(d.shape[:-1] + (len(COLUMNS),), dtype=d.dtype)
     rows[..., 0] = (p0 + d).max(axis=-1)
     rows[..., 2] = one + d.min(axis=-1)
     rows[..., 3] = d.max(axis=-1)
@@ -76,9 +98,7 @@ def bound_rows(p1, p0) -> np.ndarray:
     rows[..., 1] = (p1 * F0).sum(axis=-1)
     F0 -= p0
     rows[..., 4] = (p1 * F0).sum(axis=-1)
-    if dtype == object:
-        return _over(rows, np.array([one, one * one, one, one, one * one, one], dtype=object))
-    return _clipped(rows)
+    return rows
 
 
 def _clipped(rows):
@@ -104,20 +124,35 @@ def weighted_report(w, p1, p0) -> BoundsReport:
     """Bounds averaged over stacked marginal pairs p1, p0 (n, J) with weights
     w (n,) summing to 1.  The deltas, dominance and construction indices
     describe the pooled marginals w @ p1 and w @ p0.  All three arrays are
-    float, or all are object arrays of exact numbers for an exact report."""
-    tau_l, tau_i, tau_u, eta_l, eta_i, eta_u = _clipped(w @ bound_rows(p1, p0)).tolist()
+    float, or all are object arrays of exact numbers for an exact report,
+    which is computed on integer numerators over one common denominator D:
+    the pooled marginals and the deltas are over D^2, and the weighted rows
+    over D times the kernel's denominators."""
+    exact = w.dtype == object
+    if exact:
+        w, p1, p0, D = _numerator_arrays(w, p1, p0)
+        rows = w @ _rows(p1, p0, D)
+    else:
+        rows = _clipped(w @ bound_rows(p1, p0))
     pooled0 = w @ p0
-    d = _deltas(w @ p1, pooled0)
-    tol = 0 if d.dtype == object else 1e-12
-    d = d.tolist()
+    d = _deltas(w @ p1, pooled0).tolist()
     j1, j2 = construction_indices(pooled0.tolist(), d)
+    tol = 0 if exact else 1e-12
+    # a lower bound and its upper bound share their denominator
+    tau_l, _, tau_u, eta_l, _, eta_u = rows.tolist()
+    identified = tau_u - tau_l <= tol, eta_u - eta_l <= tol
+    dominance = all(dj >= -tol for dj in d)
+    if exact:   # Fractions once, at the end; delta_0 stays the int 0
+        rows = _over(rows, D * _row_denominators(D))
+        d[1:] = _over(d[1:], D * D)
+    tau_l, tau_i, tau_u, eta_l, eta_i, eta_u = rows.tolist()
     return BoundsReport(
         deltas=DeltaVector(d),
         tau_L=tau_l, tau_I=tau_i, tau_U=tau_u,
         eta_L=eta_l, eta_I=eta_i, eta_U=eta_u,
-        dominance=all(dj >= -tol for dj in d),
-        tau_point_identified=tau_u - tau_l <= tol,
-        eta_point_identified=eta_u - eta_l <= tol,
+        dominance=dominance,
+        tau_point_identified=identified[0],
+        eta_point_identified=identified[1],
         argmin_delta_index=j1,
         argmax_lower_index=j2,
     )

@@ -20,9 +20,17 @@ non-finite covariate) or a repeated column name exits 2 naming its column.
 The file is parsed as one table into the validated columns
 (distributions.UnitColumns) that every command works on.
 
-An oracle objective CSV holds one row of J comma-separated coefficients per
-outcome of Y(1): integer and a/b cells are read exactly, other cells as
-floats, and the optimum is exact when the margins and every cell are.
+The tokens of --p1 and --p0 and the cells of an oracle objective CSV are
+read by one rule: an integer or a/b is exact, anything else is a float.  A
+probability vector is exact (Fractions) when every token is, and floats
+otherwise.  An objective CSV holds one row of J comma-separated coefficients
+per outcome of Y(1), each kept as read, and the optimum is exact when the
+margins and every cell are.
+
+Output is JSON with a 2-space indent: the count fields (j, n_treated,
+n_control, n_boot, seed, n_failed, study, case, n_units, n_reps) are
+integers, every other number is a float (an exact 1/5 prints as 0.2), and a
+non-finite value prints as json's NaN, Infinity or -Infinity.
 
 Exit codes: 0 success, 2 input or validation error (a rejected command line
 too), 3 numerical failure.
@@ -34,15 +42,16 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
+import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .bounds import full_report
-from .distributions import MarginalDistribution, MarginalPair, _checked_columns
+from .distributions import MarginalDistribution, MarginalPair, _checked_columns, _is_exact
 from .exceptions import (
     FitError,
     NonConvergence,
@@ -58,21 +67,49 @@ _COUNT_FIELDS = frozenset({"j", "n_treated", "n_control", "n_boot", "seed", "n_f
                            "study", "case", "n_units", "n_reps"})
 
 
-def _jsonify(obj, key=None):
-    """JSON-safe copy: the _COUNT_FIELDS as ints, every other number as a
-    float, so that an exact run spells each value as the float run does
-    (0.0, not 0)."""
+# the number types of a list written in one pass, each item as float(item)
+_PLAIN_NUMBERS = frozenset({float, int, Fraction, np.float64})
+
+
+def _json(obj, key=None, indent="\n"):
+    """The JSON text of a payload, as json.dumps(obj, indent=2) spells it,
+    with the _COUNT_FIELDS (and lists under them) as ints and every other
+    number as a float, so that an exact run spells each value as the float
+    run does (0.0, not 0).  key is the field obj belongs to; a dict key
+    that is not a string raises TypeError."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v, k) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, k, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v, key) for v in obj]
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if key not in _COUNT_FIELDS and _PLAIN_NUMBERS.issuperset(map(type, obj)):
+            body = _floats(obj, "," + inner)
+        else:
+            body = ("," + inner).join([_json(v, key, inner) for v in obj])
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)) and key in _COUNT_FIELDS:
-        return int(obj)
+        return repr(int(obj))
     if isinstance(obj, (int, np.integer, Fraction, float, np.floating)):
-        return float(obj)
-    return obj
+        return _floats((obj,), "")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _floats(values, sep):
+    """The numbers as floats joined by sep, non-finite ones as json spells
+    them (no finite float's repr holds an "n")."""
+    text = sep.join(map(repr, map(float, values)))
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def _write(text: str, args):
@@ -85,18 +122,35 @@ def _write(text: str, args):
 
 
 def _emit(payload, args):
-    _write(json.dumps(_jsonify(payload), indent=2), args)
+    _write(_json(payload), args)
+
+
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")   # the strings int() reads in base 10
+
+
+def _number(text: str):
+    """A --p1/--p0 token or an objective CSV cell, stripped: int for an
+    integer, Fraction for a/b, float otherwise."""
+    text = text.strip()
+    if "/" in text:
+        return Fraction(text)
+    return int(text) if _INTEGER.fullmatch(text) else float(text)
 
 
 def _parse_vector(text: str) -> tuple:
-    toks = [t.strip() for t in text.split(",") if t.strip()]
+    """A probability vector: Fractions when every token is exact (an integer
+    or a/b), floats otherwise."""
+    toks = [t for t in text.split(",") if t.strip()]
     if not toks:
         raise OrdBoundsError(f"empty probability vector: {text!r}")
-    exact = all("/" in t for t in toks)
     try:
-        return tuple(Fraction(t) if exact else float(t) for t in toks)
+        values = tuple(map(_number, toks))
     except (ValueError, ZeroDivisionError) as e:
         raise OrdBoundsError(f"cannot parse probability vector {text!r}: {e}") from None
+    if not _is_exact(values):
+        return tuple(map(float, values))
+    # ints as Fractions too: the couplings divide entries, and int / int is a float
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _marginal_pair(args) -> MarginalPair:
@@ -333,17 +387,12 @@ def _load_objective(spec: str, J: int):
 
 
 def _objective_cell(text: str):
-    """An objective CSV cell: int for an integer, Fraction for a/b, float
-    otherwise, so that an objective of integers and a/b cells stays exact."""
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError as e:
-            raise OrdBoundsError(f"objective cell {text.strip()!r}: {e}") from None
+    """An objective CSV cell read by _number, so that an objective of
+    integers and a/b cells stays exact."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        return _number(text)
+    except ZeroDivisionError as e:
+        raise OrdBoundsError(f"objective cell {text.strip()!r}: {e}") from None
 
 
 def cmd_oracle(args):

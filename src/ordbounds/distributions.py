@@ -8,7 +8,8 @@ All types are immutable and support two arithmetic modes:
   common denominator D, the lcm of the entries' denominators
   (_common_denominator), and make Fractions once, at the end: a vector sums
   to one when its numerators sum to D, and an entry is negative when its
-  numerator is;
+  numerator is.  A joint distribution keeps the numerators of its
+  validation, one pass over its J^2 entries, for its margins and estimands;
 * float mode -- entries are finite floats; sum-to-one is checked within 1e-9
   and nonnegativity with slack 1e-12.
 
@@ -25,9 +26,8 @@ which convert records with unit_columns once; _checked_columns validates it.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -63,9 +63,10 @@ def _common_denominator(values):
 
 
 def _check_probs(values, what: str):
-    """Nonnegativity and sum-to-one checks shared by marginal and joint types."""
-    exact = _is_exact(values)
-    if exact:
+    """Nonnegativity and sum-to-one checks shared by marginal and joint types:
+    the (numerators, D) of _common_denominator that they decide on for exact
+    values, None for float ones."""
+    if _is_exact(values):
         nums, D = _common_denominator(values)
         for v, n in zip(values, nums):
             if n < 0:
@@ -74,7 +75,7 @@ def _check_probs(values, what: str):
         if total != D:
             raise SumNotOne(f"{what} sums to {Fraction(total, D)}, "
                             f"deviation {Fraction(total - D, D)}")
-        return exact
+        return nums, D
     for v in values:
         if v < -NEG_TOL:
             raise NegativeEntry(f"{what} has negative entry {v}")
@@ -83,7 +84,7 @@ def _check_probs(values, what: str):
         raise ValidationError(f"{what} has a non-finite entry: sum {total}")
     if abs(total - 1.0) > SUM_TOL:
         raise SumNotOne(f"{what} sums to {total}, deviation {total - 1.0}")
-    return exact
+    return None
 
 
 def _arrays(*vectors):
@@ -165,6 +166,11 @@ class JointDistribution:
     control outcome."""
 
     matrix: tuple  # tuple of row tuples
+    # set by the validation: whether every entry is exact, and then the
+    # matrix as rows of integer numerators over one common denominator D,
+    # (rows, D), which the margins and estimands_of_joint reuse
+    exact: bool = field(init=False, repr=False, compare=False)
+    _numerators: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
@@ -175,22 +181,16 @@ class JointDistribution:
         for r in rows:
             if len(r) != J:
                 raise DimensionMismatch("joint distribution matrix must be square")
-        _check_probs([v for r in rows for v in r], "joint distribution")
+        common = _check_probs([v for r in rows for v in r], "joint distribution")
+        if common is not None:
+            nums, D = common
+            common = [nums[k * J:(k + 1) * J] for k in range(J)], D
+        object.__setattr__(self, "exact", common is not None)
+        object.__setattr__(self, "_numerators", common)
 
     @property
     def J(self) -> int:
         return len(self.matrix)
-
-    @functools.cached_property
-    def exact(self) -> bool:
-        return _is_exact([v for r in self.matrix for v in r])
-
-    @functools.cached_property
-    def _numerators(self):
-        """Exact matrix as rows of integer numerators over one common
-        denominator D: (rows, D)."""
-        nums, D = _common_denominator([v for r in self.matrix for v in r])
-        return [nums[k * self.J:(k + 1) * self.J] for k in range(self.J)], D
 
     def row_margin(self) -> MarginalDistribution:
         return self._margin(False)

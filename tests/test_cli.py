@@ -11,7 +11,7 @@ import pytest
 
 import ordbounds
 from ordbounds import bootstrap_bounds_ci
-from ordbounds.cli import _read_unit_csv, build_parser, main
+from ordbounds.cli import _COUNT_FIELDS, _json, _parse_vector, _read_unit_csv, build_parser, main
 from ordbounds.distributions import MarginalDistribution, MarginalPair, unit_columns
 from ordbounds.estimation import UnitRecord
 
@@ -636,6 +636,147 @@ class TestExactJsonSpelling:
         _, out = run_cli(capsys, "bounds", *self.EXACT)
         assert '"delta": [\n    0.0,\n    0.2,\n    -0.2\n  ]' in out
         assert json.loads(out)["j"] == 3 and '"j": 3,' in out
+
+
+def reference_jsonify(obj, key=None):
+    """A JSON-safe copy of a payload: the count fields as ints, every other
+    number as a float; json.dumps(reference_jsonify(obj), indent=2) is the
+    text the writer must produce."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonify(v, k) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonify(v, key) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)) and key in _COUNT_FIELDS:
+        return int(obj)
+    if isinstance(obj, (int, np.integer, Fraction, float, np.floating)):
+        return float(obj)
+    return obj
+
+
+def reference_json(payload):
+    return json.dumps(reference_jsonify(payload), indent=2)
+
+
+class TestJsonWriter:
+    """The one JSON writer against json.dumps(..., indent=2) of the JSON-safe
+    copy."""
+
+    HUGE = Fraction(3**700 + 1, 3**701 - 2)
+
+    @pytest.mark.parametrize("payload", [
+        {"x": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2e-308,
+               1.7976931348623157e308, 0.1, 1 / 3]},
+        {"x": float("nan"), "y": -float("inf"), "z": -0.0, "w": 5e-324, "f": HUGE},
+        {"x": [HUGE, -HUGE, Fraction(1, 3), Fraction(0), 0, 7, -2]},
+        {"x": [np.float64(0.1), np.float64("nan")], "y": np.float64(-0.0)},
+        {"x": [np.int64(3), np.float32(0.5), np.int32(-1)], "j": np.int64(4), "seed": [np.int64(5)]},
+        {"flag": np.bool_(True), "off": np.bool_(False), "x": [np.bool_(False), 1.0]},
+        {"x": [1.0, True, 0.5], "y": [False, Fraction(1, 2), 2], "n_boot": [True, 3]},
+        {"x": None, "y": [None, 1.0, None], "z": [[None]]},
+        {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], [[]], {}]},
+        {"s": 'say "hi"', "t": "back\\slash", "u": "naïve — ü 日本 \U0001F600", "v": "\n\t\x00"},
+        {'key "quoted"\\': 1.0, "ключ": ["é", "\u2028"]},
+        {"j": [1, 2, np.int64(3)], "seed": [[1, 2], [3]], "n_failed": [1.5, 2], "study": (1, 2)},
+        {"j": 3, "case": np.int64(2), "n_units": 2.5, "seed": Fraction(1, 2), "n_reps": True},
+        {"matrix": [[Fraction(1, 3), 0, 0.5], (0.25, Fraction(2, 3), np.float64(1e-300))]},
+        [1.0, [2, [Fraction(3, 4), [np.int64(5)]]], {"j": [6]}],
+        0.5, 3, "text", None, True,
+    ], ids=lambda p: None)
+    def test_equal_reference(self, payload):
+        assert _json(payload) == reference_json(payload)
+
+    def test_random_payloads(self):
+        rng = np.random.default_rng(181)
+        leaves = [lambda: float(rng.normal()), lambda: Fraction(int(rng.integers(-9, 9)), 7),
+                  lambda: int(rng.integers(-5, 5)), lambda: np.float64(rng.random()),
+                  lambda: np.int64(rng.integers(9)), lambda: bool(rng.random() < 0.5),
+                  lambda: None, lambda: "s", lambda: float(rng.choice([np.nan, np.inf, -np.inf]))]
+        keys = ["j", "seed", "delta", "tau", "n_boot", "a"]
+
+        def build(depth):
+            kind = rng.integers(4 if depth < 4 else 1)
+            if kind == 0:
+                return leaves[rng.integers(len(leaves))]()
+            if kind == 1:   # a list of numbers only
+                return [leaves[rng.integers(5)]() for _ in range(rng.integers(4))]
+            if kind == 2:
+                return [build(depth + 1) for _ in range(rng.integers(4))]
+            return {keys[rng.integers(len(keys))] + str(i) * int(rng.integers(2)): build(depth + 1)
+                    for i in range(rng.integers(4))}
+
+        for _ in range(400):
+            payload = build(0)
+            assert _json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"x": object()}, {"x": [1.0, object()]}, {"x": {1, 2}}, {"x": complex(1, 2)},
+        {"x": [b"bytes"]}, [Fraction(1, 2), 1j],
+    ], ids=lambda p: None)
+    def test_unsupported_type(self, payload):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            reference_json(payload)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json(payload)
+
+    def test_non_string_key(self):
+        # json.dumps would write 1 as "1"; no payload has a key that is not a string
+        with pytest.raises(TypeError, match="must be a string"):
+            _json({"a": {1: 0.5}})
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"], ["construct", "--target", "tau_max"], ["construct", "--target", "independent"],
+        ["oracle", "--objective", "sign", "--sense", "min"],
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    @pytest.mark.parametrize("margins", [
+        ["--p1", "1/7,0,2/7,4/7", "--p0", "3/7,1/7,0,3/7"],
+        ["--p1", "0.1,0.2,0.3,0.4", "--p0", "0.4,0.3,0.2,0.1"],
+    ], ids=["exact", "float"])
+    def test_command_payloads(self, capsys, monkeypatch, argv, margins):
+        # each command's output is the reference text of its payload
+        import ordbounds.cli as cli
+
+        payloads, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda p, args: payloads.append(p) or emit(p, args))
+        code, out = run_cli(capsys, *argv, *margins)
+        assert code == 0
+        assert out == reference_json(payloads[0]) + "\n"
+
+
+class TestVectorTokens:
+    """--p1/--p0 tokens are read as objective cells are: an integer or a/b is
+    exact, anything else a float; a vector is exact when every token is."""
+
+    def test_integer_and_fraction_tokens_are_exact(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--p1", "1/2,1/2,0", "--p0", "0,1/2,1/2")
+        assert code == 0
+        code, want = run_cli(capsys, "bounds", "--p1", "1/2,1/2,0/1", "--p0", "0/1,1/2,1/2")
+        assert code == 0 and out == want
+        assert json.loads(out)["tau"] == {"lower": 0.0, "independent": 0.25, "upper": 0.5}
+
+    def test_parsed_values(self):
+        assert _parse_vector(" 1/2 , 1/2, 0 ") == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        assert all(type(v) is Fraction for v in _parse_vector("1,0,0"))
+        assert _parse_vector("1/2,0.5,0") == (0.5, 0.5, 0.0)
+        assert all(type(v) is float for v in _parse_vector("1/4,0.5,1/4"))
+        assert _parse_vector("0.25,0.75") == (0.25, 0.75)
+
+    @pytest.mark.parametrize("p1, token", [("1/2,x\n", "'x'"), ("1/2,1/0", "Fraction(1, 0)"),
+                                           ("1/2, 1//2", "'1//2'")])
+    def test_bad_token_exits_2(self, capsys, p1, token):
+        code, err = run_cli_err(capsys, "bounds", "--p1", p1, "--p0", "1/2,1/2")
+        assert code == 2
+        assert err.startswith(f"error: OrdBoundsError: cannot parse probability vector {p1!r}")
+        assert err.rstrip().endswith(token)
+
+    def test_objective_cell_message_is_stripped(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0,1\n1,x\n")
+        code, err = run_cli_err(capsys, "oracle", "--p1", "1/2,1/2", "--p0", "1/2,1/2",
+                                "--objective", str(path))
+        assert code == 2
+        assert err == "error: ValueError: could not convert string to float: 'x'\n"
 
 
 class TestSeedOption:

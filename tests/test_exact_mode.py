@@ -2,9 +2,9 @@
 
 Every exact result must equal, as Fractions, the result of plain Fraction
 arithmetic.  The references below are that arithmetic, written out here: the
-bounds kernel on object arrays of Fractions, the transportation simplex with
-Fraction flows and costs, and the sum and sign checks of a probability
-vector.  The draws cover J 2-50 and denominators up to 10^6, among them
+bounds kernel on object arrays of Fractions, the weighted report of a stack
+of marginal pairs, the transportation simplex with Fraction flows and costs,
+and the sum and sign checks of a probability vector.  The draws cover J 2-50 and denominators up to 10^6, among them
 vectors whose denominators are distinct primes (so D is their product).
 """
 
@@ -24,7 +24,8 @@ from ordbounds import (
     optimize,
     sign_objective,
 )
-from ordbounds.bounds import bound_rows
+import ordbounds.distributions as distributions
+from ordbounds.bounds import bound_rows, weighted_report
 from ordbounds.distributions import _arrays, _check_probs, _common_denominator
 from ordbounds.exceptions import NegativeEntry, SumNotOne
 from ordbounds.lp_oracle import LinearObjective, _cycle, _northwest_basis, _potentials, _tree
@@ -45,6 +46,21 @@ def ref_bound_rows(p1, p0):
     return np.stack([(p0 + d).max(axis=-1), (p1 * F0).sum(axis=-1), 1 + d.min(axis=-1),
                      d.max(axis=-1), (p1 * (F0 - p0)).sum(axis=-1),
                      1 + (d - p1).min(axis=-1)], axis=-1)
+
+
+def ref_weighted_report(w, p1, p0):
+    """weighted_report in Fraction arithmetic on object arrays w (n,), p1 and
+    p0 (n, J): (deltas, j1, j2, dominance, tau and eta point identified, the
+    six weighted bounds)."""
+    rows = (w @ ref_bound_rows(p1, p0)).tolist()
+    tail = lambda p: np.cumsum(p[::-1])[::-1]
+    pooled0 = (w @ p0).tolist()
+    d = tail(w @ p1) - tail(w @ p0)
+    d[0] = 0
+    d = d.tolist()
+    lower = [p + dj for p, dj in zip(pooled0, d)]
+    return (d, d.index(min(d)), lower.index(max(lower)), all(dj >= 0 for dj in d),
+            rows[2] - rows[0] <= 0, rows[5] - rows[3] <= 0, rows)
 
 
 def ref_optimize(m, obj, sense):
@@ -173,6 +189,58 @@ class TestBoundRows:
             assert [rep.tau_L, rep.tau_I, rep.tau_U, rep.eta_L, rep.eta_I, rep.eta_U] == want
 
 
+class TestWeightedReport:
+    """The exact report of a stack, computed on integer numerators, against
+    Fraction arithmetic on the same stack."""
+
+    @staticmethod
+    def stacks(seed):
+        rng = np.random.default_rng(seed)
+        for J in (2, 3, 5, 8, 13, 21, 34, 50):
+            for n in (2, 3, 5):
+                for k in range(4):
+                    yield (np.array(draw(rng, n, KINDS[k]), dtype=object),
+                           np.array([draw(rng, J, KINDS[(k + i) % 4]) for i in range(n)],
+                                    dtype=object),
+                           np.array([draw(rng, J, KINDS[(k + 2 * i + 1) % 4]) for i in range(n)],
+                                    dtype=object))
+
+    @staticmethod
+    def summary(rep):
+        return (list(rep.deltas.deltas), rep.argmin_delta_index, rep.argmax_lower_index,
+                rep.dominance, rep.tau_point_identified, rep.eta_point_identified,
+                [rep.tau_L, rep.tau_I, rep.tau_U, rep.eta_L, rep.eta_I, rep.eta_U])
+
+    def test_equal_reference(self):
+        for w, p1, p0 in self.stacks(179):
+            got = self.summary(weighted_report(w, p1, p0))
+            want = ref_weighted_report(w, p1, p0)
+            assert got == want
+            assert [type(v) for v in got[3:6]] == [bool] * 3
+            # delta_0 is the int 0, every other delta and bound a Fraction;
+            # Fraction arithmetic gives the same types unless all the
+            # numbers it adds up are ints
+            assert [type(v) for v in got[0]] == [int] + [F] * (len(got[0]) - 1)
+            assert all(type(v) is F for v in got[6])
+            if not any(type(v) is int for a in (w, p1, p0) for v in a.ravel()):
+                assert [type(v) for v in want[0]] == [type(v) for v in got[0]]
+
+    def test_identified_and_dominated_stacks(self):
+        # every row the same pair: the pooled report is the pair's own
+        seen = set()
+        for p1, p0 in [([F(1, 2), F(1, 2), 0], [0, F(1, 2), F(1, 2)]),
+                       ([0, F(1, 3), F(2, 3)], [F(1, 3), F(2, 3), 0]),
+                       ([F(1, 4)] * 4, [F(1, 4)] * 4)]:
+            w = np.array([F(1, 6), F(1, 3), F(1, 2)], dtype=object)
+            stack = [np.array([v] * 3, dtype=object) for v in (p1, p0)]
+            got = self.summary(weighted_report(w, *stack))
+            assert got == ref_weighted_report(w, *stack)
+            assert got == self.summary(full_report(pair(p1, p0)))
+            seen.add(got[3:6])
+        assert {s[0] for s in seen} == {True, False}
+        assert {s[1] for s in seen} == {True, False} and {s[2] for s in seen} == {True, False}
+
+
 class TestOracle:
     OBJECTIVES = [(name, sense) for name in ("tau", "eta", "sign") for sense in ("min", "max")]
 
@@ -268,3 +336,23 @@ class TestJoint:
         assert P.exact and "exact" in vars(P)
         assert P == Q and repr(P) == before == repr(Q)
         assert not JointDistribution(((0.5, 0.0), (0.0, 0.5))).exact
+
+    def test_one_common_denominator_pass(self, monkeypatch):
+        # validation, margins and estimands share one lcm over the J^2 entries
+        sizes = []
+        inner = distributions._common_denominator
+
+        def counted(values):
+            sizes.append(len(values))
+            return inner(values)
+
+        monkeypatch.setattr(distributions, "_common_denominator", counted)
+        exact = [P.matrix for P in self.joints(180) if P.exact]
+        assert len(exact) > 100
+        for matrix in exact:
+            sizes.clear()
+            P = JointDistribution(matrix)
+            P.margins()
+            estimands_of_joint(P)
+            P.row_margin()
+            assert sizes.count(P.J ** 2) == 1
