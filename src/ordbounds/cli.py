@@ -52,14 +52,9 @@ import numpy as np
 
 from .bounds import full_report
 from .distributions import MarginalDistribution, MarginalPair, _checked_columns, _is_exact
-from .exceptions import (
-    FitError,
-    NonConvergence,
-    OrdBoundsError,
-    ReplicateFailure,
-)
+from .exceptions import FitError, OrdBoundsError, ReplicateFailure
 
-_NUMERICAL_ERRORS = (NonConvergence, FitError, ReplicateFailure)
+_NUMERICAL_ERRORS = (FitError, ReplicateFailure)
 
 
 # the integer-valued fields of the payloads; every other number is written as a float
@@ -149,7 +144,7 @@ def _parse_vector(text: str) -> tuple:
         raise OrdBoundsError(f"cannot parse probability vector {text!r}: {e}") from None
     if not _is_exact(values):
         return tuple(map(float, values))
-    # ints as Fractions too: the couplings divide entries, and int / int is a float
+    # ints as Fractions too, so that an exact vector holds one number type
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 

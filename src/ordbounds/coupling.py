@@ -14,14 +14,23 @@ Two layers:
   splits at j1, and the eta targets are tau constructions of the swapped
   margins, whose deltas are the negated deltas of the pair.
 
-The dominance checks and the construction indices read the tail sums of
-distributions._tail_sums, the kernel behind the bounds.  All routines work
-in exact arithmetic when fed Fractions and in double precision otherwise.
+Both public entry points, triangular_transport and extremal_coupling, put
+their input on one number type once, on entry (_one_type): Fractions with
+zero 0 when every entry is exact (Fraction, int or numpy int), floats with
+zero 0.0 otherwise, float noise in [-_CLAMP, 0) set to 0.  Below that no
+step clamps or detects types: every entry made is an input entry, or a
+product or quotient of nonnegative numbers.  The dominance check (on the
+tail sums of distributions._tail_sums, the kernel behind the bounds) and the
+validated TriangularMatrix belong to triangular_transport, where outside
+input arrives; the construction calls _alloc_lower directly, its blocks
+dominated by the split j2 (exactly on exact input, within the margins' own
+float tolerance otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bounds import construction_indices
 from .distributions import JointDistribution, MarginalPair, _arrays, _deltas, _is_exact, _tail_sums
@@ -60,6 +69,16 @@ def _clamp(v):
     return v
 
 
+def _one_type(*vectors):
+    """The vectors as lists of one number type, and its zero: Fractions and 0
+    when every entry is exact (Fraction, int or numpy int), floats and 0.0
+    otherwise, float noise in [-_CLAMP, 0) set to 0."""
+    if all(map(_is_exact, vectors)):
+        return [[v if isinstance(v, Fraction) else Fraction(int(v)) for v in vec]
+                for vec in vectors], 0
+    return [[_clamp(float(v)) for v in vec] for vec in vectors], 0.0
+
+
 def _check_tail_dominance(x, y):
     """Require sum_{r>=s} x_r >= sum_{r>=s} y_r for every s."""
     x, y = _arrays(x, y)
@@ -69,25 +88,22 @@ def _check_tail_dominance(x, y):
             raise DominanceViolated(s)
 
 
-def _alloc_lower(x, y):
-    """Lower triangular allocation with column sums exactly y, row sums <= x;
-    DominanceViolated unless x tail-dominates y.
+def _alloc_lower(x, y, zero):
+    """Lower triangular allocation with column sums y and row sums <= x when
+    x tail-dominates y; x, y of the number type of zero (_one_type).
 
     One pass over the columns from the last index down.  The last diagonal
     entry is y's last entry.  Column j then takes y[j] on the diagonal when
     y[j] < x[j]; otherwise x[j], with the shortfall y[j] - x[j] spread over
     the rows below in proportion to their residuals, x[k] less the mass that
-    row k already holds in columns j+1 onwards (the running sums held).
+    row k already holds in columns j+1 onwards (the running sums held),
+    floored at zero.
     """
-    _check_tail_dominance(x, y)
     n = len(x)
-    zero = 0 if _is_exact(x) and _is_exact(y) else 0.0
     A = [[zero] * n for _ in range(n)]
-    held = [0] * n
+    held = [zero] * n
     for j in reversed(range(n)):
-        if j == n - 1:
-            A[j][j] = _clamp(y[j])
-        elif y[j] < x[j]:
+        if j == n - 1 or y[j] < x[j]:
             A[j][j] = y[j]
         else:
             A[j][j] = x[j]
@@ -96,7 +112,7 @@ def _alloc_lower(x, y):
             need = y[j] - x[j]
             if denom > 0:
                 for k, r in enumerate(resid, j + 1):
-                    A[k][j] = _clamp(need * r / denom)
+                    A[k][j] = need * r / denom
                     held[k] += A[k][j]
             # denom == 0 forces need == 0 (up to float noise): leave zeros
         held[j] += A[j][j]
@@ -124,36 +140,46 @@ def triangular_transport(x, y, variant: str) -> TriangularMatrix:
                column sums == y, row sums <= x).
 
     All inequalities become equalities when sum(x) == sum(y).
+    DominanceViolated at the first index where the condition fails.
     """
-    x, y = list(x), list(y)
+    (x, y), zero = _one_type(x, y)
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+
+    def alloc(a, b):
+        _check_tail_dominance(a, b)
+        return _alloc_lower(a, b, zero)
+
     if variant == "a":
-        return TriangularMatrix(_alloc_lower(x, y), "lower")
+        return TriangularMatrix(alloc(x, y), "lower")
     if variant == "b":
-        return TriangularMatrix(_transpose(_alloc_lower(y, x)), "upper")
+        return TriangularMatrix(_transpose(alloc(y, x)), "upper")
     if variant == "c":
-        return TriangularMatrix(_reverse(_transpose(_alloc_lower(y[::-1], x[::-1]))), "lower")
+        return TriangularMatrix(_reverse(_transpose(alloc(y[::-1], x[::-1]))), "lower")
     if variant == "d":
-        return TriangularMatrix(_reverse(_alloc_lower(x[::-1], y[::-1])), "upper")
+        return TriangularMatrix(_reverse(alloc(x[::-1], y[::-1])), "upper")
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def _product_fill(r, c, zero):
-    """Rank-one fill of residual row masses r against residual column masses c."""
+    """Rank-one fill of residual row masses r against residual column masses
+    c, each floored at zero."""
     r = [max(v, zero) for v in r]
     c = [max(v, zero) for v in c]
     m = sum(r)
     if m <= 0:   # every residual is 0: fill with them, in the margins' number type
         return [[rk] * len(c) for rk in r]
-    return [[_clamp(rk * cl / m) for cl in c] for rk in r]
+    return [[rk * cl / m for cl in c] for rk in r]
 
 
 def _tau_min_matrix(p1, p0, deltas, J, zero):
+    """The tau_min construction, split at j2: the allocations of variants b
+    (rows above j2, columns 1..j2) and d (rows j2..J-2, columns right of
+    j2), and a rank-one fill of the residual bottom-left block."""
     _, j2 = construction_indices(p0, deltas)
     P = [[zero] * J for _ in range(J)]
-    tl = triangular_transport(p1[:j2], p0[1 : j2 + 1], "b").matrix
-    br = triangular_transport(p1[j2 : J - 1], p0[j2 + 1 :], "d").matrix
+    tl = _transpose(_alloc_lower(p0[1 : j2 + 1], p1[:j2], zero))
+    br = _reverse(_alloc_lower(p1[j2 : J - 1][::-1], p0[j2 + 1 :][::-1], zero))
     for k in range(j2):
         P[k][1 : j2 + 1] = tl[k]
     for k in range(J - 1 - j2):
@@ -178,10 +204,8 @@ def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
     are the tau constructions of the swapped margins, whose deltas are the
     negated deltas, transposed.
     """
-    p1 = list(m.treated.probs)
-    p0 = list(m.control.probs)
+    (p1, p0), zero = _one_type(m.treated.probs, m.control.probs)
     J = m.J
-    zero = 0 if m.exact else 0.0
     if target == "independent":
         mat = [[p1[k] * p0[l] for l in range(J)] for k in range(J)]
         return JointDistribution(tuple(tuple(r) for r in mat))
@@ -198,5 +222,4 @@ def extremal_coupling(m: MarginalPair, target: str) -> JointDistribution:
         mat = [[Q[l][k + 1] for l in range(J)] for k in range(J)]
     if target.startswith("eta"):
         mat = _transpose(mat)
-    mat = [[_clamp(v) for v in row] for row in mat]
     return JointDistribution(tuple(tuple(r) for r in mat))

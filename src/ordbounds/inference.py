@@ -132,8 +132,7 @@ def _complier(cols, mle, n_boot, seed, J, monotonicity="standard"):
     replicates; all replicates go through complier_mle at once."""
     point = _report_row(complier_bounds(mle).complier)
     stack = _arm_redraws(_checked_cells(cols, monotonicity, J), n_boot, seed).astype(float)
-    # near-boundary resamples can need many cheap iterations
-    boot = complier_mle(stack, init=_strata_params(mle), max_iter=20000)
+    boot = complier_mle(stack, init=_strata_params(mle))
     ok = boot.converged
     failures = tuple((int(i), "NonConvergence") for i in np.flatnonzero(~ok))
     return point, bound_rows(boot.c1[ok], boot.c0[ok]), failures

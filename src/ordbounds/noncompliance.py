@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundsReport, eta_bounds, full_report, tau_bounds, weighted_report
+from .bounds import BoundsReport, full_report, weighted_report
 from .distributions import MarginalDistribution, MarginalPair, unit_columns
 from .exceptions import (
     DefiersObserved,
@@ -264,7 +264,7 @@ class CellFit(NamedTuple):
     trace: list
 
 
-def complier_mle(counts, init=None, max_iter: int = 1000, tol: float = 1e-8) -> CellFit:
+def complier_mle(counts, init=None, max_iter: int = 20000, tol: float = 1e-8) -> CellFit:
     """Maximum-likelihood strata fit of a stack of (z, d, y) count tables,
     shape (B, 2, 2, J).
 
@@ -310,7 +310,7 @@ def _default_init(counts, pi):
 
 
 def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = None,
-           max_iter: int = 1000, tol: float = 1e-8, J: int | None = None,
+           max_iter: int = 20000, tol: float = 1e-8, J: int | None = None,
            track_loglik: bool = False):
     """Maximum-likelihood strata fit on the four (z, d) cells.
 

@@ -111,6 +111,25 @@ class TestConstruct:
         assert lines[0] == ",y0=0,y0=1"
         assert lines[1].startswith("y1=0,0.25,0.25")
 
+    @pytest.mark.parametrize("p1, p0, target", [
+        # each arm sums to 1 within SUM_TOL, and the tail dominance of a
+        # block holds only within that float tolerance
+        ("0.46,0.5099999991,0.03", "0.38,0.51,0.1100000009", "eta_min"),
+        # a negative entry within NEG_TOL
+        ("0.5,-5e-13,0.5000000000005", "0.3333333333333333,0.3333333333333333,0.3333333333333333",
+         "tau_min"),
+    ])
+    def test_validated_float_margins_construct(self, capsys, p1, p0, target):
+        code, out = run_cli(capsys, "construct", "--p1", p1, "--p0", p0, "--target", target)
+        assert code == 0
+        payload = json.loads(out)
+        bounds = json.loads(run_cli(capsys, "bounds", "--p1", p1, "--p0", p0)[1])
+        estimand, side = target.split("_")
+        assert payload[estimand] == pytest.approx(
+            bounds[estimand]["lower" if side == "min" else "upper"], abs=2e-9)
+        assert payload["row_margin"] == pytest.approx([float(v) for v in p1.split(",")], abs=2e-9)
+        assert payload["col_margin"] == pytest.approx([float(v) for v in p0.split(",")], abs=2e-9)
+
     def test_bad_target_exits_2(self, capsys):
         # argparse validates the --target choices itself; main returns its code
         code = main(["construct", "--p1", "0.5,0.5", "--p0", "0.5,0.5",

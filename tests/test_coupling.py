@@ -486,3 +486,88 @@ class TestTauMaxFromShiftedPair:
             assert shifted == want
             assert (construction_indices([0] + a, shifted)[1]
                     == construction_indices(b, d)[0])
+
+
+TARGET_BOUND = {"tau_min": (0, 0), "tau_max": (0, 1), "eta_min": (1, 0), "eta_max": (1, 1)}
+
+
+def check_construction(m, target, tol):
+    """The target's coupling has the margins of m and attains its bound,
+    both within tol, and no entry below the smallest input entry."""
+    P = np.array(extremal_coupling(m, target).matrix, dtype=float)
+    p1, p0 = np.array(m.treated.probs, dtype=float), np.array(m.control.probs, dtype=float)
+    assert np.abs(P.sum(axis=1) - p1).max() <= tol
+    assert np.abs(P.sum(axis=0) - p0).max() <= tol
+    estimand, side = TARGET_BOUND[target]
+    attained = estimands_of_joint(JointDistribution(P.tolist()))[estimand]
+    assert abs(attained - (tau_bounds, eta_bounds)[estimand](m)[side]) <= tol
+    assert P.min() >= min(0.0, p1.min(), p0.min())
+
+
+class TestValidatedFloatMarginsConstruct:
+    """Every margin pair that validation accepts constructs: the blocks of
+    the construction are dominated by the split j2 only within the margins'
+    own float tolerance, and an entry may be negative within NEG_TOL."""
+
+    def test_arms_off_one_within_sum_tol(self):
+        rng = np.random.default_rng(50)
+        for _ in range(1500):
+            J = int(rng.integers(2, 8))
+            arms = [rng.dirichlet(np.ones(J)) * (1 + 9e-10 * rng.choice([-1, 1])) for _ in "10"]
+            m = MarginalPair(*(MarginalDistribution(tuple(a.tolist())) for a in arms))
+            for target in TARGET_BOUND:
+                check_construction(m, target, 2e-9)
+
+    def test_negative_entry_within_neg_tol(self):
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            J = int(rng.integers(2, 8))
+            p1, p0 = rng.dirichlet(np.ones(J)), rng.dirichlet(np.ones(J))
+            i = int(rng.integers(J))
+            k = i + 1 if i + 1 < J and (i == 0 or rng.integers(2)) else i - 1
+            eps = float(rng.choice([5e-14, 5e-13]))
+            p1[k] += p1[i] + eps
+            p1[i] = -eps
+            m = MarginalPair(MarginalDistribution(tuple(p1.tolist())),
+                             MarginalDistribution(tuple(p0.tolist())))
+            for target in TARGET_BOUND:
+                check_construction(m, target, 1e-12)
+
+
+class TestExactIntMargins:
+    """Int and numpy-int margins go through the construction as Fractions."""
+
+    TARGETS = ("tau_min", "tau_max", "eta_min", "eta_max", "independent")
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(52)
+        for J in range(2, 5):
+            for i in range(J):
+                one_hot = [int(l == i) for l in range(J)]
+                yield one_hot, [int(l == J - 1 - i) for l in range(J)]
+                yield one_hot, draw(rng, J, "dense")   # ints and Fractions mixed
+
+    def test_exact_joints_equal_fraction_joints(self):
+        for a, b in self.pairs():
+            want_pair = MarginalPair(MarginalDistribution([F(v) for v in a]),
+                                     MarginalDistribution([F(v) for v in b]))
+            for cast in (int, np.int64):
+                m = MarginalPair(MarginalDistribution([cast(v) if type(v) is int else v for v in a]),
+                                 MarginalDistribution([cast(v) if type(v) is int else v for v in b]))
+                for target in self.TARGETS:
+                    got = extremal_coupling(m, target)
+                    assert got.exact
+                    assert all(isinstance(v, (F, int)) for row in got.matrix for v in row)
+                    assert got.matrix == extremal_coupling(want_pair, target).matrix
+
+    def test_triangular_transport_on_ints_gives_fractions(self):
+        for x, y in (((0, 1), (1, 0)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0))):
+            for cast in (int, np.int64):
+                for variant, (u, v) in zip("abcd", ((x, y), (y, x), (y[::-1], x[::-1]),
+                                                    (x[::-1], y[::-1]))):
+                    got = triangular_transport([cast(t) for t in u], [cast(t) for t in v], variant)
+                    assert all(type(t) in (F, int) for row in got.matrix for t in row)
+                    assert any(type(t) is F for row in got.matrix for t in row)
+                    assert got.matrix == triangular_transport([F(t) for t in u], [F(t) for t in v],
+                                                              variant).matrix

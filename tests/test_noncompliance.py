@@ -420,6 +420,20 @@ class TestComplierMLE:
         m, trace = em_fit(recs, track_loglik=True)
         assert trace == [em_loglik(_cells(unit_columns(recs), 3), *model_arrays(m))]
 
+    def test_slow_boundary_table_converges_by_default(self):
+        # generate_study2(3, 3000, seed=24662): a boundary table whose EM
+        # needs more than a thousand iterations
+        counts = np.array([[[403, 197, 154], [226, 186, 334]],
+                           [[47, 67, 156], [376, 343, 511]]])
+        recs = generate_study2(3, 3000, seed=24662)
+        assert (_cells(unit_columns(recs), 3) == counts).all()
+        fit = complier_mle(counts[None])
+        assert not fit.interior[0] and fit.converged[0]
+        assert len(fit.trace) > 1000
+        m = em_fit(recs)
+        for got, want in zip(fit[:5], model_arrays(m)):
+            assert np.abs(got[0] - np.asarray(want)).max() <= 1e-12
+
     def test_nonconvergence_reported_per_table(self):
         stack = study2_counts(range(116, 123))
         fit = complier_mle(stack, max_iter=1)
