@@ -33,7 +33,9 @@ integers, every other number is a float (an exact 1/5 prints as 0.2), and a
 non-finite value prints as json's NaN, Infinity or -Infinity.
 
 Exit codes: 0 success, 2 input or validation error (a rejected command line
-too), 3 numerical failure.
+too), 3 numerical failure.  An output that cannot be written (a --out path
+that cannot be opened, a full device) exits 2 with one error line; a stdout
+closed by its reader (as ``head`` does) exits 0 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -51,7 +53,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .bounds import full_report
-from .distributions import MarginalDistribution, MarginalPair, _checked_columns, _is_exact
+from .distributions import (
+    MarginalDistribution,
+    MarginalPair,
+    _checked_columns,
+    _is_exact,
+    estimands_of_joint,
+)
 from .exceptions import FitError, OrdBoundsError, ReplicateFailure
 
 _NUMERICAL_ERRORS = (FitError, ReplicateFailure)
@@ -108,10 +116,15 @@ def _floats(values, sep):
 
 
 def _write(text: str, args):
-    """text and a newline to --out, or to stdout."""
+    """text and a newline to --out, or to stdout (which main flushes)."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except BrokenPipeError:   # a reader that closed early (--out /dev/stdout): main's case
+            raise
+        except OSError as e:
+            raise OrdBoundsError(f"cannot write {args.out}: {e}") from None
     else:
         print(text)
 
@@ -259,7 +272,6 @@ def cmd_bounds(args):
 
 def cmd_construct(args):
     from .coupling import extremal_coupling
-    from .distributions import estimands_of_joint
 
     joint = extremal_coupling(_marginal_pair(args), args.target)
     tau, eta, alpha = estimands_of_joint(joint)
@@ -491,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:   # argparse's exit: 2 for a rejected argv, 0 for --help
@@ -499,12 +511,37 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except _NUMERICAL_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return _fail(e, 3)
     except (OrdBoundsError, ValueError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return _fail(e, 2)
     return 0
+
+
+def _fail(e: Exception, code: int) -> int:
+    print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()   # so that a closed or full stdout fails here, not at exit
+        return code
+    except BrokenPipeError:   # the reader stopped reading, as head does: nothing failed
+        code = 0
+    except OSError as e:      # commands report their own files' errors: this is stdout
+        code = _fail(OrdBoundsError(f"cannot write stdout: {e}"), 2)
+    # The output left in stdout's buffer would fail again when the interpreter
+    # flushes it at exit: send it to os.devnull, as the signal module's note on
+    # SIGPIPE does.  An in-process caller's stdout may have no descriptor.
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return code
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,14 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import bound_rows, full_report
-from .distributions import JointDistribution, MarginalDistribution, MarginalPair, unit_columns
+from .coupling import extremal_coupling
+from .distributions import (
+    JointDistribution,
+    MarginalDistribution,
+    MarginalPair,
+    estimands_of_joint,
+    unit_columns,
+)
 from .estimation import UnitRecord
 from .exceptions import OddN, OrdBoundsError, ReplicateFailure
 from .inference import bootstrap_bounds_ci
@@ -73,8 +80,6 @@ _PAIR_B = MarginalPair(
 
 def study1_joint(case: int) -> JointDistribution:
     """The case's true joint distribution of (Y(1), Y(0))."""
-    from .coupling import extremal_coupling
-
     pair = _PAIR_A if case in (1, 2) else _PAIR_B
     target = "independent" if case in (1, 3) else "tau_max"
     return extremal_coupling(pair, target)
@@ -82,8 +87,6 @@ def study1_joint(case: int) -> JointDistribution:
 
 def study1_truth(case: int) -> dict:
     """True tau and its sharp bounds for the case."""
-    from .distributions import estimands_of_joint
-
     joint = study1_joint(case)
     tau, eta, alpha = estimands_of_joint(joint)
     rep = full_report(joint.margins())

@@ -909,3 +909,59 @@ class TestSimulateChecks:
         assert code == 3
         assert captured.out == ""
         assert "ReplicateFailure" in captured.err
+
+
+class TestOutputContract:
+    """A closed stdout exits 0 with nothing on stderr; an unwritable output
+    exits 2 with one error line.  Each case runs in a fresh interpreter, with
+    stdout buffered and unbuffered, since either can raise first."""
+
+    BOUNDS = ("bounds", "--p1", "0.5,0.5", "--p0", "0.5,0.5")
+    J20 = ",".join(["1/20"] * 20)
+
+    @staticmethod
+    def run(argv, stdout, unbuffered):
+        src = os.path.dirname(os.path.dirname(ordbounds.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-m", "ordbounds.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        BOUNDS,
+        ("construct", "--p1", J20, "--p0", J20, "--target", "tau_max"),
+        ("bounds", "--help"),
+        BOUNDS + ("--out", "/dev/stdout"),
+    ], ids=["bounds", "construct", "help", "out-dev-stdout"])
+    def test_closed_stdout_exits_0(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run(argv, write, unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("out", ["missing", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, out):
+        path = str(tmp_path / "missing" / "x.json") if out == "missing" else str(tmp_path)
+        proc = self.run(self.BOUNDS + ("--out", path), subprocess.PIPE, False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: OrdBoundsError: cannot write {path}: [Errno ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_exits_2(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run(self.BOUNDS, full, unbuffered)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: OrdBoundsError: cannot write stdout: "
+                               "[Errno 28] No space left on device\n")
+
+    def test_unwritable_out_in_process(self, capsys, tmp_path):
+        assert main([*self.BOUNDS, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: OrdBoundsError: cannot write {tmp_path}")
