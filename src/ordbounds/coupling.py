@@ -58,10 +58,6 @@ class TriangularMatrix:
                 if outside and v != 0:
                     raise ValueError(f"nonzero entry outside {self.orientation} triangle")
 
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
 
 def _clamp(v):
     if isinstance(v, float) and -_CLAMP <= v < 0.0:

@@ -232,10 +232,6 @@ class DeltaVector:
             if not -1 - tol <= d <= 1 + tol:   # NaN fails too
                 raise ValidationError(f"delta {d} outside [-1, 1]")
 
-    @property
-    def J(self) -> int:
-        return len(self.deltas)
-
 
 def validate_marginal(probs: Sequence) -> MarginalDistribution:
     """Validate a raw numeric vector as a probability distribution.

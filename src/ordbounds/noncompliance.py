@@ -329,8 +329,8 @@ def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = N
     if init is not None:
         init = _strata_params(init)
         pi = init[0]
-        if pi[1] <= 0 or abs(pi.sum() - 1) > 1e-6:
-            raise DegenerateInit("init must have pi_c > 0 and proportions summing to 1")
+        if pi[1] <= 0:
+            raise DegenerateInit("init must have pi_c > 0")
     fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
     if not fit.converged[0]:
         raise NonConvergence(f"EM did not converge in {max_iter} iterations")
@@ -415,25 +415,23 @@ class CovariateStrataFit:
                                self.c_control_model.predict_proba(X))
 
 
-def _strata_terms(fit, X, y, z, classes):
+def _strata_terms(fit, X, y, z):
     """Each unit's joint terms pi_g(x) p_g(y | x), shape (n, G) with columns
-    ordered as classes; compliers take the treated or the control outcome
-    model as z is 1 or 0.  The columns of fit.g_model are picked by class
-    label, so a fit under the other monotonicity mode serves as well: a
-    stratum it does not model gets terms 0."""
-    P = dict(zip(fit.g_model.classes, fit.g_model.predict_proba(X).T))
+    ordered as fit.g_model.classes: ('c', 'a', 'n'), or ('c', 'n') when fit
+    has no a_model.  Compliers take the treated or the control outcome model
+    as z is 1 or 0."""
+    rows = np.arange(len(y))
 
     def at(model):
-        return model.predict_proba(X)[np.arange(len(y)), y]
+        return model.predict_proba(X)[rows, y]
 
-    outcome = {"c": lambda: np.where(z == 1, at(fit.c_treated_model), at(fit.c_control_model)),
-               "a": lambda: at(fit.a_model), "n": lambda: at(fit.n_model)}
-    return np.column_stack([P[g] * outcome[g]() if g in P else np.zeros(len(y)) for g in classes])
+    c = np.where(z == 1, at(fit.c_treated_model), at(fit.c_control_model))
+    others = [at(m) for m in (fit.a_model, fit.n_model) if m is not None]
+    return fit.g_model.predict_proba(X) * np.column_stack([c, *others])
 
 
 def em_fit_with_covariates(records, monotonicity: str = "standard",
                            max_iter: int = 500, tol: float = 1e-7,
-                           init: CovariateStrataFit | None = None,
                            J: int | None = None) -> CovariateStrataFit:
     """EM alternating posterior stratum weights with weighted multinomial-logit
     and proportional-odds fits, on one (n, G) posterior matrix.
@@ -448,7 +446,7 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     the sum of the logs of the row sums, is non-decreasing across iterations
     (each M-step maximizes the weighted fits to convergence).  Each fit's
     joint terms serve both its log-likelihood and the next E-step; the first
-    E-step uses those of init or of the covariate-free fit.
+    E-step uses those of the covariate-free fit (em_fit).
 
     The first M-step starts every fit cold, as a fit on its own would; later
     ones start from the previous iterate's parameters.  A fit whose warm
@@ -465,29 +463,24 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
     allowed = np.column_stack([admits[g] for g in classes])
     if "a" in classes and not admits["a"].any():
         raise DegenerateInit("no units with d=1")
-    # each outcome model: its stratum and the units whose outcomes it fits
-    outcomes = {"a_model": ("a", admits["a"]), "n_model": ("n", admits["n"]),
-                "c_treated_model": ("c", admits["c"] & (z == 1)),
-                "c_control_model": ("c", admits["c"] & (z == 0))}
+    # the fitted outcome models: name, stratum column and the units whose
+    # outcomes it fits (a_model stays None under strong monotonicity)
+    outcomes = [(name, classes.index(g), mask) for name, g, mask in (
+        ("a_model", "a", admits["a"]), ("n_model", "n", admits["n"]),
+        ("c_treated_model", "c", admits["c"] & (z == 1)),
+        ("c_control_model", "c", admits["c"] & (z == 0))) if g in classes]
+    names, strata, units = zip(*outcomes)
+    units = np.array(units)
 
-    if init is not None:
-        terms = _strata_terms(init, X, y, z, classes)
-    else:
-        # warm start from the covariate-free fit
-        pi, a, n, c1, c0 = _strata_params(em_fit(cols, monotonicity=monotonicity, J=J))
-        t = {"c": pi[1] * np.where(z == 1, c1[y], c0[y]), "a": pi[0] * a[y], "n": pi[2] * n[y]}
-        terms = np.column_stack([t[g] for g in classes])
-    joint = terms * allowed
+    pi, a, n, c1, c0 = _strata_params(em_fit(cols, monotonicity=monotonicity, J=J))
+    t = {"c": pi[1] * np.where(z == 1, c1[y], c0[y]), "a": pi[0] * a[y], "n": pi[2] * n[y]}
+    joint = np.column_stack([t[g] for g in classes]) * allowed
 
     # the stratum fit's (unit, stratum) pairs and design
     M = np.hstack([np.ones((len(y), 1)), X])
     _check_rank(M)
     pair_i, pair_g = np.nonzero(allowed)
     M = M[pair_i]
-    # the fitted outcome models: stratum columns and unit masks (k, n)
-    names = [name for name, (s, _) in outcomes.items() if s in classes]
-    strata = [classes.index(outcomes[name][0]) for name in names]
-    units = np.array([outcomes[name][1] for name in names])
     full_rank = [_full_rank(X[u]) for u in units]
 
     trace = []
@@ -502,11 +495,10 @@ def em_fit_with_covariates(records, monotonicity: str = "standard",
         _raise_failure(error)
         models, outcome_start = _safe_cumlogit_rows(y, X, post[:, strata].T * units, units, J,
                                                     full_rank, outcome_start)
-        fitted = dict.fromkeys(outcomes)   # a_model stays None under strong monotonicity
-        fitted.update(zip(names, models))
-        fit = CovariateStrataFit(g_model=_mnlogit_model(classes, g_theta[0]), **fitted,
+        fit = CovariateStrataFit(g_model=_mnlogit_model(classes, g_theta[0]),
+                                 **{"a_model": None, **dict(zip(names, models))},
                                  loglik=np.nan, n_iter=it_num, loglik_trace=trace)
-        joint = _strata_terms(fit, X, y, z, classes) * allowed
+        joint = _strata_terms(fit, X, y, z) * allowed
         fit.loglik = float(np.log(np.maximum(joint.sum(axis=1), 1e-300)).sum())
         trace.append(fit.loglik)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:

@@ -24,6 +24,7 @@ and summarise the replicates that succeeded against the true bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,8 +79,10 @@ _PAIR_B = MarginalPair(
 )
 
 
+@functools.cache
 def study1_joint(case: int) -> JointDistribution:
-    """The case's true joint distribution of (Y(1), Y(0))."""
+    """The case's true joint distribution of (Y(1), Y(0)), built once per
+    case (a JointDistribution is immutable)."""
     pair = _PAIR_A if case in (1, 2) else _PAIR_B
     target = "independent" if case in (1, 3) else "tau_max"
     return extremal_coupling(pair, target)

@@ -232,6 +232,51 @@ class TestProbabilityFloor:
         assert np.allclose(direction[1], [0.25, 0.25], atol=1e-9)   # the Newton step
 
 
+class TestNewtonFallbacks:
+    """The stacked Newton fallbacks act on the failing row alone."""
+
+    def test_singular_row_gets_the_gradient(self, monkeypatch):
+        # row 1's ridged Hessian 1e-10 I - 1e-10 I is exactly singular, so the
+        # stacked solve fails and every row is solved on its own
+        grad = np.array([[1.0, 2.0], [3.0, -4.0], [-1.0, 0.5]])
+        hess = np.array([[[-2.0, 0.5], [0.5, -1.0]], 1e-10 * np.eye(2), [[-4.0, 0.0], [0.0, -0.5]]])
+        solves = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solves.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        direction = _ascent_direction(grad, hess)
+        assert solves == [(3, 2, 2), (2, 2), (2, 2), (2, 2)]
+        assert np.array_equal(direction[1], [0.75, -1.0])    # the scaled gradient
+        for k in (0, 2):                                      # the Newton steps
+            assert np.allclose(direction[k], -np.linalg.inv(hess[k]) @ grad[k], atol=1e-9)
+
+    def test_line_search_failure_is_per_row(self):
+        # rows 0 and 2 are concave quadratics; row 1's log-likelihood drops
+        # from 0 to -1 at every point but its start, along a nonzero gradient
+        start = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 0.5]])
+        target = np.array([[1.0, -2.0], [0.0, 0.0], [0.5, 0.5]])
+        pit = np.array([False, True, False])
+
+        def f(theta, rows):
+            resid = theta - target[rows]
+            quad = -0.5 * (resid ** 2).sum(axis=1)
+            moved = (theta != start[rows]).any(axis=1)
+            ll = np.where(pit[rows], np.where(moved, -1.0, 0.0), quad)
+            grad = np.where(pit[rows][:, None], 1.0, -resid)
+            return ll, grad, np.broadcast_to(-np.eye(2), (len(rows), 2, 2)).copy()
+
+        theta, error = models._newton(f, start)
+        assert isinstance(error[1], NonConvergence)
+        assert str(error[1]) == "line search failed to improve log-likelihood"
+        assert np.array_equal(theta[1], start[1])
+        assert error[0] is None and error[2] is None
+        assert np.allclose(theta[[0, 2]], target[[0, 2]], atol=1e-8)
+
+
 class TestFitFailures:
     """The one-row fitters raise the typed failure of their Newton row."""
 

@@ -552,7 +552,7 @@ def reference_em(records, monotonicity="standard", max_iter=500, tol=1e-7):
                   if s in classes else None for name, (s, u) in outcomes.items()}
         fit = CovariateStrataFit(g_model=g_model, **fitted, loglik=np.nan, n_iter=it_num,
                                  loglik_trace=trace)
-        joint = _strata_terms(fit, X, y, z, classes) * allowed
+        joint = _strata_terms(fit, X, y, z) * allowed
         fit.loglik = float(np.log(np.maximum(joint.sum(axis=1), 1e-300)).sum())
         trace.append(fit.loglik)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
@@ -619,6 +619,36 @@ class TestWarmStartedMSteps:
         # cold 0.0065 short of the MLE, warm 0.0012
         assert abs(slope_x2[1] - slope_x2[2]) < 0.5 * abs(slope_x2[0] - slope_x2[2])
 
+    def test_failed_warm_starts_are_refitted_cold(self, monkeypatch):
+        """With every warm-started M-step fit failing, each is refitted cold,
+        so the EM is the cold-start reference."""
+        calls = {"stratum": [], "outcome": []}
+        mnlogit_rows = noncompliance.fit_multinomial_logit_rows
+        cumlogit_rows = noncompliance.fit_cumulative_logit_rows
+
+        def failure(rows):
+            return np.array([NonConvergence("forced") for _ in range(rows)], dtype=object)
+
+        def mnlogit_spy(gidx, M, W, G, start=None):
+            calls["stratum"].append("cold" if start is None else "warm")
+            return mnlogit_rows(gidx, M, W, G) if start is None else (start, failure(len(W)))
+
+        def cumlogit_spy(y, X, W, J, start=None):
+            calls["outcome"].append("cold" if start is None else "warm")
+            return cumlogit_rows(y, X, W, J) if start is None else (*start, failure(len(W)))
+
+        monkeypatch.setattr(noncompliance, "fit_multinomial_logit_rows", mnlogit_spy)
+        monkeypatch.setattr(noncompliance, "fit_cumulative_logit_rows", cumlogit_spy)
+        recs = study2_sample(1, "standard")
+        fit = em_fit_with_covariates(recs)
+        ref = reference_em(recs)
+        # the first M-step is cold; every later warm start fails and is refitted
+        refitted = ["cold"] + ["warm", "cold"] * (fit.n_iter - 1)
+        assert calls == {"stratum": refitted, "outcome": refitted}
+        assert fit.n_iter == ref.n_iter > 2
+        assert (np.diff(fit.loglik_trace) >= 0).all()
+        assert np.abs(report_row(fit, recs) - report_row(ref, recs)).max() <= 1e-12
+
 
 def four_cell_loglik(fit, records):
     """Observed-data log-likelihood of a covariate strata fit, summed cell by
@@ -684,8 +714,6 @@ class TestMonotonicityMode:
         lambda r: moment_identify(r, monotonicity="bogus"),
         lambda r: em_fit(r, monotonicity="bogus"),
         lambda r: em_fit_with_covariates(r, monotonicity="bogus"),
-        lambda r: em_fit_with_covariates(r, monotonicity="bogus",
-                                         init=em_fit_with_covariates(r, monotonicity="strong")),
         lambda r: bootstrap_replicates(r, estimator="complier", n_boot=100,
                                        monotonicity="bogus"),
     ])
