@@ -255,8 +255,7 @@ def _bootstrap_payload(args, units, estimator, fit, lowers, **options) -> dict:
     their fit: an interval for tau and eta with each (lower, label suffix) of lowers."""
     from .inference import _bootstrap, _intervals
 
-    reps = _bootstrap(units, estimator, fit, args.bootstrap, _seed(args), args.categories,
-                      **options)
+    reps = _bootstrap(units, estimator, fit, args.bootstrap, _seed(args), **options)
     keys = [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
     irs = _intervals(reps, [(e, lower) for e, lower, _ in keys], args.alpha_level, args.ci_method)
     ci = {e + s: {"low": ir.ci_low, "high": ir.ci_high} for (e, _, s), ir in zip(keys, irs)}
@@ -425,7 +424,7 @@ def _add_common(p):
 def _add_unit_analysis(p):
     """Flags shared by the unit-data commands, added after their own."""
     p.add_argument("--categories", type=int, default=None,
-                   help="number of outcome categories (default max(y)+1)")
+                   help="number of outcome categories (default max(y)+1; at least 2)")
     p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT",
                    help="bootstrap replicates for CIs (0 disables)")
     p.add_argument("--alpha-level", type=float, default=0.95,

@@ -280,6 +280,10 @@ class UnitColumns(NamedTuple):
     def J(self) -> int:
         return int(self.y.max(initial=0)) + 1
 
+    def categories(self, J: int | None = None) -> int:
+        """The J of every fit of these units: J, else self.J, and at least 2."""
+        return max(self.J if J is None else J, 2)
+
 
 def unit_columns(data) -> UnitColumns:
     """The UnitColumns of unit records (see
@@ -346,11 +350,11 @@ def empirical_marginals(records, J: int | None = None) -> MarginalPair:
     """Within-arm relative frequencies of the observed outcomes.
 
     ``records`` is unit data as :func:`unit_columns` takes it.  J is
-    inferred as max(y)+1 unless supplied.
+    UnitColumns.categories: max(y)+1 unless supplied, and at least 2.
     """
     cols = unit_columns(records)
     z, y = cols.z, cols.y
-    J = max(cols.J if J is None else J, 2)
+    J = cols.categories(J)
     if (y >= J).any():
         raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount(z * J + y, minlength=2 * J).reshape(2, J)

@@ -111,7 +111,7 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     logistic model of z on x.
     """
     cols = unit_columns(records)
-    kernel = _ipw_kernel(cols, cols.J if J is None else J, propensity, trim)
+    kernel = _ipw_kernel(cols, cols.categories(J), propensity, trim)
     _, p1, p0 = _full_sample(kernel, len(cols.z))
     return MarginalPair(MarginalDistribution(tuple(p1[0])), MarginalDistribution(tuple(p0[0])))
 
@@ -137,7 +137,7 @@ def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
     z = cols.z
     if z.all() or not z.any():
         raise EmptyArm("both arms required")
-    J = max(cols.J if J is None else J, 2)
+    J = cols.categories(J)
     if strata == "discrete":
         if cols.J > J:
             raise OutOfRangeOutcome(f"outcome {cols.y.max()} outside 0..{J - 1}")

@@ -14,7 +14,8 @@ whole identified set.
 
 Each estimator is a (fit, replicates) pair of _ESTIMATORS on UnitColumns: fit
 is its public full-sample estimator, and replicates, whose resamples index
-the units, take the point row from fit's result, which the CLI passes on.
+the units, take the point row and the number of categories J from fit's
+result, which the CLI passes on.  Only the fits decide J.
 
 Resampling matches the design: arm-stratified with replacement (arm sizes
 preserved) for every estimator but inverse-propensity weighting, which
@@ -118,20 +119,20 @@ def _arm_redraws(counts, n_boot, seed):
     return np.stack([draws0, draws1], axis=1).reshape(n_boot, *counts.shape)
 
 
-def _randomized(cols, est, n_boot, seed, J):
+def _randomized(cols, est, n_boot, seed):
     """Within-arm outcome counts, redrawn."""
-    Jr = J or cols.J
-    counts = np.bincount(cols.z * Jr + cols.y, minlength=2 * Jr).reshape(2, Jr)
+    J = len(est.report.deltas.deltas)
+    counts = np.bincount(cols.z * J + cols.y, minlength=2 * J).reshape(2, J)
     p = _arm_redraws(counts, n_boot, seed) / counts.sum(axis=1, keepdims=True)
     return _report_row(est.report), bound_rows(p[:, 1], p[:, 0]), ()
 
 
-def _complier(cols, mle, n_boot, seed, J, monotonicity="standard"):
+def _complier(cols, mle, n_boot, seed, monotonicity="standard"):
     """Complier bootstrap on (z, d, y) cell counts, redrawn.  The full-sample
     StrataModel mle gives the point row and the EM warm start of the boundary
     replicates; all replicates go through complier_mle at once."""
     point = _report_row(complier_bounds(mle).complier)
-    stack = _arm_redraws(_checked_cells(cols, monotonicity, J), n_boot, seed).astype(float)
+    stack = _arm_redraws(_checked_cells(cols, monotonicity, mle.J), n_boot, seed).astype(float)
     boot = complier_mle(stack, init=_strata_params(mle))
     ok = boot.converged
     failures = tuple((int(i), "NonConvergence") for i in np.flatnonzero(~ok))
@@ -175,39 +176,38 @@ def _stacked(cols, scheme, n_boot, seed, J, kernel):
                                        if e is not None)
 
 
-def _ipw(cols, est, n_boot, seed, J, propensity=None, trim=0.01):
+def _ipw(cols, est, n_boot, seed, propensity=None, trim=0.01):
     """Inverse-propensity weighting: whole-sample resamples, one stacked
     propensity fit."""
-    Jr = J or cols.J
+    J = len(est.report.deltas.deltas)
     return (_report_row(est.report),
-            *_stacked(cols, "whole", n_boot, seed, Jr, _ipw_kernel(cols, Jr, propensity, trim)))
+            *_stacked(cols, "whole", n_boot, seed, J, _ipw_kernel(cols, J, propensity, trim)))
 
 
-def _adjusted(cols, est, n_boot, seed, J, strata="discrete"):
+def _adjusted(cols, est, n_boot, seed, strata="discrete"):
     """Covariate adjustment: arm-stratified resamples, stacked per-arm
     fits (strata="model") or per-stratum counts."""
-    # the fits may see more categories than J; extra ones are padding
-    Jr = max(J or 0, cols.J)
-    kernel = (_model_kernel if strata == "model" else _discrete_kernel)(cols, Jr)
-    return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, Jr, kernel)
+    J = len(est.report.deltas.deltas)
+    kernel = (_model_kernel if strata == "model" else _discrete_kernel)(cols, J)
+    return _report_row(est.report), *_stacked(cols, "stratified", n_boot, seed, J, kernel)
 
 
-def _complier_adjusted(cols, fit, n_boot, seed, J, monotonicity="standard"):
+def _complier_adjusted(cols, fit, n_boot, seed, monotonicity="standard"):
     """The covariate complier estimator refits covariate EM per replicate."""
     point = _report_row(fit.complier_report(cols.x))
     rows, failures = [], []
     for r, idx in enumerate(_index_stack(cols, "stratified", n_boot, seed)):
         sample = _take(cols, idx)
         try:
-            refit = em_fit_with_covariates(sample, monotonicity=monotonicity, J=J)
+            refit = em_fit_with_covariates(sample, monotonicity=monotonicity, J=fit.c_treated_model.J)
             rows.append(_report_row(refit.complier_report(sample.x)))
         except OrdBoundsError as e:
             failures.append((r, type(e).__name__))
     return point, np.array(rows).reshape(-1, len(COLUMNS)), tuple(failures)
 
 
-# estimator -> (fit(UnitColumns, J=J, **options), replicates(UnitColumns,
-# fit result, n_boot, seed, J, **options) -> (point, rows, failures))
+# estimator -> (fit(UnitColumns, J=J, **options), replicates(UnitColumns, fit
+# result, n_boot, seed, **options) -> (point, rows, failures)), J from the fit
 _ESTIMATORS = {
     "randomized": (estimate_randomized, _randomized),
     "ipw": (estimate_ipw, _ipw),
@@ -223,7 +223,7 @@ def _estimator(estimator, n_boot, options):
         raise ValueError("n_boot must be at least 100")
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    inspect.signature(_ESTIMATORS[estimator][1]).bind(None, None, n_boot, None, None, **options)
+    inspect.signature(_ESTIMATORS[estimator][1]).bind(None, None, n_boot, None, **options)
     return _ESTIMATORS[estimator]
 
 
@@ -243,13 +243,13 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     """
     fit, _ = _estimator(estimator, n_boot, options)
     cols = unit_columns(records)
-    return _bootstrap(cols, estimator, fit(cols, J=J, **options), n_boot, seed, J, **options)
+    return _bootstrap(cols, estimator, fit(cols, J=J, **options), n_boot, seed, **options)
 
 
-def _bootstrap(cols, estimator, fit_result, n_boot, seed, J, **options) -> Replicates:
+def _bootstrap(cols, estimator, fit_result, n_boot, seed, **options) -> Replicates:
     """bootstrap_replicates of UnitColumns from their full-sample fit_result."""
     point, rows, failures = _estimator(estimator, n_boot, options)[1](
-        cols, fit_result, n_boot, seed, J, **options)
+        cols, fit_result, n_boot, seed, **options)
     return Replicates(point, rows, len(failures), seed, failures)
 
 

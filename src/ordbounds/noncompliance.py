@@ -136,13 +136,13 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
 
 
 def _cells(cols, J=None):
-    """Counts n[z][d][y] of UnitColumns as a (2, 2, J) array, J = max(y) + 1
-    unless given; EmptyArm if either assignment arm has no units (the
+    """Counts n[z][d][y] of UnitColumns as a (2, 2, J) array, J =
+    cols.categories(J); EmptyArm if either assignment arm has no units (the
     mixture subtraction divides by the arm sizes)."""
     z, y, d, _ = cols
     if d is None:
         raise ValueError("records must carry the treatment-received field d")
-    J = cols.J if J is None else J
+    J = cols.categories(J)
     if (y >= J).any():
         raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
@@ -264,7 +264,7 @@ class CellFit(NamedTuple):
     trace: list
 
 
-def complier_mle(counts, init=None, max_iter: int = 20000, tol: float = 1e-8) -> CellFit:
+def complier_mle(counts, init=None, max_iter: int = 20000) -> CellFit:
     """Maximum-likelihood strata fit of a stack of (z, d, y) count tables,
     shape (B, 2, 2, J).
 
@@ -275,7 +275,7 @@ def complier_mle(counts, init=None, max_iter: int = 20000, tol: float = 1e-8) ->
     MLE; it is returned without iterating.  The other (boundary) tables run
     through one vectorised EM, started from init, a tuple (pi, a, n, c1, c0)
     broadcast over the stack, or by default from the moment proportions and
-    uniform marginals.
+    uniform marginals, until its log-likelihood changes by less than 1e-8.
     """
     counts = np.asarray(counts, dtype=float)
     pi, a, n, c1, c0, clipped = _moments(counts)
@@ -289,7 +289,7 @@ def complier_mle(counts, init=None, max_iter: int = 20000, tol: float = 1e-8) ->
         else:
             start = [np.broadcast_to(np.asarray(v, dtype=float), (len(counts), np.shape(v)[-1]))[edge]
                      for v in init]
-        *fitted, trace, ok = _em_from_counts(counts[edge], *start, max_iter=max_iter, tol=tol)
+        *fitted, trace, ok = _em_from_counts(counts[edge], *start, max_iter=max_iter, tol=1e-8)
         for p, q in zip((pi, a, n, c1, c0), fitted):
             p[edge] = q
         converged[edge] = ok
@@ -309,29 +309,22 @@ def _default_init(counts, pi):
     return pi, uniform, uniform, uniform, uniform
 
 
-def em_fit(records, monotonicity: str = "standard", init: StrataModel | None = None,
-           max_iter: int = 20000, tol: float = 1e-8, J: int | None = None,
-           track_loglik: bool = False):
+def em_fit(records, monotonicity: str = "standard", max_iter: int = 20000,
+           J: int | None = None, track_loglik: bool = False):
     """Maximum-likelihood strata fit on the four (z, d) cells.
 
     The MLE is the moment solution whenever that is interior (pi_c > 0 and
-    no negative complier cell); it is then returned in closed form, init is
-    not used, and the log-likelihood trace is the single value at the
-    solution.  Only a boundary table runs EM, from init or by default from
-    the moment proportions and uniform marginals, until the log-likelihood
-    changes by less than tol; NonConvergence if that takes more than
-    max_iter iterations.
+    no negative complier cell); it is then returned in closed form, and the
+    log-likelihood trace is the single value at the solution.  Only a
+    boundary table runs EM (complier_mle), from the moment proportions and
+    uniform marginals, until the log-likelihood changes by less than 1e-8;
+    NonConvergence if that takes more than max_iter iterations.
 
     Returns the fitted StrataModel (and the log-likelihood trace when
     track_loglik is True).
     """
     counts = _checked_cells(unit_columns(records), monotonicity, J)
-    if init is not None:
-        init = _strata_params(init)
-        pi = init[0]
-        if pi[1] <= 0:
-            raise DegenerateInit("init must have pi_c > 0")
-    fit = complier_mle(counts[None], init=init, max_iter=max_iter, tol=tol)
+    fit = complier_mle(counts[None], max_iter=max_iter)
     if not fit.converged[0]:
         raise NonConvergence(f"EM did not converge in {max_iter} iterations")
     params = [v[0] for v in fit[:5]]
@@ -407,9 +400,6 @@ class CovariateStrataFit:
         """Covariate-adjusted complier bounds: the conditional bounds of the
         two complier outcome models (of equal J) averaged with pi_c(x)
         weights."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
         w = self.pi_c(X)
         return weighted_report(w / w.sum(), self.c_treated_model.predict_proba(X),
                                self.c_control_model.predict_proba(X))

@@ -437,6 +437,70 @@ class TestAnalyzeIV:
         assert code == 2
 
 
+class TestAnalyzeIVCovariates:
+    def test_reports_the_covariate_fit(self, capsys, tmp_path):
+        from ordbounds import em_fit_with_covariates
+        from ordbounds.cli import _report_payload
+
+        path = tmp_path / "cov.csv"
+        write_csv(path, [(r.z, r.d, r.y, *r.x) for r in ordbounds.generate_study2(4, 400, seed=0)],
+                  ("z", "d", "y", "x1", "x2"))
+        code, out = run_cli(capsys, "analyze-iv", "--data", str(path), "--covariates")
+        assert code == 0
+        units, _ = _read_unit_csv(str(path), None)
+        fit = em_fit_with_covariates(units)
+        want = json.loads(_json(_report_payload(fit.complier_report(units.x))))
+        assert json.loads(out)["complier_adjusted"] == want
+
+
+class TestSingleCategory:
+    """Outcomes that are all 0 fit J = 2 in every design, where tau is 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--design", "ipw"],
+        ["analyze", "--design", "adjusted", "--strata", "discrete"],
+        ["analyze-iv"], ["analyze-iv", "--moment"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("categories", [[], ["--categories", "1"]], ids=["", "J=1"])
+    def test_fits_two_categories(self, capsys, tmp_path, argv, categories):
+        path = tmp_path / "units.csv"
+        write_csv(path, [(i % 2, int(i % 5 == 0) ^ (i % 2), 0, i % 3 // 2) for i in range(60)],
+                  ("z", "d", "y", "x"))
+        code, out = run_cli(capsys, argv[0], "--data", str(path), *argv[1:], *categories,
+                            "--bootstrap", "100")
+        assert code == 0
+        payload = json.loads(out)
+        report = payload["complier"] if argv[0] == "analyze-iv" else payload
+        assert report["j"] == 2
+        assert report["tau"]["lower"] == report["tau"]["upper"] == 1
+        assert payload["ci"]["tau"] == {"low": 1.0, "high": 1.0}
+
+
+class TestInputErrors:
+    """Each input error the commands check themselves exits 2 with its message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--p1", ",", "--p0", "1/2,1/2"], "empty probability vector: ','"),
+        (["analyze", "--data", "{missing}"], "cannot open {missing}: [Errno "),
+        (["analyze", "--data", "{zy}", "--design", "ipw"], "--design ipw needs covariate columns"),
+        (["analyze-iv", "--data", "{zy}"], "analyze-iv needs a 'd' column"),
+        (["analyze-iv", "--data", "{zdy}", "--covariates"],
+         "--covariates requires covariate columns in the CSV"),
+        (["oracle", "--p1", "1/2,1/2", "--p0", "1/2,1/2", "--objective", "{missing}"],
+         "cannot read objective '{missing}': [Errno "),
+    ], ids=["empty-vector", "missing-data", "ipw-no-covariates", "iv-no-d",
+            "iv-covariates-none", "missing-objective"])
+    def test_exits_2(self, capsys, tmp_path, argv, message):
+        files = {"missing": str(tmp_path / "missing.csv"), "zy": str(tmp_path / "zy.csv"),
+                 "zdy": str(tmp_path / "zdy.csv")}
+        write_csv(files["zy"], [(0, 0), (1, 1), (0, 1), (1, 2)], ("z", "y"))
+        write_csv(files["zdy"], [(0, 0, 0), (1, 1, 1), (0, 0, 1), (1, 0, 2)], ("z", "d", "y"))
+        code = main([a.format(**files) for a in argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: OrdBoundsError: " + message.format(**files))
+
+
 ANALYZE_ARGS = [["analyze", "--design", design, "--strata", strata, *boot]
                 for design, strata in (("randomized", "model"), ("ipw", "model"),
                                        ("adjusted", "model"), ("adjusted", "discrete"))

@@ -12,7 +12,7 @@ from ordbounds import (
     full_report,
     ipw_marginals,
 )
-from ordbounds.exceptions import EmptyArm, ExtremePropensity, StratumMissingArm
+from ordbounds.exceptions import EmptyArm, ExtremePropensity, OutOfRangeOutcome, StratumMissingArm
 
 from conftest import frac_pair, random_pair
 
@@ -109,6 +109,11 @@ class TestAdjustedDiscrete:
         est = estimate_adjusted(recs, strata="discrete")
         assert est.report.tau_L == pytest.approx(0.5, abs=1e-12)
         assert est.report.tau_U == pytest.approx(0.9, abs=1e-12)
+
+    def test_categories_below_the_top_outcome_rejected(self):
+        recs = make_records([1, 3, 1], [2, 1, 2], x1=("s0",), x0=("s0",))
+        with pytest.raises(OutOfRangeOutcome, match="outcome 2 outside 0..1"):
+            estimate_adjusted(recs, strata="discrete", J=2)
 
     def test_stratum_missing_arm(self):
         recs = make_records([1, 1], [1, 1], x1=("a",), x0=("b",))

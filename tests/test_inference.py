@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from ordbounds import (
     estimate_adjusted,
     estimate_ipw,
     estimate_randomized,
+    generate_study2,
     interval_from_replicates,
     ipw_marginals,
     moment_identify,
@@ -593,6 +595,7 @@ class TestEstimatorOptions:
         # the full-sample fit takes these, the bootstrap does not
         ("complier", {"max_iter": 5}),
         ("complier_adjusted", {"tol": 1e-3}),
+        # neither the fit nor the bootstrap takes init
         ("complier_adjusted", {"init": None}),
     ])
     def test_unknown_option_raises(self, monkeypatch, estimator, options):
@@ -749,3 +752,79 @@ class TestGivenPropensity:
             call(recs, propensity=make(len(recs)))
         assert type(raised.value) is error
         assert "propensity" in str(raised.value)
+
+
+def single_category_records():
+    """A study-2 draw (z, d and a binary covariate) whose outcomes are all 0."""
+    return [replace(r, y=0, x=(float(r.x[0] > 0),)) for r in generate_study2(4, 200, seed=0)]
+
+
+def _fit_report(estimator, fit, cols):
+    """The BoundsReport of a full-sample fit of inference._ESTIMATORS."""
+    if estimator == "complier":
+        return complier_bounds(fit).complier
+    if estimator == "complier_adjusted":
+        return fit.complier_report(cols.x)
+    return fit.report
+
+
+class TestOneCategoryCount:
+    """Every fit takes its J by one rule, UnitColumns.categories (the given
+    J or max(y) + 1, and at least 2), and the bootstrap replicates take J
+    from the full-sample fit."""
+
+    @pytest.mark.parametrize("J", [None, 0, 1])
+    @pytest.mark.parametrize("estimator, options", [
+        ("randomized", {}), ("ipw", {}), ("adjusted", {"strata": "discrete"}),
+        ("complier", {}), ("complier_adjusted", {}),
+    ])
+    def test_single_category_fits_two(self, monkeypatch, estimator, options, J):
+        # the replicates' covariate EM stops after two iterations
+        monkeypatch.setattr(inference, "em_fit_with_covariates",
+                            partial(em_fit_with_covariates, tol=np.inf))
+        cols = unit_columns(single_category_records())
+        fit = inference._ESTIMATORS[estimator][0](cols, J=J, **options)
+        report = _fit_report(estimator, fit, cols)
+        assert len(report.deltas.deltas) == 2
+        assert float(report.tau_L) == pytest.approx(1, abs=1e-8)
+        assert float(report.tau_U) == pytest.approx(1, abs=1e-8)
+        reps = bootstrap_replicates(cols, estimator=estimator, n_boot=100, seed=0, J=J,
+                                    **options)
+        assert reps.n_failed == 0
+        assert np.abs(reps.rows[:, [0, 2]] - 1).max() <= 1e-8
+
+    def test_complier_adjusted_refits_on_the_full_sample_categories(self, monkeypatch):
+        # one unit in the top category 3: about a third of the resamples miss it
+        recs = covariate_iv_records() + [UnitRecord(z=1, y=3, d=1, x=(0.0,))]
+        Js, tops = [], []
+
+        def spy(sample, J=None, **options):
+            Js.append(J)
+            tops.append(sample.J)
+            return em_fit_with_covariates(sample, J=J, tol=np.inf, **options)
+
+        monkeypatch.setattr(inference, "em_fit_with_covariates", spy)
+        reps = bootstrap_replicates(recs, estimator="complier_adjusted", n_boot=100, seed=2)
+        assert Js == [4] * 100
+        assert 0 < tops.count(3) < 100
+        assert reps.rows.shape == (100 - reps.n_failed, 6)
+
+    def test_failed_complier_adjusted_replicates_are_named(self, monkeypatch):
+        from ordbounds.exceptions import NoCompliers, NonConvergence
+
+        calls = []
+
+        def refit(sample, **options):
+            calls.append(1)
+            if len(calls) in (4, 9):
+                raise NonConvergence("forced")
+            if len(calls) == 6:
+                raise NoCompliers("forced")
+            return em_fit_with_covariates(sample, tol=np.inf, **options)
+
+        monkeypatch.setattr(inference, "em_fit_with_covariates", refit)
+        reps = bootstrap_replicates(covariate_iv_records(), estimator="complier_adjusted",
+                                    n_boot=100, seed=1)
+        assert reps.failures == ((3, "NonConvergence"), (5, "NoCompliers"),
+                                 (8, "NonConvergence"))
+        assert reps.n_failed == 3 and reps.rows.shape == (97, 6)

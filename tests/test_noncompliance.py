@@ -20,6 +20,7 @@ from ordbounds import (
 from ordbounds.distributions import unit_columns
 from ordbounds.exceptions import (
     DefiersObserved,
+    DegenerateInit,
     EmptyArm,
     FitError,
     InconsistentInputs,
@@ -248,7 +249,7 @@ class TestEMFit:
                                    ((z, z), cell[(z, z)])):
                 for y, p in enumerate(probs):
                     recs += [UnitRecord(z=z, y=y, d=d)] * int(round(80 * p))
-        m, trace = em_fit(recs, init=s, track_loglik=True)
+        m, trace = em_fit(recs, track_loglik=True)
         assert len(trace) <= 2
         assert m.pi_c == pytest.approx(0.5, abs=1e-6)
 
@@ -318,9 +319,11 @@ class TestCells:
             want[r.z, r.d, r.y] += 1
         assert np.array_equal(_cells(unit_columns(recs), 5), want)
 
-    def test_missing_d_rejected(self):
-        with pytest.raises(ValueError):
-            _cells(unit_columns([UnitRecord(z=0, y=0, d=1), UnitRecord(z=1, y=0)]), 2)
+    @pytest.mark.parametrize("d", [1, None], ids=["some", "none"])
+    def test_missing_d_rejected(self, d):
+        # unit_columns refuses d on some units only, _cells d on none
+        with pytest.raises(ValueError, match="treatment.received"):
+            _cells(unit_columns([UnitRecord(z=0, y=0, d=d), UnitRecord(z=1, y=0)]), 2)
 
     @pytest.mark.parametrize("z, d, y", [(2, 0, 0), (0, -1, 0), (1, 1, -1), (1, 0, 3)])
     def test_out_of_range_rejected(self, z, d, y):
@@ -722,6 +725,12 @@ class TestMonotonicityMode:
         recs = [r for r in generate_study2(4, 400, seed=0) if not (r.z == 0 and r.d == 1)]
         with pytest.raises(ValueError, match="unknown monotonicity mode 'bogus'"):
             fit(recs)
+
+    def test_no_units_with_d_1_rejected(self):
+        # standard monotonicity fits an always-taker model on the d = 1 units
+        recs = [replace(r, d=0) for r in generate_study2(4, 200, seed=0)]
+        with pytest.raises(DegenerateInit, match="no units with d=1"):
+            em_fit_with_covariates(recs)
 
     def test_complier_adjusted_bootstrap_raises(self):
         recs = [r for r in generate_study2(4, 400, seed=0) if not (r.z == 0 and r.d == 1)]
