@@ -274,16 +274,17 @@ def cmd_construct(args):
 
     joint = extremal_coupling(_marginal_pair(args), args.target)
     tau, eta, alpha = estimands_of_joint(joint)
+    matrix = joint._float_rows()
     if args.format == "csv":
         J = joint.J
         lines = ["," + ",".join(f"y0={l}" for l in range(J))]
-        for k, row in enumerate(joint.matrix):
-            lines.append(f"y1={k}," + ",".join(f"{float(v):.17g}" for v in row))
+        for k, row in enumerate(matrix):
+            lines.append(f"y1={k}," + ",".join(f"{v:.17g}" for v in row))
         _write("\n".join(lines), args)
         return
     _emit({
         "target": args.target,
-        "matrix": [list(r) for r in joint.matrix],
+        "matrix": matrix,
         "row_margin": list(joint.row_margin().probs),
         "col_margin": list(joint.col_margin().probs),
         "tau": tau, "eta": eta, "alpha": alpha,

@@ -9,7 +9,9 @@ All types are immutable and support two arithmetic modes:
   (_common_denominator), and make Fractions once, at the end: a vector sums
   to one when its numerators sum to D, and an entry is negative when its
   numerator is.  A joint distribution keeps the numerators of its
-  validation, one pass over its J^2 entries, for its margins and estimands;
+  validation, one pass over its J^2 entries, for its margins and estimands
+  (an exact coupling hands over its entries as int pairs instead, and is
+  validated on their numerators: JointDistribution._from_ratios);
 * float mode -- entries are finite floats; sum-to-one is checked within 1e-9
   and nonnegativity with slack 1e-12.
 
@@ -51,15 +53,35 @@ def _is_exact(values) -> bool:
     return all(isinstance(v, (Fraction, int, np.integer)) for v in values)
 
 
+def _ratios(values):
+    """Exact values (Fraction, int or numpy int) as normalized (numerator,
+    denominator) Python-int pairs."""
+    try:
+        return [v.as_integer_ratio() for v in values]
+    except AttributeError:   # numpy integers have no as_integer_ratio
+        return [(int(v.numerator), int(v.denominator)) for v in values]
+
+
+def _over_lcm(ratios):
+    """(numerator, denominator) int pairs as numerators over one common
+    denominator D, the lcm of theirs: (numerators, D)."""
+    D = math.lcm(*{d for _, d in ratios})   # each distinct denominator once
+    return [n * (D // d) if n else 0 for n, d in ratios], D
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _fractions(rows):
+    """Rows of normalized (numerator, denominator) int pairs as row tuples
+    of Fractions, every zero one shared Fraction(0)."""
+    return tuple(tuple(Fraction(n, d) if n else _FRACTION_ZERO for n, d in r) for r in rows)
+
+
 def _common_denominator(values):
     """Exact values (Fraction or int) as Python-int numerators over one common
     denominator D, the lcm of their denominators: (numerators, D)."""
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:   # numpy integers have no as_integer_ratio
-        ratios = [(int(v.numerator), int(v.denominator)) for v in values]
-    D = math.lcm(*[d for _, d in ratios])
-    return [n * (D // d) for n, d in ratios], D
+    return _over_lcm(_ratios(values))
 
 
 def _check_probs(values, what: str):
@@ -67,15 +89,7 @@ def _check_probs(values, what: str):
     the (numerators, D) of _common_denominator that they decide on for exact
     values, None for float ones."""
     if _is_exact(values):
-        nums, D = _common_denominator(values)
-        for v, n in zip(values, nums):
-            if n < 0:
-                raise NegativeEntry(f"{what} has negative entry {v}")
-        total = sum(nums)
-        if total != D:
-            raise SumNotOne(f"{what} sums to {Fraction(total, D)}, "
-                            f"deviation {Fraction(total - D, D)}")
-        return nums, D
+        return _checked_numerators(*_common_denominator(values), what)
     for v in values:
         if v < -NEG_TOL:
             raise NegativeEntry(f"{what} has negative entry {v}")
@@ -85,6 +99,19 @@ def _check_probs(values, what: str):
     if abs(total - 1.0) > SUM_TOL:
         raise SumNotOne(f"{what} sums to {total}, deviation {total - 1.0}")
     return None
+
+
+def _checked_numerators(nums, D, what: str):
+    """(nums, D) once the exact values nums / D pass the checks: every
+    numerator nonnegative, and their sum D."""
+    for n in nums:
+        if n < 0:
+            raise NegativeEntry(f"{what} has negative entry {Fraction(n, D)}")
+    total = sum(nums)
+    if total != D:
+        raise SumNotOne(f"{what} sums to {Fraction(total, D)}, "
+                        f"deviation {Fraction(total - D, D)}")
+    return nums, D
 
 
 def _arrays(*vectors):
@@ -168,23 +195,42 @@ class JointDistribution:
     matrix: tuple  # tuple of row tuples
     # set by the validation: whether every entry is exact, and then the
     # matrix as rows of integer numerators over one common denominator D,
-    # (rows, D), which the margins and estimands_of_joint reuse
+    # (rows, D), which the margins and estimands_of_joint reuse.  An exact
+    # coupling arrives as int pairs (_from_ratios) and is validated on their
+    # numerators, its Fractions made once from the pairs.
     exact: bool = field(init=False, repr=False, compare=False)
     _numerators: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
-        object.__setattr__(self, "matrix", rows)
         J = len(rows)
         if J < 2:
             raise LengthTooShort("joint distribution needs J >= 2")
         for r in rows:
             if len(r) != J:
                 raise DimensionMismatch("joint distribution matrix must be square")
-        common = _check_probs([v for r in rows for v in r], "joint distribution")
+        self._set(rows, _check_probs([v for r in rows for v in r], "joint distribution"))
+
+    @classmethod
+    def _from_ratios(cls, rows) -> JointDistribution:
+        """The exact joint distribution of a square matrix (J >= 2) of
+        normalized (numerator, denominator) int pairs, validated on their
+        numerators over the lcm D of the denominators; entry n/d is
+        Fraction(n, d)."""
+        common = _checked_numerators(*_over_lcm([v for r in rows for v in r]),
+                                     "joint distribution")
+        self = object.__new__(cls)
+        self._set(_fractions(rows), common)
+        return self
+
+    def _set(self, rows, common):
+        """Set the fields from the row tuples and their (numerators, D), None
+        for floats."""
+        J = len(rows)
         if common is not None:
             nums, D = common
             common = [nums[k * J:(k + 1) * J] for k in range(J)], D
+        object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "exact", common is not None)
         object.__setattr__(self, "_numerators", common)
 
@@ -211,6 +257,15 @@ class JointDistribution:
 
     def margins(self) -> MarginalPair:
         return MarginalPair(self.row_margin(), self.col_margin())
+
+    def _float_rows(self) -> list:
+        """The matrix as rows of floats: an exact entry as its numerator over
+        D, which int division rounds correctly, as float() of the entry
+        does."""
+        if self.exact:
+            rows, D = self._numerators
+            return [[n / D for n in r] for r in rows]
+        return [[float(v) for v in r] for r in self.matrix]
 
 
 @dataclass(frozen=True)

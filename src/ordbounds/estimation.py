@@ -108,10 +108,14 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     """Hajek-weighted marginal estimates under unconfoundedness.
 
     propensity: a float (known constant), a per-unit array, or None to fit a
-    logistic model of z on x.
+    logistic model of z on x.  J is UnitColumns.categories;
+    OutOfRangeOutcome for an outcome above J - 1.
     """
     cols = unit_columns(records)
-    kernel = _ipw_kernel(cols, cols.categories(J), propensity, trim)
+    J = cols.categories(J)
+    if cols.J > J:
+        raise OutOfRangeOutcome(f"outcome {cols.y.max()} outside 0..{J - 1}")
+    kernel = _ipw_kernel(cols, J, propensity, trim)
     _, p1, p0 = _full_sample(kernel, len(cols.z))
     return MarginalPair(MarginalDistribution(tuple(p1[0])), MarginalDistribution(tuple(p0[0])))
 
@@ -199,9 +203,8 @@ def _ipw_kernel(cols, J, propensity=None, trim=0.01):
     """The stacked kernel of the inverse-propensity estimator: one stacked
     propensity logit, or the given propensity (a scalar or a finite value
     per unit, checked here, before any fit), the trim check on the weighted
-    units and Hajek marginals (m = 1) of the outcomes below J."""
+    units and Hajek marginals (m = 1) of the outcomes, every one below J."""
     z, y = cols.z, cols.y
-    inside = y < J
     n = len(z)
     if propensity is not None:
         given = np.asarray(propensity, dtype=float)
@@ -234,7 +237,7 @@ def _ipw_kernel(cols, J, propensity=None, trim=0.01):
         # units outside the resample may have e at 0 or 1
         w1 = np.divide(Wl * z, e, out=np.zeros_like(Wl), where=Wl > 0)
         w0 = np.divide(Wl * (1 - z), 1 - e, out=np.zeros_like(Wl), where=Wl > 0)
-        p1, p0 = (_sums_by_label(w[:, inside], y[inside], J)[:, None] for w in (w1, w0))
+        p1, p0 = (_sums_by_label(w, y, J)[:, None] for w in (w1, w0))
         return (np.ones((len(live), 1)), p1 / p1.sum(axis=2, keepdims=True),
                 p0 / p0.sum(axis=2, keepdims=True), why)
 

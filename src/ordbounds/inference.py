@@ -241,9 +241,10 @@ def bootstrap_replicates(records, estimator: str = "randomized", n_boot: int = 1
     function; a failure there raises, and a replicate failure is counted in
     n_failed and named in failures.
     """
-    fit, _ = _estimator(estimator, n_boot, options)
+    fit, replicates = _estimator(estimator, n_boot, options)
     cols = unit_columns(records)
-    return _bootstrap(cols, estimator, fit(cols, J=J, **options), n_boot, seed, **options)
+    point, rows, failures = replicates(cols, fit(cols, J=J, **options), n_boot, seed, **options)
+    return Replicates(point, rows, len(failures), seed, failures)
 
 
 def _bootstrap(cols, estimator, fit_result, n_boot, seed, **options) -> Replicates:

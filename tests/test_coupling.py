@@ -207,7 +207,7 @@ class TestEdgeSplits:
             got = extremal_coupling(m, "tau_min").matrix
             want = edge_tau_min(m.treated.probs, m.control.probs, self.split(m))
             assert got == want
-            assert [type(v) for row in got for v in row] == [type(v) for row in want for v in row]
+            assert all(type(v) is F for row in got for v in row)
 
     def test_random_exact_pairs(self):
         rng = np.random.default_rng(31)
@@ -319,7 +319,8 @@ def types(mat):
 
 class TestOnePassAllocation:
     """The one-pass allocation gives the recursive reference's matrices: the
-    same numbers and types in exact mode, within one rounding in float."""
+    same numbers in exact mode, every entry a Fraction, and within one
+    rounding in float."""
 
     @staticmethod
     def cases(seed):
@@ -340,7 +341,7 @@ class TestOnePassAllocation:
             got = triangular_transport(x, y, variant).matrix
             want = ref_transport(x, y, variant)
             assert got == want
-            assert types(got) == types(want)
+            assert set(types(got)) <= {F}
 
     def test_float_variants_within_one_rounding(self):
         for x, y, variant in self.cases(42):
@@ -430,7 +431,7 @@ def ref_tau_max(p1, p0):
             P[j1 + k][j1:] = br[k]
         r = [p1[k] - sum(P[k][:j1]) for k in range(j1)]
         c = [p0[l] - sum(P[k][l] for k in range(j1, J)) for l in range(j1, J)]
-        tr = _product_fill(r, c, zero)
+        tr = _product_fill(r, c)
         for k in range(j1):
             P[k][j1:] = tr[k]
     return tuple(tuple(_clamp(v) for v in row) for row in P)

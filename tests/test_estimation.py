@@ -59,6 +59,17 @@ class TestIPW:
             ipw_marginals(recs, propensity=e)
         assert 2 in err.value.units
 
+    @pytest.mark.parametrize("fit", [estimate_ipw, ipw_marginals], ids=["ipw", "ipw_marginals"])
+    def test_categories_below_the_top_outcome_rejected(self, fit):
+        # as estimate_randomized does, instead of fitting the units below J
+        # alone (TestStackedReplicates covers the bootstrap)
+        rng = np.random.default_rng(15)
+        recs = [UnitRecord(z=int(z), y=int(y), x=(float(x),))
+                for z, y, x in zip(np.arange(60) % 2, np.arange(60) % 3, rng.normal(size=60))]
+        with pytest.raises(OutOfRangeOutcome, match="outcome 2 outside 0..1"):
+            fit(recs, J=2)
+        fit(recs, J=3)
+
     def test_reweighting_corrects_confounding(self):
         # within-stratum assignment rates 0.8 and 0.2; IPW with the true
         # per-unit propensities recovers the stratified marginals

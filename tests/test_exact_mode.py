@@ -23,6 +23,7 @@ from ordbounds import (
     indicator_objective,
     optimize,
     sign_objective,
+    triangular_transport,
 )
 import ordbounds.distributions as distributions
 from ordbounds.bounds import bound_rows, weighted_report
@@ -356,3 +357,224 @@ class TestJoint:
             estimands_of_joint(P)
             P.row_margin()
             assert sizes.count(P.J ** 2) == 1
+
+
+# -- the exact coupling construction on int pairs -----------------------------
+
+def ref_alloc(x, y):
+    """The one-pass lower triangular allocation in Fraction arithmetic, as
+    the construction ran before int pairs."""
+    n = len(x)
+    A = [[0] * n for _ in range(n)]
+    held = [0] * n
+    for j in reversed(range(n)):
+        if j == n - 1 or y[j] < x[j]:
+            A[j][j] = y[j]
+        else:
+            A[j][j] = x[j]
+            resid = [max(x[k] - held[k], 0) for k in range(j + 1, n)]
+            denom = sum(resid)
+            if denom > 0:
+                for k, r in enumerate(resid, j + 1):
+                    A[k][j] = (y[j] - x[j]) * r / denom
+                    held[k] += A[k][j]
+        held[j] += A[j][j]
+    return A
+
+
+def transpose(mat):
+    return [list(c) for c in zip(*mat)]
+
+
+def reverse(mat):
+    return [r[::-1] for r in mat[::-1]]
+
+
+def ref_transport(x, y, variant):
+    x, y = ([F(int(v)) if not isinstance(v, F) else v for v in p] for p in (x, y))
+    if variant == "a":
+        return ref_alloc(x, y)
+    if variant == "b":
+        return transpose(ref_alloc(y, x))
+    if variant == "c":
+        return reverse(transpose(ref_alloc(y[::-1], x[::-1])))
+    return reverse(ref_alloc(x[::-1], y[::-1]))
+
+
+def ref_tau_min(p1, p0, d, J):
+    """The tau_min block construction in Fraction arithmetic, split at the
+    first index of the largest p0[j] + d[j]."""
+    lower = [p + dj for p, dj in zip(p0, d)]
+    j2 = lower.index(max(lower))
+    P = [[0] * J for _ in range(J)]
+    tl = transpose(ref_alloc(p0[1 : j2 + 1], p1[:j2]))
+    br = reverse(ref_alloc(p1[j2 : J - 1][::-1], p0[j2 + 1 :][::-1]))
+    for k in range(j2):
+        P[k][1 : j2 + 1] = tl[k]
+    for k in range(J - 1 - j2):
+        P[j2 + k][j2 + 1 :] = br[k]
+    r = [max(p1[k] - sum(P[k][j2 + 1 :]), 0) for k in range(j2, J)]
+    c = [max(p0[l] - sum(P[k][l] for k in range(j2)), 0) for l in range(j2 + 1)]
+    m = sum(r)
+    for k, rk in enumerate(r):
+        P[j2 + k][: j2 + 1] = [rk * cl / m for cl in c] if m > 0 else [rk] * len(c)
+    return P
+
+
+def ref_coupling(p1, p0, target):
+    """extremal_coupling's matrix in Fraction arithmetic: tau_max from the
+    shifted pair, the eta targets from the swapped pair, transposed."""
+    p1, p0 = ([F(int(v)) if not isinstance(v, F) else v for v in p] for p in (p1, p0))
+    J = len(p1)
+    if target == "independent":
+        return [[a * b for b in p0] for a in p1]
+    d = [0] + [sum(p1[j:]) - sum(p0[j:]) for j in range(1, J)]
+    if target.startswith("eta"):
+        p1, p0, d = p0, p1, [-v for v in d]
+    if target in ("tau_min", "eta_max"):
+        P = ref_tau_min(p1, p0, d, J)
+    else:
+        Q = ref_tau_min(p0 + [0], [0] + p1, [0] + [-(p + dj) for p, dj in zip(p0, d)], J + 1)
+        P = [[Q[l][k + 1] for l in range(J)] for k in range(J)]
+    return transpose(P) if target.startswith("eta") else P
+
+
+COUPLING_KINDS = ("dense", "sparse", "tied", "dominated", "identified", "coprime")
+
+
+def coupling_weights(rng, J, kind):
+    """Treated and control margins as Fractions: dense, sparse (about half
+    the cells 0), tied (equal arms), dominated (the treated arm the control
+    arm moved up one category), identified (treated on the upper half,
+    control on the lower half, touching in one category) or coprime (the
+    coprime draw above, so large denominators)."""
+    if kind == "coprime":
+        return draw(rng, J, "coprime"), draw(rng, J, "coprime")
+    w = rng.integers(1, 60, (2, J))
+    if kind == "sparse":
+        w *= rng.random((2, J)) < 0.5
+        w[:, rng.integers(J)] += 1
+    elif kind == "tied":
+        w[0] = w[1]
+    elif kind == "dominated":
+        w[0] = np.roll(w[1], 1)
+        w[0, 0], w[0, -1] = 0, w[0, -1] + w[1, -1]
+    elif kind == "identified":
+        w[0, : J // 2] = 0
+        w[1, J // 2 + 1 :] = 0
+    return tuple([F(int(v), int(r.sum())) for v in r] for r in w)
+
+
+def mixed(rng, v):
+    """v with its integral entries as ints or numpy ints."""
+    return [e if e.denominator != 1 else rng.choice([int, np.int64])(int(e)) for e in v]
+
+
+def unit(J, i, cast):
+    return [cast(int(l == i)) for l in range(J)]
+
+
+def coupling_pairs(seed, Js=(2, 3, 4, 5, 7, 10, 16, 25, 50)):
+    """Exact margin pairs of every kind: Fraction entries, and the same pairs
+    with mixed entries; unit vectors of ints and of numpy ints."""
+    rng = np.random.default_rng(seed)
+    for J in Js:
+        for kind in COUPLING_KINDS:
+            p1, p0 = coupling_weights(rng, J, kind)
+            yield p1, p0
+            if kind in ("sparse", "identified"):
+                yield mixed(rng, p1), mixed(rng, p0)
+        for cast in (int, np.int64):
+            yield unit(J, int(rng.integers(J)), cast), unit(J, int(rng.integers(J)), cast)
+        yield unit(J, 0, int), coupling_weights(rng, J, "dense")[0]
+
+
+def moved_up(rng, v):
+    """v with some of each entry's mass moved to a higher index: its tail
+    sums dominate those of v."""
+    v = list(v)
+    for i in range(len(v)):
+        k = int(rng.integers(i, len(v)))
+        move = v[i] * F(int(rng.integers(0, 3)), 2)
+        v[i] -= move
+        v[k] += move
+    return v
+
+
+TARGETS = ("tau_min", "tau_max", "eta_min", "eta_max", "independent")
+
+
+class TestCouplingOnPairs:
+    """The construction on int pairs gives the Fraction construction's
+    couplings: equal matrices of Fractions, validated on the same numerators
+    over the same D (whose quotients are the entries' floats), with the input
+    margins, attaining the target bound."""
+
+    def test_couplings_equal_reference(self):
+        seen = set()
+        for p1, p0 in coupling_pairs(190):
+            m = pair(p1, p0)
+            rows = bound_rows(*_arrays(p1, p0)).tolist()
+            attained = {"tau_min": (0, rows[0]), "tau_max": (0, rows[2]),
+                        "eta_min": (1, rows[3]), "eta_max": (1, rows[5])}
+            for target in TARGETS:
+                got = extremal_coupling(m, target)
+                want = JointDistribution(ref_coupling(p1, p0, target))
+                assert got.matrix == want.matrix
+                assert all(type(v) is F for r in got.matrix for v in r)
+                assert got.exact and got._numerators == want._numerators
+                assert got._float_rows() == [[float(v) for v in r] for r in want.matrix]
+                assert got.row_margin().probs == tuple(p1)
+                assert got.col_margin().probs == tuple(p0)
+                tau_eta = estimands_of_joint(got)[:2]
+                if target == "independent":
+                    assert tau_eta == (rows[1], rows[4])
+                else:
+                    estimand, bound = attained[target]
+                    assert tau_eta[estimand] == bound
+                seen.add(type(p1[0]))
+        assert seen == {F, int, np.int64}
+
+    def test_transport_variants_equal_reference(self):
+        rng = np.random.default_rng(191)
+        for J in (1, 2, 3, 5, 8, 13, 21, 34, 50):
+            for kind in COUPLING_KINDS:
+                lo = coupling_weights(rng, J, kind)[0]
+                hi = moved_up(rng, lo)
+                extra = [v * F(int(rng.integers(0, 2)), 3) for v in coupling_weights(rng, J, kind)[1]]
+                more = lambda v: [a + b for a, b in zip(v, extra)]
+                for x, y, variant in ((more(hi), lo, "a"), (lo, more(hi), "b"),
+                                      (hi, more(lo), "c"), (more(lo), hi, "d")):
+                    for x_, y_ in ((x, y), (mixed(rng, x), mixed(rng, y))):
+                        got = triangular_transport(x_, y_, variant).matrix
+                        assert got == tuple(map(tuple, ref_transport(x, y, variant)))
+                        assert all(type(v) is F for r in got for v in r)
+
+    def test_joint_from_ratios_equals_joint_from_fractions(self):
+        for p1, p0 in coupling_pairs(192, Js=(2, 5, 13)):
+            for target in TARGETS:
+                fractions = ref_coupling(p1, p0, target)
+                ratios = [[F(v).as_integer_ratio() for v in r] for r in fractions]
+                got = JointDistribution._from_ratios(ratios)
+                want = JointDistribution(fractions)
+                assert got == want and hash(got) == hash(want)
+                assert got.exact and got._numerators == want._numerators
+                assert all(type(v) is F for r in got.matrix for v in r)
+
+    @pytest.mark.parametrize("ratios, error", [
+        ([[(1, 2), (-1, 6)], [(1, 3), (1, 3)]], NegativeEntry),
+        ([[(1, 2), (0, 1)], [(0, 1), (-1, 2)]], NegativeEntry),
+        ([[(1, 2), (1, 6)], [(1, 3), (1, 3)]], SumNotOne),
+        ([[(1, 2), (1, 6)], [(1, 3), (1, 999983)]], SumNotOne),
+        ([[(1, 4), (1, 4)], [(1, 4), (1, 4)]], None),
+    ])
+    def test_from_ratios_still_validates(self, ratios, error):
+        fractions = [[F(*v) for v in r] for r in ratios]
+        if error is None:
+            assert JointDistribution._from_ratios(ratios) == JointDistribution(fractions)
+            return
+        with pytest.raises(error) as want:
+            JointDistribution(fractions)
+        with pytest.raises(error) as got:
+            JointDistribution._from_ratios(ratios)
+        assert str(got.value) == str(want.value)

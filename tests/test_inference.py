@@ -439,9 +439,13 @@ class TestStackedReplicates:
     @pytest.mark.parametrize("J", [2, 6])
     @pytest.mark.parametrize("estimator, options", [("ipw", {}), ("adjusted", {"strata": "model"})])
     def test_given_categories_equal_the_loop(self, J, estimator, options):
-        # J below the observed top: ipw leaves the outcomes above out, the
-        # model fits keep them; J above it pads
+        # J below the observed top: ipw rejects the outcomes above, as the
+        # randomized estimator does, and the model fits keep them; J above it pads
         recs = rare_top_records()
+        if estimator == "ipw" and J < unit_columns(recs).J:
+            with pytest.raises(OutOfRangeOutcome, match="outside 0..1"):
+                bootstrap_replicates(recs, estimator=estimator, n_boot=100, seed=8, J=J)
+            return
         reps = bootstrap_replicates(recs, estimator=estimator, n_boot=100, seed=8, J=J,
                                     **options)
         rows, failures = reference_replicates(recs, estimator, 100, 8, J=J, **options)
@@ -609,6 +613,16 @@ class TestEstimatorOptions:
             bootstrap_replicates(recs, estimator=estimator, n_boot=100, **options)
         with pytest.raises(TypeError):
             bootstrap_bounds_ci(recs, estimator=estimator, n_boot=100, **options)
+
+    def test_options_checked_once_per_bootstrap(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(inference, "_estimator",
+                            lambda *a, inner=inference._estimator: checks.append(a) or inner(*a))
+        recs = covariate_records(36)
+        for seed in range(3):
+            bootstrap_replicates(recs, estimator="randomized", n_boot=100, seed=seed)
+            bootstrap_replicates(recs, estimator="ipw", n_boot=100, seed=seed, trim=0.01)
+        assert len(checks) == 6
 
     def test_known_options_still_apply(self):
         recs = covariate_records(36)
