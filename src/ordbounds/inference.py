@@ -14,18 +14,21 @@ whole identified set.
 
 Each estimator is a (fit, replicates) pair of _ESTIMATORS on UnitColumns: fit
 is its public full-sample estimator, and replicates, whose resamples index
-the units, take the point row and the number of categories J from fit's
-result, which the CLI passes on.  Only the fits decide J.
+the units, take the number of categories J from fit's result, which the CLI
+passes on, and all but the randomized one their point row too.  Only the
+fits decide J.
 
 Resampling matches the design: arm-stratified with replacement (arm sizes
 preserved) for every estimator but inverse-propensity weighting, which
 resamples the whole sample and refits the propensity per replicate.  For the
 randomized and complier estimators an arm-stratified resample is a
 multinomial redraw of each arm's counts, and all replicates are evaluated as
-one stack.  The ipw and adjusted estimators draw replicate r's unit indices
-from a dedicated stream spawned from (seed, r), turn each resample into a
-row of unit counts and run all rows through the stacked kernel that
-estimation owns; their public estimators are that kernel's one-row case.
+one stack.  The randomized stack (_randomized_stack) takes many data sets at
+once, as Monte Carlo study 1 runs it; one data set is its one-row case.  The
+ipw and adjusted estimators draw replicate r's unit indices from a dedicated
+stream spawned from (seed, r), turn each resample into a row of unit counts
+and run all rows through the stacked kernel that estimation owns; their
+public estimators are that kernel's one-row case.
 _stacked averages the kernel's bounds with one einsum and names each
 failure.  Only complier_adjusted still refits each replicate in a loop (one
 covariate EM per replicate, on the indexed columns).
@@ -119,12 +122,45 @@ def _arm_redraws(counts, n_boot, seed):
     return np.stack([draws0, draws1], axis=1).reshape(n_boot, *counts.shape)
 
 
+# elements of one block of a stacked bootstrap: (replicates x units x
+# categories), or (data sets x replicates x arms x categories) of redraws
+_BLOCK = 2 ** 20
+
+
+def _arm_counts(cols, J):
+    """Within-arm outcome counts (2, J) of the units, control arm first."""
+    return np.bincount(cols.z * J + cols.y, minlength=2 * J).reshape(2, J)
+
+
+def _randomized_stack(counts, n_boot, seeds):
+    """The randomized bootstrap of R data sets at once, from their within-arm
+    outcome counts (R, 2, J): yields one Replicates per data set, in order.
+    Data set r's point row is the bounds of its arm frequencies and its rows
+    those of the _arm_redraws of counts[r] from seeds[r].  The data sets go
+    in blocks of as many as fit in _BLOCK elements (at least one), and one
+    bound_rows takes each block's point rows and redraws; a block is yielded
+    before the next is drawn."""
+    R, _, J = counts.shape
+    per_block = max(1, _BLOCK // ((n_boot + 1) * 2 * J))
+    for start in range(0, R, per_block):
+        block = range(start, min(start + per_block, R))
+        # per data set: row 0 its arm frequencies, rows 1..n_boot its redraws
+        p = np.empty((len(block), n_boot + 1, 2, J))
+        for i, r in enumerate(block):
+            n = counts[r].sum(axis=1, keepdims=True)
+            np.divide(counts[r], n, out=p[i, 0])
+            np.divide(_arm_redraws(counts[r], n_boot, seeds[r]), n, out=p[i, 1:])
+        rows = bound_rows(p[:, :, 1], p[:, :, 0])
+        for i, r in enumerate(block):
+            yield Replicates(rows[i, 0], rows[i, 1:], 0, seeds[r])
+
+
 def _randomized(cols, est, n_boot, seed):
-    """Within-arm outcome counts, redrawn."""
-    J = len(est.report.deltas.deltas)
-    counts = np.bincount(cols.z * J + cols.y, minlength=2 * J).reshape(2, J)
-    p = _arm_redraws(counts, n_boot, seed) / counts.sum(axis=1, keepdims=True)
-    return _report_row(est.report), bound_rows(p[:, 1], p[:, 0]), ()
+    """Within-arm outcome counts, redrawn: the one-data-set case of
+    _randomized_stack."""
+    (reps,) = _randomized_stack(_arm_counts(cols, len(est.report.deltas.deltas))[None],
+                                n_boot, [seed])
+    return reps.point, reps.rows, ()
 
 
 def _complier(cols, mle, n_boot, seed, monotonicity="standard"):
@@ -155,10 +191,6 @@ def _index_stack(cols, scheme, n_boot, seed):
     draw = _resampler(cols, scheme)
     return np.stack([draw(np.random.default_rng(ss))
                      for ss in np.random.SeedSequence(seed).spawn(n_boot)])
-
-
-# elements of one (replicates x units x categories) block of a stacked bootstrap
-_BLOCK = 2 ** 20
 
 
 def _stacked(cols, scheme, n_boot, seed, J, kernel):

@@ -17,9 +17,13 @@ Study 2's true values are integrals over x: study2_truth_quadrature
 computes them by Gauss-Legendre quadrature in x1 for each value of x2, and
 study2_truth estimates the same keys by Monte Carlo over covariate draws.
 
-run_study runs either study through one replicate loop: draw the records,
-bootstrap a CI for the tau bounds on their columns (study 2's without x2),
-and summarise the replicates that succeeded against the true bounds.
+run_study summarises the replicates that succeeded against the true bounds,
+after one of two evaluations.  Study 1 runs as one stack: each replicate's
+columns are drawn without records (_study1_columns), and the randomized
+bootstraps of all replicates with the same number of categories are one
+inference._randomized_stack, each replicate redrawn from its own seed.
+Study 2 runs one replicate at a time: draw the records and bootstrap a CI
+for the tau bounds on their columns without x2.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from .distributions import (
     JointDistribution,
     MarginalDistribution,
     MarginalPair,
+    UnitColumns,
     estimands_of_joint,
     unit_columns,
 )
 from .estimation import UnitRecord
 from .exceptions import OddN, OrdBoundsError, ReplicateFailure
-from .inference import bootstrap_bounds_ci
+from .inference import _arm_counts, _intervals, _randomized_stack, bootstrap_bounds_ci
 from .models import CumulativeLogitModel, MultinomialLogitModel
 
 
@@ -64,6 +69,8 @@ class StudySpec:
             raise ValueError(f"n_units must be positive and even, got {self.n_units}")
         if self.n_reps < 2:
             raise ValueError(f"n_reps must be at least 2 (standard errors), got {self.n_reps}")
+        if self.n_boot < 100:
+            raise ValueError("n_boot must be at least 100")
 
 
 # -- study 1 -----------------------------------------------------------------
@@ -120,6 +127,29 @@ def _proportional_counts(flat, n):
     return base
 
 
+@functools.lru_cache(maxsize=8)
+def _study1_population(case: int, n: int):
+    """The potential outcomes (y1, y0) of the case's n units: a finite
+    population proportional to its joint distribution, built once per
+    (case, n) and read-only."""
+    joint = study1_joint(case)
+    J = joint.J
+    flat = np.array([[float(v) for v in row] for row in joint.matrix]).ravel()
+    cells = np.repeat(np.arange(J * J), _proportional_counts(flat / flat.sum(), n))
+    y1, y0 = cells // J, cells % J
+    y1.flags.writeable = y0.flags.writeable = False
+    return y1, y0
+
+
+def _study1_columns(case: int, n: int, seed: int = 0) -> UnitColumns:
+    """The UnitColumns of generate_study1(case, n, seed), drawn without
+    records."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    y1, y0 = _study1_population(case, n)
+    z = _balanced_assignment(n, rng)
+    return UnitColumns(z, np.where(z == 1, y1, y0), None, np.empty((n, 0)))
+
+
 def generate_study1(case: int, n: int, seed: int = 0) -> list:
     """n units with potential outcomes forming a finite population
     proportional to the case's joint distribution, with a balanced completely
@@ -129,16 +159,8 @@ def generate_study1(case: int, n: int, seed: int = 0) -> list:
     the per-case standard errors differ between couplings that share
     marginals.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    joint = study1_joint(case)
-    J = joint.J
-    flat = np.array([[float(v) for v in row] for row in joint.matrix]).ravel()
-    counts = _proportional_counts(flat / flat.sum(), n)
-    cells = np.repeat(np.arange(J * J), counts)
-    y1, y0 = cells // J, cells % J
-    z = _balanced_assignment(n, rng)
-    y = np.where(z == 1, y1, y0)
-    return [UnitRecord(z=int(zi), y=int(yi)) for zi, yi in zip(z, y)]
+    cols = _study1_columns(case, n, seed)
+    return [UnitRecord(z=zi, y=yi) for zi, yi in zip(cols.z.tolist(), cols.y.tolist())]
 
 
 # -- study 2 -----------------------------------------------------------------
@@ -302,37 +324,28 @@ def run_study(spec: StudySpec, adjusted: bool = False,
     summary row.
 
     coverage_bounds is the fraction of CIs containing both true bounds;
-    coverage_estimand the fraction containing the true estimand.  For study 2
-    the estimand is tau_c; adjusted=True switches to the covariate-adjusted
-    complier estimator (slow: one covariate EM per bootstrap replicate).
-    truth defaults to study1_truth or study2_truth_quadrature of the case.
-    A replicate whose estimation fails is counted in n_failed;
-    ReplicateFailure if fewer than two replicates succeed.
+    coverage_estimand the fraction containing the true estimand.  Study 1
+    runs as one stack (_study1_rows).  For study 2 the estimand is tau_c;
+    adjusted=True switches to the covariate-adjusted complier estimator
+    (slow: one covariate EM per bootstrap replicate), and ValueError for
+    study 1, which has none.  truth defaults to study1_truth or
+    study2_truth_quadrature of the case.  A replicate whose estimation fails
+    is counted in n_failed; ReplicateFailure if fewer than two replicates
+    succeed.
     """
     if spec.study == 1:
+        if adjusted:
+            raise ValueError("adjusted is for study 2: study 1 has no covariates")
         truth = study1_truth(spec.case_id) if truth is None else truth
-        generate, estimator, keys = generate_study1, "randomized", ("tau_L", "tau_U", "tau")
+        keys = ("tau_L", "tau_U", "tau")
+        rows = _study1_rows(spec, ci_method)
     else:
         if truth is None:
             truth = study2_truth_quadrature(spec.case_id)
-        generate = generate_study2
-        estimator = "complier_adjusted" if adjusted else "complier"
         adj = "_adj" if adjusted else ""
         keys = ("tau_c_L" + adj, "tau_c_U" + adj, "tau_c")
+        rows = _study2_rows(spec, "complier_adjusted" if adjusted else "complier", ci_method)
     true_L, true_U, true_val = (truth[k] for k in keys)
-
-    rows = []   # (L, U, ci_low, ci_high) of each replicate that succeeded
-    for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps):
-        rep_seed = int(ss.generate_state(1)[0] % (2**31))
-        try:
-            cols = unit_columns(generate(spec.case_id, spec.n_units, seed=rep_seed))
-            # the estimators omit study 2's x2 (study 1 has no covariates)
-            ir = bootstrap_bounds_ci(cols._replace(x=cols.x[:, :1]), estimator=estimator,
-                                     estimand="tau", n_boot=spec.n_boot, seed=rep_seed,
-                                     method=ci_method)
-        except OrdBoundsError:
-            continue
-        rows.append((ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high))
     if len(rows) < 2:
         raise ReplicateFailure(f"{len(rows)} of {spec.n_reps} replicates succeeded, need 2")
 
@@ -348,3 +361,50 @@ def run_study(spec: StudySpec, adjusted: bool = False,
         coverage_estimand=float(cover_v.mean()),
         n_failed=spec.n_reps - len(rows),
     )
+
+
+def _rep_seeds(spec: StudySpec) -> list:
+    """The seed of each replicate's draw and bootstrap."""
+    return [int(ss.generate_state(1)[0] % (2**31))
+            for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps)]
+
+
+def _interval_row(ir) -> tuple:
+    return ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high
+
+
+def _study1_rows(spec: StudySpec, ci_method: str) -> list:
+    """(L, U, ci_low, ci_high) of every study-1 replicate, in replicate
+    order: the columns of each replicate's draw, then one randomized
+    bootstrap stack per number of categories J among them (at small n some
+    draws miss a category), each replicate redrawn from its own seed, and
+    each interval from its own Replicates.  No replicate can fail: both arms
+    hold n / 2 units."""
+    seeds = _rep_seeds(spec)
+    cols = [_study1_columns(spec.case_id, spec.n_units, s) for s in seeds]
+    by_J = {}
+    for r, c in enumerate(cols):
+        by_J.setdefault(c.categories(), []).append(r)
+    rows = [None] * spec.n_reps
+    for J, members in by_J.items():
+        counts = np.stack([_arm_counts(cols[r], J) for r in members])
+        stack = _randomized_stack(counts, spec.n_boot, [seeds[r] for r in members])
+        for r, reps in zip(members, stack):
+            rows[r] = _interval_row(_intervals(reps, [("tau", "bound")], 0.95, ci_method)[0])
+    return rows
+
+
+def _study2_rows(spec: StudySpec, estimator: str, ci_method: str) -> list:
+    """(L, U, ci_low, ci_high) of each study-2 replicate that succeeded:
+    one bootstrap per replicate, on its columns without x2."""
+    rows = []
+    for rep_seed in _rep_seeds(spec):
+        try:
+            cols = unit_columns(generate_study2(spec.case_id, spec.n_units, seed=rep_seed))
+            ir = bootstrap_bounds_ci(cols._replace(x=cols.x[:, :1]), estimator=estimator,
+                                     estimand="tau", n_boot=spec.n_boot, seed=rep_seed,
+                                     method=ci_method)
+        except OrdBoundsError:
+            continue
+        rows.append(_interval_row(ir))
+    return rows

@@ -955,7 +955,8 @@ class TestSimulateChecks:
 
     @pytest.mark.parametrize("extra, why", [
         (("--n", "3"), "even"), (("--n", "0"), "even"), (("--n", "-2"), "even"),
-        (("--reps", "1"), "at least 2"),
+        (("--reps", "1"), "at least 2"), (("--boot", "99"), "n_boot must be at least 100"),
+        (("--adjusted",), "adjusted is for study 2"),
     ])
     def test_invalid_spec_exits_2(self, capsys, extra, why):
         code = main(["simulate", "--study", "1", "--case", "1", "--reps", "2",
@@ -964,6 +965,20 @@ class TestSimulateChecks:
         assert code == 2
         assert captured.out == ""
         assert why in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_too_few_bootstrap_replicates_exit_2_before_the_truth(self, capsys, monkeypatch):
+        from ordbounds import simulation
+
+        def no_truth(case):
+            raise AssertionError("the truth ran before the spec was checked")
+
+        monkeypatch.setattr(simulation, "study2_truth_quadrature", no_truth)
+        code = main(["simulate", "--study", "2", "--case", "1", "--reps", "2", "--boot", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n_boot must be at least 100" in captured.err
 
     def test_too_few_replicates_exit_3(self, capsys):
         # n=2: one of the two replicates has no compliers to estimate from

@@ -674,6 +674,21 @@ class TestArmRedraws:
         bootstrap_replicates(recs, estimator="complier", n_boot=100, seed=seed)
         assert len(stacks) == 1 and np.array_equal(stacks[0], want)
 
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_randomized_stack_is_each_data_sets_bootstrap(self, monkeypatch, per_block):
+        # data sets of different sizes and one J, in blocks of per_block
+        data = [covariate_records(50 + k, n=40 + 20 * k) for k in range(5)]
+        J = max(unit_columns(recs).J for recs in data)
+        seeds = [3 * k + 1 for k in range(5)]
+        counts = np.stack([inference._arm_counts(unit_columns(recs), J) for recs in data])
+        monkeypatch.setattr(inference, "_BLOCK", per_block * 101 * 2 * J)
+        stack = inference._randomized_stack(counts, 100, seeds)
+        for recs, seed, reps in zip(data, seeds, stack):
+            want = bootstrap_replicates(recs, n_boot=100, seed=seed, J=J)
+            assert np.array_equal(reps.point, want.point)
+            assert np.array_equal(reps.rows, want.rows)
+            assert (reps.n_failed, reps.seed, reps.failures) == (0, seed, ())
+
 
 # design -> (public estimator, reference_estimate estimator, options)
 DESIGNS = {

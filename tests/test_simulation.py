@@ -12,8 +12,11 @@ from ordbounds import (
     study2_truth_quadrature,
 )
 from ordbounds import simulation
+from ordbounds.distributions import unit_columns
+from ordbounds.estimation import UnitRecord
 from ordbounds.exceptions import EmptyArm, OddN, ReplicateFailure
-from ordbounds.simulation import _proportional_counts, study1_joint
+from ordbounds.inference import bootstrap_bounds_ci
+from ordbounds.simulation import StudyResult, _proportional_counts, _study1_columns, study1_joint
 
 
 class TestStudySpec:
@@ -34,6 +37,13 @@ class TestStudySpec:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             StudySpec(study=1, case_id=1, n_reps=0)
+
+    @pytest.mark.parametrize("study", [1, 2])
+    def test_too_few_bootstrap_replicates(self, study):
+        # the bootstrap's own minimum, checked before any draw
+        with pytest.raises(ValueError, match="n_boot must be at least 100"):
+            StudySpec(study=study, case_id=1, n_boot=99)
+        assert StudySpec(study=study, case_id=1, n_boot=100).n_boot == 100
 
 
 class TestStudy1Truth:
@@ -125,6 +135,82 @@ class TestRunStudy:
         assert res.ci_length > 0
 
 
+def reference_study1_records(case, n, seed):
+    """generate_study1 as a record loop: the fixed population, then one
+    balanced assignment from the seed's stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    joint = study1_joint(case)
+    J = joint.J
+    flat = np.array([[float(v) for v in row] for row in joint.matrix]).ravel()
+    cells = np.repeat(np.arange(J * J), _proportional_counts(flat / flat.sum(), n))
+    z = np.zeros(n, dtype=int)
+    z[: n // 2] = 1
+    rng.shuffle(z)
+    y = np.where(z == 1, cells // J, cells % J)
+    return [UnitRecord(z=int(zi), y=int(yi)) for zi, yi in zip(z, y)]
+
+
+def reference_study1(spec, ci_method):
+    """run_study on study 1 as one bootstrap per replicate and the summary
+    over the replicates' intervals."""
+    truth = study1_truth(spec.case_id)
+    rows = []
+    for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps):
+        rep_seed = int(ss.generate_state(1)[0] % (2**31))
+        ir = bootstrap_bounds_ci(generate_study1(spec.case_id, spec.n_units, seed=rep_seed),
+                                 estimator="randomized", estimand="tau", n_boot=spec.n_boot,
+                                 seed=rep_seed, method=ci_method)
+        rows.append((ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high))
+    Ls, Us, lo, hi = np.array(rows).T
+    return StudyResult(
+        spec=spec, truth=truth,
+        bias_L=float(Ls.mean() - truth["tau_L"]), bias_U=float(Us.mean() - truth["tau_U"]),
+        se_L=float(Ls.std(ddof=1)), se_U=float(Us.std(ddof=1)),
+        ci_length=float((hi - lo).mean()),
+        coverage_bounds=float(((lo <= truth["tau_L"]) & (truth["tau_U"] <= hi)).mean()),
+        coverage_estimand=float(((lo <= truth["tau"]) & (truth["tau"] <= hi)).mean()),
+        n_failed=0,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStudy1Stack:
+    """Study 1 runs as one stack; it must equal the replicate loop."""
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 4, 200])
+    @pytest.mark.parametrize("ci_method", ["normal", "percentile"])
+    def test_equals_the_replicate_loop(self, case, n, ci_method):
+        spec = StudySpec(study=1, case_id=case, n_units=n, n_reps=20, n_boot=100,
+                         seed=100 * case + n)
+        assert run_study(spec, ci_method=ci_method) == reference_study1(spec, ci_method)
+
+    def test_small_n_mixes_category_counts(self):
+        # the draws of one study reach different J: the stack groups them
+        seeds = simulation._rep_seeds(StudySpec(study=1, case_id=1, n_units=4, n_reps=20))
+        assert {_study1_columns(1, 4, s).categories() for s in seeds} == {2, 3}
+
+    def test_runs_without_records_or_per_replicate_bootstraps(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study 1 ran a replicate through the loop")
+
+        monkeypatch.setattr(simulation, "generate_study1", forbidden)
+        monkeypatch.setattr(simulation, "bootstrap_bounds_ci", forbidden)
+        assert run_study(StudySpec(study=1, case_id=3, n_reps=5, n_boot=100)).n_failed == 0
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 4, 20, 200])
+    @pytest.mark.parametrize("seed", [0, 9, 123456])
+    def test_records_are_the_columns(self, case, n, seed):
+        recs = generate_study1(case, n, seed=seed)
+        assert recs == reference_study1_records(case, n, seed)
+        cols, want = _study1_columns(case, n, seed), unit_columns(recs)
+        assert cols.z.dtype == want.z.dtype and cols.y.dtype == want.y.dtype
+        for got, ref in zip(cols, want):
+            assert (got is ref is None) or np.array_equal(got, ref)
+        assert cols.x.shape == want.x.shape
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestReplicateChecks:
     def test_odd_n(self):
@@ -149,16 +235,22 @@ class TestReplicateChecks:
 
         monkeypatch.setattr(simulation, "bootstrap_bounds_ci", flaky)
 
+    # study 2: its replicate loop bootstraps each replicate through
+    # bootstrap_bounds_ci, while study 1 runs as one stack that cannot fail
     def test_failed_replicates_are_counted(self, monkeypatch):
         self.failing_after(monkeypatch, 2)
-        res = run_study(StudySpec(study=1, case_id=1, n_reps=3, n_boot=100, seed=4))
+        res = run_study(StudySpec(study=2, case_id=1, n_reps=3, n_boot=100, seed=4))
         assert res.n_failed == 1
         assert np.isfinite([res.se_L, res.se_U, res.bias_L, res.ci_length]).all()
 
     def test_one_success_raises(self, monkeypatch):
         self.failing_after(monkeypatch, 1)
         with pytest.raises(ReplicateFailure, match="1 of 3"):
-            run_study(StudySpec(study=1, case_id=1, n_reps=3, n_boot=100, seed=4))
+            run_study(StudySpec(study=2, case_id=1, n_reps=3, n_boot=100, seed=4))
+
+    def test_study1_has_no_adjusted_estimator(self):
+        with pytest.raises(ValueError, match="adjusted is for study 2"):
+            run_study(StudySpec(study=1, case_id=1, n_reps=2, n_boot=100), adjusted=True)
 
     def test_study2_without_compliers_raises(self):
         truth = simulation.study2_truth(1, n_draws=10_000)
