@@ -141,7 +141,7 @@ def _study1_population(case: int, n: int):
     return y1, y0
 
 
-def _study1_columns(case: int, n: int, seed: int = 0) -> UnitColumns:
+def _study1_columns(case: int, n: int, seed: int) -> UnitColumns:
     """The UnitColumns of generate_study1(case, n, seed), drawn without
     records."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
