@@ -429,7 +429,7 @@ def _add_unit_analysis(p):
     p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT",
                    help="bootstrap replicates for CIs (0 disables)")
     p.add_argument("--alpha-level", type=float, default=0.95,
-                   help="nominal CI coverage")
+                   help="nominal CI coverage, strictly between 0 and 1")
     p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
     p.add_argument("--seed", type=int, default=None,
                    help="bootstrap seed (default: ORDBOUNDS_SEED env var, then 0)")

@@ -100,12 +100,22 @@ class Replicates(NamedTuple):
         return len(self.rows) + self.n_failed
 
 
-def _columns(estimand, lower):
-    """Column indices of the (lower, upper) pair of an estimand."""
-    if estimand not in ("tau", "eta"):
-        raise ValueError(f"unknown estimand {estimand!r}")
-    upper = 2 if estimand == "tau" else 5
-    return upper - (1 if lower == "independent" else 2), upper
+def _columns(pairs, level, method):
+    """Column indices of the (lower, upper) pair of each (estimand, lower) of
+    pairs, after the checks of every argument of their intervals."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must be strictly between 0 and 1, got {level}")
+    if method not in ("percentile", "normal"):
+        raise ValueError(f"unknown method {method!r}")
+    columns = []
+    for estimand, lower in pairs:
+        if estimand not in ("tau", "eta"):
+            raise ValueError(f"unknown estimand {estimand!r}")
+        if lower not in ("bound", "independent"):
+            raise ValueError(f"unknown lower {lower!r}")
+        upper = 2 if estimand == "tau" else 5
+        columns.append((upper - (1 if lower == "independent" else 2), upper))
+    return columns
 
 
 def _report_row(report):
@@ -295,14 +305,15 @@ def interval_from_replicates(replicates: Replicates, estimand: str = "tau",
     method="percentile" pairs the lower quantile of the bootstrapped lower
     bound with the upper quantile of the bootstrapped upper bound;
     method="normal" widens the point bounds by z * bootstrap standard error.
-    The interval is clipped to [0, 1].
+    The interval is clipped to [0, 1].  ValueError unless 0 < level < 1, and
+    for an unknown estimand, lower or method.
     """
     return _intervals(replicates, [(estimand, lower)], level, method)[0]
 
 
 def _intervals(replicates: Replicates, pairs, level: float, method: str) -> list:
     """The interval_from_replicates of each (estimand, lower) of pairs."""
-    columns = [_columns(estimand, lower) for estimand, lower in pairs]
+    columns = _columns(pairs, level, method)
     n_boot, n_failed = replicates.n_boot, replicates.n_failed
     if n_failed > 0.05 * n_boot:
         raise ReplicateFailure(f"{n_failed} of {n_boot} bootstrap replicates failed")
@@ -311,15 +322,13 @@ def _intervals(replicates: Replicates, pairs, level: float, method: str) -> list
         alpha = (1 - level) / 2
         q = np.quantile(rows, [alpha, 1 - alpha], axis=0)
         ends = [(q[0, i], q[1, j]) for i, j in columns]
-    elif method == "normal":
+    else:
         from statistics import NormalDist
 
         zc = NormalDist().inv_cdf((1 + level) / 2)
         # one std per column: rows.std(axis=0) can differ in the last bit
         ends = [(point[i] - zc * rows[:, i].std(), point[j] + zc * rows[:, j].std())
                 for i, j in columns]
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return [IntervalReport(
         point_lower=float(point[i]), point_upper=float(point[j]),
         ci_low=max(float(lo), 0.0), ci_high=min(float(hi), 1.0),
@@ -335,9 +344,10 @@ def bootstrap_bounds_ci(records, estimator: str = "randomized", estimand: str = 
     bootstrap_replicates (see interval_from_replicates for method).
 
     lower="independent" replaces the lower bound with the independent-coupling
-    value, giving the CI for (tau_I, tau_U) or (eta_I, eta_U).
+    value, giving the CI for (tau_I, tau_U) or (eta_I, eta_U).  estimand,
+    lower, level and method are checked before anything is fitted.
     """
-    _columns(estimand, lower)
+    _columns([(estimand, lower)], level, method)
     reps = bootstrap_replicates(records, estimator=estimator, n_boot=n_boot, seed=seed,
                                 J=J, **options)
     return interval_from_replicates(reps, estimand, lower, level=level, method=method)

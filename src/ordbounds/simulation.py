@@ -17,13 +17,15 @@ Study 2's true values are integrals over x: study2_truth_quadrature
 computes them by Gauss-Legendre quadrature in x1 for each value of x2, and
 study2_truth estimates the same keys by Monte Carlo over covariate draws.
 
-run_study summarises the replicates that succeeded against the true bounds,
-after one of two evaluations.  Study 1 runs as one stack: each replicate's
-columns are drawn without records (_study1_columns), and the randomized
-bootstraps of all replicates with the same number of categories are one
-inference._randomized_stack, each replicate redrawn from its own seed.
-Study 2 runs one replicate at a time: draw the records and bootstrap a CI
-for the tau bounds on their columns without x2.
+run_study summarises the replicates that succeeded against the true bounds.
+Both studies draw each replicate's columns without records (_study1_columns,
+_study2_columns; generate_study1 and generate_study2 are their record
+wrappers), and each replicate's row is the tau interval of one bootstrap's
+Replicates (_tau_row), the pieces the CLI uses.  Study 1 runs as one stack:
+the randomized bootstraps of all replicates with the same number of
+categories are one inference._randomized_stack, each replicate redrawn from
+its own seed.  Study 2 runs one replicate at a time: fit its columns without
+x2 and bootstrap that fit (inference._bootstrap).
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from .distributions import (
     MarginalPair,
     UnitColumns,
     estimands_of_joint,
-    unit_columns,
 )
 from .estimation import UnitRecord
 from .exceptions import OddN, OrdBoundsError, ReplicateFailure
-from .inference import _arm_counts, _intervals, _randomized_stack, bootstrap_bounds_ci
+from .inference import _ESTIMATORS, _arm_counts, _bootstrap, _intervals, _randomized_stack
 from .models import CumulativeLogitModel, MultinomialLogitModel
 
 
@@ -192,8 +193,9 @@ def _draw_categorical(rng, probs):
     return (u[:, None] > cum).sum(axis=1)
 
 
-def generate_study2(case: int, n: int, seed: int = 0) -> list:
-    """Noncompliance study records with x = (x1, x2)."""
+def _study2_columns(case: int, n: int, seed: int) -> UnitColumns:
+    """The UnitColumns of generate_study2(case, n, seed), drawn without
+    records."""
     c1, c0 = _complier_models(case)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x1 = rng.standard_normal(n)
@@ -208,10 +210,15 @@ def generate_study2(case: int, n: int, seed: int = 0) -> list:
                         ((g == 0) & (z == 1), c1), ((g == 0) & (z == 0), c0)):
         if mask.any():
             y[mask] = _draw_categorical(rng, model.predict_proba(X[mask]))
-    return [
-        UnitRecord(z=int(zi), y=int(yi), d=int(di), x=(float(a), float(b)))
-        for zi, yi, di, a, b in zip(z, y, d, x1, x2)
-    ]
+    return UnitColumns(z, y, d, X)
+
+
+def generate_study2(case: int, n: int, seed: int = 0) -> list:
+    """Noncompliance study records with x = (x1, x2)."""
+    cols = _study2_columns(case, n, seed)
+    return [UnitRecord(z=zi, y=yi, d=di, x=tuple(xi))
+            for zi, yi, di, xi in zip(cols.z.tolist(), cols.y.tolist(), cols.d.tolist(),
+                                      cols.x.tolist())]
 
 
 def _truth_sums(c1, c0, X, weights) -> np.ndarray:
@@ -329,23 +336,27 @@ def run_study(spec: StudySpec, adjusted: bool = False,
     adjusted=True switches to the covariate-adjusted complier estimator
     (slow: one covariate EM per bootstrap replicate), and ValueError for
     study 1, which has none.  truth defaults to study1_truth or
-    study2_truth_quadrature of the case.  A replicate whose estimation fails
-    is counted in n_failed; ReplicateFailure if fewer than two replicates
-    succeed.
+    study2_truth_quadrature of the case; ValueError, before any draw, when
+    it lacks a key the study reads.  Study 2 runs one replicate at a time
+    (_study2_rows).  A replicate whose estimation fails is counted in
+    n_failed; ReplicateFailure if fewer than two replicates succeed.
     """
     if spec.study == 1:
         if adjusted:
             raise ValueError("adjusted is for study 2: study 1 has no covariates")
         truth = study1_truth(spec.case_id) if truth is None else truth
         keys = ("tau_L", "tau_U", "tau")
-        rows = _study1_rows(spec, ci_method)
     else:
         if truth is None:
             truth = study2_truth_quadrature(spec.case_id)
         adj = "_adj" if adjusted else ""
         keys = ("tau_c_L" + adj, "tau_c_U" + adj, "tau_c")
-        rows = _study2_rows(spec, "complier_adjusted" if adjusted else "complier", ci_method)
+    for k in keys:
+        if k not in truth:
+            raise ValueError(f"truth has no key {k!r}")
     true_L, true_U, true_val = (truth[k] for k in keys)
+    rows = (_study1_rows(spec, ci_method) if spec.study == 1 else
+            _study2_rows(spec, "complier_adjusted" if adjusted else "complier", ci_method))
     if len(rows) < 2:
         raise ReplicateFailure(f"{len(rows)} of {spec.n_reps} replicates succeeded, need 2")
 
@@ -369,7 +380,9 @@ def _rep_seeds(spec: StudySpec) -> list:
             for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps)]
 
 
-def _interval_row(ir) -> tuple:
+def _tau_row(reps, ci_method: str) -> tuple:
+    """(L, U, ci_low, ci_high) of the tau bounds from one bootstrap."""
+    ir = _intervals(reps, [("tau", "bound")], 0.95, ci_method)[0]
     return ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high
 
 
@@ -390,21 +403,21 @@ def _study1_rows(spec: StudySpec, ci_method: str) -> list:
         counts = np.stack([_arm_counts(cols[r], J) for r in members])
         stack = _randomized_stack(counts, spec.n_boot, [seeds[r] for r in members])
         for r, reps in zip(members, stack):
-            rows[r] = _interval_row(_intervals(reps, [("tau", "bound")], 0.95, ci_method)[0])
+            rows[r] = _tau_row(reps, ci_method)
     return rows
 
 
 def _study2_rows(spec: StudySpec, estimator: str, ci_method: str) -> list:
     """(L, U, ci_low, ci_high) of each study-2 replicate that succeeded:
-    one bootstrap per replicate, on its columns without x2."""
+    one fit and one bootstrap per replicate, on its columns without x2."""
     rows = []
     for rep_seed in _rep_seeds(spec):
         try:
-            cols = unit_columns(generate_study2(spec.case_id, spec.n_units, seed=rep_seed))
-            ir = bootstrap_bounds_ci(cols._replace(x=cols.x[:, :1]), estimator=estimator,
-                                     estimand="tau", n_boot=spec.n_boot, seed=rep_seed,
-                                     method=ci_method)
+            cols = _study2_columns(spec.case_id, spec.n_units, rep_seed)
+            cols = cols._replace(x=cols.x[:, :1])
+            reps = _bootstrap(cols, estimator, _ESTIMATORS[estimator][0](cols), spec.n_boot,
+                              rep_seed)
+            rows.append(_tau_row(reps, ci_method))
         except OrdBoundsError:
-            continue
-        rows.append(_interval_row(ir))
+            pass
     return rows

@@ -348,6 +348,26 @@ class TestAnalyzeBootstrap:
         assert err.startswith("error: ReplicateFailure")
 
 
+class TestAlphaLevel:
+    """--alpha-level outside (0, 1) exits 2 with one error line and no
+    output, for both CI methods and both unit commands."""
+
+    @pytest.mark.parametrize("level", ["-0.2", "0", "1", "1.5", "nan"])
+    @pytest.mark.parametrize("method", ["percentile", "normal"])
+    @pytest.mark.parametrize("cmd", ["analyze", "analyze-iv"])
+    def test_outside_the_unit_interval_exits_2(self, capsys, tmp_path, level, method, cmd):
+        path = tmp_path / "units.csv"
+        path.write_text("z,d,y\n1,1,2\n1,1,1\n1,1,2\n1,1,0\n1,1,1\n1,0,0\n1,0,1\n1,1,2\n"
+                        "0,0,0\n0,0,1\n0,0,0\n0,1,2\n0,0,1\n0,0,2\n0,0,0\n0,1,1\n")
+        code = main([cmd, "--data", str(path), "--bootstrap", "100", "--alpha-level", level,
+                     "--ci-method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: ValueError: level must be strictly between 0 and 1, "
+                                f"got {float(level)}\n")
+
+
 class TestAnalyzeIV:
     def make_iv_data(self, tmp_path, with_defier=False):
         from test_noncompliance import TRUTH, draw_iv_records

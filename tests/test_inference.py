@@ -47,6 +47,14 @@ def sample_records():
     return make_records([4, 12, 4], [8, 4, 8])
 
 
+def forbid_resamples(monkeypatch):
+    """Make bootstrap_bounds_ci fail if it resamples."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resampled before the interval's arguments were checked")
+
+    monkeypatch.setattr(inference, "bootstrap_replicates", forbidden)
+
+
 class TestBasics:
     def test_interval_contains_point_bounds(self):
         ci = bootstrap_bounds_ci(sample_records(), n_boot=200, seed=1)
@@ -70,12 +78,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             bootstrap_bounds_ci(sample_records(), n_boot=50)
 
-    def test_unknown_estimand(self):
-        with pytest.raises(ValueError):
+    def test_unknown_estimand(self, monkeypatch):
+        forbid_resamples(monkeypatch)
+        with pytest.raises(ValueError, match="unknown estimand"):
             bootstrap_bounds_ci(sample_records(), estimand="theta")
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
+    def test_unknown_method(self, monkeypatch):
+        forbid_resamples(monkeypatch)
+        with pytest.raises(ValueError, match="unknown method"):
             bootstrap_bounds_ci(sample_records(), n_boot=100, method="bca")
 
     def test_inverted_interval_rejected(self):
@@ -103,6 +113,37 @@ class TestLevels:
         ci = bootstrap_bounds_ci(recs, n_boot=200, seed=5)
         assert ci.ci_low == pytest.approx(1.0, abs=1e-12)
         assert ci.ci_high == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestIntervalArguments:
+    """Every argument of an interval is checked, and bootstrap_bounds_ci
+    checks them before it resamples."""
+
+    @pytest.mark.parametrize("lower", ["indep", "Bound", "", None])
+    def test_unknown_lower(self, monkeypatch, lower):
+        reps = bootstrap_replicates(sample_records(), n_boot=100, seed=1)
+        with pytest.raises(ValueError, match="unknown lower"):
+            interval_from_replicates(reps, lower=lower)
+        forbid_resamples(monkeypatch)
+        with pytest.raises(ValueError, match="unknown lower"):
+            bootstrap_bounds_ci(sample_records(), n_boot=100, lower=lower)
+
+    @pytest.mark.parametrize("level", [-0.2, 0, 0.0, 1, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", ["percentile", "normal"])
+    def test_level_outside_the_unit_interval(self, monkeypatch, level, method):
+        reps = bootstrap_replicates(sample_records(), n_boot=100, seed=1)
+        with pytest.raises(ValueError, match="level must be strictly between 0 and 1"):
+            interval_from_replicates(reps, level=level, method=method)
+        forbid_resamples(monkeypatch)
+        with pytest.raises(ValueError, match="level must be strictly between 0 and 1"):
+            bootstrap_bounds_ci(sample_records(), n_boot=100, level=level, method=method)
+
+    @pytest.mark.parametrize("level", [1e-9, 0.5, 1 - 1e-9])
+    @pytest.mark.parametrize("method", ["percentile", "normal"])
+    def test_level_inside_the_unit_interval(self, level, method):
+        ir = bootstrap_bounds_ci(sample_records(), n_boot=100, level=level, method=method)
+        assert 0.0 <= ir.ci_low <= ir.ci_high <= 1.0 and ir.level == level
 
 
 class TestEstimandsAndEstimators:

@@ -3,6 +3,7 @@ import pytest
 
 from ordbounds import (
     StudySpec,
+    em_fit,
     estimate_randomized,
     generate_study1,
     generate_study2,
@@ -11,10 +12,10 @@ from ordbounds import (
     study2_truth,
     study2_truth_quadrature,
 )
-from ordbounds import simulation
+from ordbounds import inference, simulation
 from ordbounds.distributions import unit_columns
 from ordbounds.estimation import UnitRecord
-from ordbounds.exceptions import EmptyArm, OddN, ReplicateFailure
+from ordbounds.exceptions import EmptyArm, OddN, OrdBoundsError, ReplicateFailure
 from ordbounds.inference import bootstrap_bounds_ci
 from ordbounds.simulation import StudyResult, _proportional_counts, _study1_columns, study1_joint
 
@@ -150,27 +151,36 @@ def reference_study1_records(case, n, seed):
     return [UnitRecord(z=int(zi), y=int(yi)) for zi, yi in zip(z, y)]
 
 
+def reference_seeds(spec):
+    return [int(ss.generate_state(1)[0] % (2**31))
+            for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps)]
+
+
+def reference_summary(spec, truth, keys, irs):
+    """The summary row over the intervals irs of the replicates that
+    succeeded, against truth's (lower, upper, estimand) keys."""
+    true_L, true_U, true_val = (truth[k] for k in keys)
+    Ls, Us, lo, hi = np.array([(ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high)
+                               for ir in irs]).T
+    return StudyResult(
+        spec=spec, truth=truth,
+        bias_L=float(Ls.mean() - true_L), bias_U=float(Us.mean() - true_U),
+        se_L=float(Ls.std(ddof=1)), se_U=float(Us.std(ddof=1)),
+        ci_length=float((hi - lo).mean()),
+        coverage_bounds=float(((lo <= true_L) & (true_U <= hi)).mean()),
+        coverage_estimand=float(((lo <= true_val) & (true_val <= hi)).mean()),
+        n_failed=spec.n_reps - len(irs),
+    )
+
+
 def reference_study1(spec, ci_method):
     """run_study on study 1 as one bootstrap per replicate and the summary
     over the replicates' intervals."""
-    truth = study1_truth(spec.case_id)
-    rows = []
-    for ss in np.random.SeedSequence(spec.seed).spawn(spec.n_reps):
-        rep_seed = int(ss.generate_state(1)[0] % (2**31))
-        ir = bootstrap_bounds_ci(generate_study1(spec.case_id, spec.n_units, seed=rep_seed),
-                                 estimator="randomized", estimand="tau", n_boot=spec.n_boot,
-                                 seed=rep_seed, method=ci_method)
-        rows.append((ir.point_lower, ir.point_upper, ir.ci_low, ir.ci_high))
-    Ls, Us, lo, hi = np.array(rows).T
-    return StudyResult(
-        spec=spec, truth=truth,
-        bias_L=float(Ls.mean() - truth["tau_L"]), bias_U=float(Us.mean() - truth["tau_U"]),
-        se_L=float(Ls.std(ddof=1)), se_U=float(Us.std(ddof=1)),
-        ci_length=float((hi - lo).mean()),
-        coverage_bounds=float(((lo <= truth["tau_L"]) & (truth["tau_U"] <= hi)).mean()),
-        coverage_estimand=float(((lo <= truth["tau"]) & (truth["tau"] <= hi)).mean()),
-        n_failed=0,
-    )
+    irs = [bootstrap_bounds_ci(generate_study1(spec.case_id, spec.n_units, seed=rep_seed),
+                               estimator="randomized", estimand="tau", n_boot=spec.n_boot,
+                               seed=rep_seed, method=ci_method)
+           for rep_seed in reference_seeds(spec)]
+    return reference_summary(spec, study1_truth(spec.case_id), ("tau_L", "tau_U", "tau"), irs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -195,7 +205,7 @@ class TestStudy1Stack:
             raise AssertionError("study 1 ran a replicate through the loop")
 
         monkeypatch.setattr(simulation, "generate_study1", forbidden)
-        monkeypatch.setattr(simulation, "bootstrap_bounds_ci", forbidden)
+        monkeypatch.setattr(simulation, "_bootstrap", forbidden)
         assert run_study(StudySpec(study=1, case_id=3, n_reps=5, n_boot=100)).n_failed == 0
 
     @pytest.mark.parametrize("case", [1, 2, 3, 4])
@@ -225,7 +235,7 @@ class TestReplicateChecks:
     def failing_after(monkeypatch, k):
         """Make every bootstrap after the first k fail."""
         calls = []
-        real = simulation.bootstrap_bounds_ci
+        real = simulation._bootstrap
 
         def flaky(*args, **kwargs):
             calls.append(1)
@@ -233,10 +243,10 @@ class TestReplicateChecks:
                 raise EmptyArm("made to fail")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "bootstrap_bounds_ci", flaky)
+        monkeypatch.setattr(simulation, "_bootstrap", flaky)
 
     # study 2: its replicate loop bootstraps each replicate through
-    # bootstrap_bounds_ci, while study 1 runs as one stack that cannot fail
+    # inference._bootstrap, while study 1 runs as one stack that cannot fail
     def test_failed_replicates_are_counted(self, monkeypatch):
         self.failing_after(monkeypatch, 2)
         res = run_study(StudySpec(study=2, case_id=1, n_reps=3, n_boot=100, seed=4))
@@ -248,6 +258,24 @@ class TestReplicateChecks:
         with pytest.raises(ReplicateFailure, match="1 of 3"):
             run_study(StudySpec(study=2, case_id=1, n_reps=3, n_boot=100, seed=4))
 
+    @pytest.mark.parametrize("study, adjusted, key", [
+        (1, False, "tau_L"), (2, False, "tau_c_L"), (2, True, "tau_c_U_adj"),
+    ])
+    def test_truth_without_a_key_raises_before_any_draw(self, monkeypatch, study, adjusted,
+                                                         key):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew a replicate before the truth was checked")
+
+        monkeypatch.setattr(simulation, "_study1_columns", forbidden)
+        monkeypatch.setattr(simulation, "_study2_columns", forbidden)
+        # the other study's truth, or the adjusted truth without its upper bound
+        truth = study2_truth_quadrature(1) if study == 1 else study1_truth(1)
+        if adjusted:
+            truth = {k: v for k, v in study2_truth_quadrature(1).items() if k != key}
+        with pytest.raises(ValueError, match=f"truth has no key '{key}'"):
+            run_study(StudySpec(study=study, case_id=1, n_units=1000, n_reps=20, n_boot=100),
+                      adjusted=adjusted, truth=truth)
+
     def test_study1_has_no_adjusted_estimator(self):
         with pytest.raises(ValueError, match="adjusted is for study 2"):
             run_study(StudySpec(study=1, case_id=1, n_reps=2, n_boot=100), adjusted=True)
@@ -257,6 +285,112 @@ class TestReplicateChecks:
         with pytest.raises(ReplicateFailure):
             run_study(StudySpec(study=2, case_id=1, n_units=2, n_reps=2, n_boot=100, seed=1),
                       truth=truth)
+
+
+def reference_study2_records(case, n, seed):
+    """generate_study2 as a record loop: x, strata, a balanced assignment,
+    then each stratum's outcomes, from one stream in that order."""
+    c1, c0 = simulation._complier_models(case)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x1 = rng.standard_normal(n)
+    x2 = rng.integers(0, 2, size=n).astype(float)
+    X = np.stack([x1, x2], axis=1)
+    g = simulation._draw_categorical(rng, simulation._STRATA.predict_proba(X))
+    z = np.zeros(n, dtype=int)
+    z[: n // 2] = 1
+    rng.shuffle(z)
+    d = np.where(g == 1, 1, np.where(g == 2, 0, z))
+    y = np.empty(n, dtype=int)
+    for mask, model in ((g == 1, simulation._ALWAYS), (g == 2, simulation._NEVER),
+                        ((g == 0) & (z == 1), c1), ((g == 0) & (z == 0), c0)):
+        if mask.any():
+            y[mask] = simulation._draw_categorical(rng, model.predict_proba(X[mask]))
+    return [UnitRecord(z=int(zi), y=int(yi), d=int(di), x=(float(a), float(b)))
+            for zi, yi, di, a, b in zip(z, y, d, x1, x2)]
+
+
+def reference_study2(spec, ci_method, adjusted=False):
+    """run_study on study 2 as a loop over records: each replicate's
+    generate_study2 records, their columns without x2, one
+    bootstrap_bounds_ci, and the summary over the replicates that
+    succeeded."""
+    estimator = "complier_adjusted" if adjusted else "complier"
+    irs = []
+    for rep_seed in reference_seeds(spec):
+        cols = unit_columns(generate_study2(spec.case_id, spec.n_units, seed=rep_seed))
+        try:
+            irs.append(bootstrap_bounds_ci(cols._replace(x=cols.x[:, :1]), estimator=estimator,
+                                           estimand="tau", n_boot=spec.n_boot, seed=rep_seed,
+                                           method=ci_method))
+        except OrdBoundsError:
+            pass
+    adj = "_adj" if adjusted else ""
+    return reference_summary(spec, study2_truth_quadrature(spec.case_id),
+                             ("tau_c_L" + adj, "tau_c_U" + adj, "tau_c"), irs)
+
+
+def stub_complier_adjusted(monkeypatch, calls):
+    """Swap the complier_adjusted pair for a cheap one: the count EM and the
+    complier bootstrap, with every bound squared so that its intervals differ
+    from the complier estimator's.  Each fit appends its columns to calls."""
+    def fit(cols, J=None, monotonicity="standard"):
+        calls.append(cols)
+        return em_fit(cols, monotonicity=monotonicity, J=J)
+
+    def replicates(cols, fit_result, n_boot, seed, monotonicity="standard"):
+        point, rows, failures = inference._complier(cols, fit_result, n_boot, seed, monotonicity)
+        return point ** 2, rows ** 2, failures
+
+    monkeypatch.setitem(inference._ESTIMATORS, "complier_adjusted", (fit, replicates))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStudy2Columns:
+    """Study 2 runs on columns, through the fit and bootstrap the CLI uses;
+    it must equal the loop over records and bootstrap_bounds_ci."""
+
+    @pytest.mark.parametrize("case", [1, 4, 6])
+    @pytest.mark.parametrize("n", [20, 40, 200])
+    @pytest.mark.parametrize("ci_method", ["normal", "percentile"])
+    def test_equals_the_record_loop(self, case, n, ci_method):
+        spec = StudySpec(study=2, case_id=case, n_units=n, n_reps=3, n_boot=100,
+                         seed=10 * case + n)
+        got = run_study(spec, ci_method=ci_method)
+        assert got == reference_study2(spec, ci_method)
+        if (case, n) == (1, 20):   # failed replicates are counted as the loop counts them
+            assert got.n_failed > 0
+
+    def test_adjusted_equals_the_record_loop(self, monkeypatch):
+        calls = []
+        stub_complier_adjusted(monkeypatch, calls)
+        spec = StudySpec(study=2, case_id=4, n_units=200, n_reps=2, n_boot=100, seed=3)
+        got = run_study(spec, adjusted=True)
+        assert len(calls) == 2 and all(c.x.shape == (200, 1) for c in calls)
+        assert got == reference_study2(spec, "normal", adjusted=True)
+        assert got != run_study(spec)
+
+    def test_runs_without_records_or_public_bootstraps(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study 2 ran a replicate through records")
+
+        monkeypatch.setattr(simulation, "generate_study2", forbidden)
+        monkeypatch.setattr(inference, "bootstrap_bounds_ci", forbidden)
+        monkeypatch.setattr(inference, "bootstrap_replicates", forbidden)
+        res = run_study(StudySpec(study=2, case_id=2, n_units=200, n_reps=3, n_boot=100))
+        assert res.n_failed == 0
+
+    @pytest.mark.parametrize("case", range(1, 7))
+    @pytest.mark.parametrize("n", [2, 40, 400])
+    @pytest.mark.parametrize("seed", [0, 9, 123456])
+    def test_records_are_the_columns(self, case, n, seed):
+        recs = generate_study2(case, n, seed=seed)
+        assert recs == reference_study2_records(case, n, seed)
+        assert all(type(v) is int for r in recs for v in (r.z, r.y, r.d))
+        assert all(type(v) is float for r in recs for v in r.x)
+        cols, want = simulation._study2_columns(case, n, seed), unit_columns(recs)
+        for got, ref in zip(cols, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
 
 
 class TestStudy2Models:
