@@ -244,19 +244,46 @@ def _read_unit_csv(path: str, J: int | None):
 
 
 def _seed(args) -> int:
+    """--seed, else ORDBOUNDS_SEED, else 0; ValueError naming it unless it
+    is a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ORDBOUNDS_SEED")
-    return int(env) if env else 0
+        name, seed = "--seed", args.seed
+    else:
+        name, env = "ORDBOUNDS_SEED", os.environ.get("ORDBOUNDS_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            seed = env
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
-def _bootstrap_payload(args, units, estimator, fit, lowers, **options) -> dict:
+def _interval_keys(lowers):
+    """(estimand, lower, label suffix) of each interval of a bootstrap with
+    the (lower, label suffix) pairs lowers."""
+    return [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
+
+
+def _bootstrap_seed(args, estimator, lowers, **options) -> int:
+    """The seed of the bootstrap that args ask for, after the checks of all
+    of its arguments (n_boot, level, CI method and seed), which run before
+    the CSV is read or anything is fitted."""
+    from .inference import _columns, _estimator
+
+    _estimator(estimator, args.bootstrap, options)
+    _columns([(e, lower) for e, lower, _ in _interval_keys(lowers)], args.alpha_level,
+             args.ci_method)
+    return _seed(args)
+
+
+def _bootstrap_payload(args, seed, units, estimator, fit, lowers, **options) -> dict:
     """The ci, n_boot, level and seed entries of one bootstrap of units from
     their fit: an interval for tau and eta with each (lower, label suffix) of lowers."""
     from .inference import _bootstrap, _intervals
 
-    reps = _bootstrap(units, estimator, fit, args.bootstrap, _seed(args), **options)
-    keys = [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
+    reps = _bootstrap(units, estimator, fit, args.bootstrap, seed, **options)
+    keys = _interval_keys(lowers)
     irs = _intervals(reps, [(e, lower) for e, lower, _ in keys], args.alpha_level, args.ci_method)
     ci = {e + s: {"low": ir.ci_low, "high": ir.ci_high} for (e, _, s), ir in zip(keys, irs)}
     return {"ci": ci, "n_boot": args.bootstrap, "level": args.alpha_level, "seed": reps.seed}
@@ -294,10 +321,12 @@ def cmd_construct(args):
 def cmd_analyze(args):
     from .inference import _ESTIMATORS
 
+    options = {"strata": args.strata} if args.design == "adjusted" else {}
+    lowers = (("bound", ""), ("independent", "_independent"))
+    seed = _bootstrap_seed(args, args.design, lowers, **options) if args.bootstrap else None
     units, covs = _read_unit_csv(args.data, args.categories)
     if args.design == "ipw" and not covs:
         raise OrdBoundsError("--design ipw needs covariate columns")
-    options = {"strata": args.strata} if args.design == "adjusted" else {}
     est = _ESTIMATORS[args.design][0](units, J=args.categories, **options)
     payload = {
         "design": est.design,
@@ -306,9 +335,7 @@ def cmd_analyze(args):
         **_report_payload(est.report),
     }
     if args.bootstrap:
-        payload.update(_bootstrap_payload(
-            args, units, args.design, est, (("bound", ""), ("independent", "_independent")),
-            **options))
+        payload.update(_bootstrap_payload(args, seed, units, args.design, est, lowers, **options))
     _emit(payload, args)
 
 
@@ -320,6 +347,9 @@ def cmd_analyze_iv(args):
         moment_identify,
     )
 
+    lowers = (("bound", ""),)
+    seed = (_bootstrap_seed(args, "complier", lowers, monotonicity=args.monotonicity)
+            if args.bootstrap else None)
     units, covs = _read_unit_csv(args.data, args.categories)
     if units.d is None:
         raise OrdBoundsError("analyze-iv needs a 'd' column")
@@ -346,7 +376,7 @@ def cmd_analyze_iv(args):
     if args.bootstrap:
         # the bootstrap resamples the MLE, also under --moment
         mle = em_fit(units, **fit_args) if args.moment else strata
-        payload.update(_bootstrap_payload(args, units, "complier", mle, (("bound", ""),),
+        payload.update(_bootstrap_payload(args, seed, units, "complier", mle, lowers,
                                           monotonicity=args.monotonicity))
     _emit(payload, args)
 

@@ -161,9 +161,15 @@ class MultinomialLogitModel:
 
 # -- stacked Newton-Raphson --------------------------------------------------
 
-def _gram(c, M):
-    """sum_i c[k, i] M[i] M[i]' for each row k of c: (k, q, q)."""
-    return (M.T * c[:, None, :]) @ M
+def _gram(c, M, N=None):
+    """sum_i c[k, i] M[i] N[i]' for each row k of c: (k, q, r), N = M (a
+    Gram matrix) by default.  One (k, n) @ (n, q r) product of the weight
+    rows with the units' outer products: a single GEMM, where the batched
+    (k, q, n) @ (n, r) product runs k small ones."""
+    N = M if N is None else N
+    n, q = M.shape
+    outer = (M[:, :, None] * N[:, None, :]).reshape(n, q * N.shape[1])
+    return (c @ outer).reshape(len(c), q, N.shape[1])
 
 
 def _ascent_direction(grad, hess):
@@ -321,7 +327,7 @@ def _cumlogit_derivs(theta, y, X, w, J):
         off = (h_x @ Yhi)[:, 1:]                               # alpha_m with alpha_{m-1}
         H_cc[:, i[1:], i[:-1]] = off
         H_cc[:, i[:-1], i[1:]] = off
-        H_cb = (Yhi.T * (h_hi + h_x)[:, None, :]) @ X + (Ylo.T * (h_lo + h_x)[:, None, :]) @ X
+        H_cb = _gram(h_hi + h_x, Yhi, X) + _gram(h_lo + h_x, Ylo, X)
         H_bb = _gram(h_hi + 2.0 * h_x + h_lo, X)
         H_tt = At @ H_cc @ A
         H_tt[:, i[1:], i[1:]] += grad_t[:, 1:]
@@ -453,9 +459,14 @@ def _mnlogit_derivs(theta, gidx, M, w, G):
     resid = (gidx == np.arange(1, G)[:, None]) - P[:, 1:]
     grad = ((a[:, None, :] * resid) @ M).reshape(k, -1)
     hess = np.empty((k, G - 1, q, G - 1, q))
+    # each block keeps the batched product, not _gram's GEMM: every caller
+    # fits one row at a time (k = 1), so a GEMM saves nothing, and at
+    # covariate scale 1e12 the GEMM's rounding lets a fit converge that
+    # TestFitFailures.test_non_convergence pins as failing
     for g in range(G - 1):
         for h in range(g, G - 1):
-            block = -_gram(a * P[:, g + 1] * ((g == h) - P[:, h + 1]), M)
+            c = a * P[:, g + 1] * ((g == h) - P[:, h + 1])
+            block = -((M.T * c[:, None, :]) @ M)
             hess[:, g, :, h, :] = hess[:, h, :, g, :] = block
     return ll, grad, hess.reshape(k, (G - 1) * q, (G - 1) * q)
 

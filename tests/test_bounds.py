@@ -13,8 +13,10 @@ from ordbounds import (
     independent_estimands,
     point_identified,
     stochastically_dominates,
+    study2_truth,
     tau_bounds,
 )
+from ordbounds import bounds
 from ordbounds.bounds import COLUMNS, bound_rows, weighted_report
 from ordbounds.estimation import adjusted_bounds_from_strata
 
@@ -235,6 +237,105 @@ class TestKernel:
             flags = ("dominance", "tau_point_identified", "eta_point_identified",
                      "argmin_delta_index", "argmax_lower_index")
             assert [getattr(floats, f) for f in flags] == [getattr(exact, f) for f in flags]
+
+
+def trailing_rows(p1, p0, one):
+    """The kernel as it was before J moved to a leading axis: every
+    reduction over the trailing axis of p1, p0 (..., J)."""
+    d = np.cumsum(p1[..., ::-1], axis=-1)[..., ::-1]
+    d -= np.cumsum(p0[..., ::-1], axis=-1)[..., ::-1]
+    d[..., 0] = 0
+    rows = np.empty(d.shape[:-1] + (len(COLUMNS),), dtype=d.dtype)
+    rows[..., 0] = (p0 + d).max(axis=-1)
+    rows[..., 2] = one + d.min(axis=-1)
+    rows[..., 3] = d.max(axis=-1)
+    d -= p1
+    rows[..., 5] = one + d.min(axis=-1)
+    F0 = np.cumsum(p0, axis=-1)
+    rows[..., 1] = (p1 * F0).sum(axis=-1)
+    F0 -= p0
+    rows[..., 4] = (p1 * F0).sum(axis=-1)
+    return rows
+
+
+def stacks(rng, shape, J):
+    """Dirichlet marginal pairs (*shape, J), with a quarter of them sparse."""
+    p1 = rng.dirichlet(np.ones(J), size=shape)
+    p0 = rng.dirichlet(np.ones(J), size=shape)
+    kill = rng.random(p1.shape) < 0.25
+    kill[..., 0] = False
+    p1 = np.where(kill, 0.0, p1)
+    return p1 / p1.sum(axis=-1, keepdims=True), p0
+
+
+class TestJLeadingKernel:
+    """The kernel's J-leading reductions give the trailing-axis kernel's rows:
+    bit for bit for J <= 7, where both sum J terms in order."""
+
+    @pytest.mark.parametrize("J", range(2, 8))
+    @pytest.mark.parametrize("shape", [(4, 101), (9, 5), (1001,), ()],
+                             ids=["R,B+1", "k,m", "n", "one"])
+    def test_floats_equal_the_trailing_kernel(self, J, shape):
+        rng = np.random.default_rng([J, len(shape)])
+        p1, p0 = stacks(rng, shape, J)
+        assert np.array_equal(bounds._rows(p1, p0, 1), trailing_rows(p1, p0, 1))
+
+    @pytest.mark.parametrize("J", range(2, 8))
+    def test_strided_views_equal_the_trailing_kernel(self, J, monkeypatch):
+        # the randomized stack's layout: arms on the axis before J
+        rng = np.random.default_rng(J)
+        p = np.stack(stacks(rng, (3, 101), J)[::-1], axis=2)   # (R, B+1, 2, J)
+        p1, p0 = p[:, :, 1], p[:, :, 0]
+        assert not p1.flags.c_contiguous
+        views = [(p1, p0), (p1.transpose(1, 0, 2), p0.transpose(1, 0, 2)),
+                 (p1[:, ::-2], p0[:, ::-2])]
+        got = [bound_rows(a, b) for a, b in views]
+        monkeypatch.setattr(bounds, "_rows", trailing_rows)
+        for g, (a, b) in zip(got, views):
+            assert np.array_equal(g, bound_rows(a, b))
+
+    def test_exact_arrays_equal_the_trailing_kernel(self, monkeypatch):
+        # Fractions, with a point-mass control of Python or numpy ints in half
+        # the pairs, one pair at a time and stacked (k, J)
+        rng = np.random.default_rng(11)
+        cases = []
+        for trial in range(60):
+            J = int(rng.integers(2, 8))
+            m = random_pair(rng, J, exact=True, sparse=True)
+            p1 = np.array(m.treated.probs, dtype=object)
+            p0 = np.array(m.control.probs, dtype=object)
+            if trial % 2:
+                p0 = np.array([0] * J, dtype=object)
+                p0[int(rng.integers(J))] = np.int64(1) if trial % 4 == 1 else 1
+            cases.append((p1, p0))
+        for J in range(2, 8):
+            same = [c for c in cases if len(c[0]) == J]
+            if same:
+                cases.append((np.array([c[0] for c in same]),
+                              np.array([c[1] for c in same])))
+        got = [bound_rows(*c) for c in cases]
+        monkeypatch.setattr(bounds, "_rows", trailing_rows)
+        want = [bound_rows(*c) for c in cases]
+        for g, w in zip(got, want):
+            assert g.dtype == object and g.shape == w.shape
+            assert g.tolist() == w.tolist()
+            assert all(isinstance(v, (Fraction, int)) for v in g.ravel())
+
+    @pytest.mark.parametrize("J", [8, 13, 20, 50])
+    def test_long_j_floats_within_1e_15(self, J):
+        # past 7 terms numpy's trailing-axis sum is pairwise, the J-leading
+        # one sequential, so tau_I and eta_I may differ in the last bits
+        rng = np.random.default_rng(J)
+        p1, p0 = stacks(rng, (2000,), J)
+        got, want = bounds._rows(p1, p0, 1), trailing_rows(p1, p0, 1)
+        assert np.array_equal(got[:, [0, 2, 3, 5]], want[:, [0, 2, 3, 5]])
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", range(1, 7))
+    def test_study2_truth_is_bit_identical(self, case, monkeypatch):
+        got = study2_truth(case, n_draws=10**6)
+        monkeypatch.setattr(bounds, "_rows", trailing_rows)
+        assert got == study2_truth(case, n_draws=10**6)
 
 
 class TestFloatRange:

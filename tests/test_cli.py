@@ -368,6 +368,63 @@ class TestAlphaLevel:
                                 f"got {float(level)}\n")
 
 
+class TestBootstrapArgumentsFirst:
+    """A bad bootstrap argument exits 2 with one error line before the CSV is
+    read, so before anything is fitted or resampled."""
+
+    DESIGNS = [
+        ["analyze", "--design", "randomized"],
+        ["analyze", "--design", "ipw"],
+        ["analyze", "--design", "adjusted", "--strata", "discrete"],
+        ["analyze", "--design", "adjusted", "--strata", "model"],
+        ["analyze-iv"],
+        ["analyze-iv", "--moment", "--monotonicity", "strong"],
+    ]
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        from ordbounds import cli, inference
+
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the bootstrap arguments were checked")
+
+        monkeypatch.setattr(cli, "_read_unit_csv", fail)
+        monkeypatch.setattr(inference, "_bootstrap", fail)
+        monkeypatch.delenv("ORDBOUNDS_SEED", raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize("argv", DESIGNS, ids=" ".join)
+    @pytest.mark.parametrize("extra, env, message", [
+        (["--bootstrap", "50"], None, "n_boot must be at least 100"),
+        (["--bootstrap", "-5"], None, "n_boot must be at least 100"),
+        (["--bootstrap", "100", "--alpha-level", "2"], None,
+         "level must be strictly between 0 and 1, got 2.0"),
+        (["--bootstrap", "100", "--seed", "-3"], None,
+         "--seed must be a non-negative integer, got -3"),
+        (["--bootstrap", "100"], "abc", "ORDBOUNDS_SEED must be a non-negative integer, got 'abc'"),
+        (["--bootstrap", "100"], "-1", "ORDBOUNDS_SEED must be a non-negative integer, got -1"),
+    ], ids=["n_boot 50", "n_boot -5", "level 2", "seed -3", "env abc", "env -1"])
+    def test_exits_2_before_any_fit(self, capsys, tmp_path, nothing_runs, argv, extra, env,
+                                    message):
+        if env is not None:
+            nothing_runs.setenv("ORDBOUNDS_SEED", env)
+        code = main([*argv, "--data", str(tmp_path / "never-read.csv"), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("argv", DESIGNS, ids=" ".join)
+    def test_unknown_ci_method_exits_2_before_any_fit(self, capsys, tmp_path, nothing_runs,
+                                                      argv):
+        code = main([*argv, "--data", str(tmp_path / "never-read.csv"), "--bootstrap", "100",
+                     "--ci-method", "bca"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
 class TestAnalyzeIV:
     def make_iv_data(self, tmp_path, with_defier=False):
         from test_noncompliance import TRUTH, draw_iv_records
@@ -977,6 +1034,7 @@ class TestSimulateChecks:
         (("--n", "3"), "even"), (("--n", "0"), "even"), (("--n", "-2"), "even"),
         (("--reps", "1"), "at least 2"), (("--boot", "99"), "n_boot must be at least 100"),
         (("--adjusted",), "adjusted is for study 2"),
+        (("--seed", "-3"), "--seed must be a non-negative integer, got -3"),
     ])
     def test_invalid_spec_exits_2(self, capsys, extra, why):
         code = main(["simulate", "--study", "1", "--case", "1", "--reps", "2",

@@ -151,6 +151,73 @@ class TestHessians:
                       rng.normal(size=(4, (G - 1) * q)), weight_rows(rng, n, np.arange(5)))
 
 
+def batched_gram(c, M, N=None):
+    """_gram as k batched (q, n) @ (n, r) products, one per weight row."""
+    N = M if N is None else N
+    return (M.T * c[:, None, :]) @ N
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    """Each stack row of got within rtol of want, relative to the row's
+    largest entry; a zero row exactly zero."""
+    axes = tuple(range(1, want.ndim))
+    err = np.abs(got - want).max(axis=axes, initial=0.0)
+    assert (err <= rtol * np.abs(want).max(axis=axes, initial=0.0)).all()
+
+
+class TestGramProducts:
+    """The weighted Grams as one GEMM equal the batched products they
+    replace, to rounding."""
+
+    @pytest.mark.parametrize("k", [1, 7, 100])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_gram_equals_the_batched_product(self, k, q):
+        rng = np.random.default_rng([k, q])
+        n = 150
+        M = np.hstack([np.ones((n, 1)), rng.normal(size=(n, q - 1))])
+        c = rng.uniform(-0.5, 2.0, size=(k, n))
+        c[:, rng.random(n) < 0.2] = 0.0   # zero-weight units
+        if k > 1:
+            c[0] = 0.0   # and an all-zero row
+        assert_rows_close(models._gram(c, M), batched_gram(c, M))
+        for r in (1, 3):
+            N = rng.normal(size=(n, r))
+            assert_rows_close(models._gram(c, M, N), batched_gram(c, M, N))
+
+    @pytest.mark.parametrize("k", [1, 7, 100])
+    @pytest.mark.parametrize("J, d", [(2, 0), (3, 1), (3, 3), (7, 2)])
+    def test_cumlogit_derivs_equal_the_batched_reference(self, k, J, d, monkeypatch):
+        rng = np.random.default_rng([k, J, d])
+        n = 120
+        # zero-weight padding rows, one per category at x = 0, as the EM has
+        y = np.concatenate([rng.integers(0, J, size=n), np.arange(J)])
+        X = np.vstack([rng.normal(size=(n, d)), np.zeros((J, d))])
+        W = rng.integers(0, 3, size=(k, n + J)).astype(float)
+        W[:, 0], W[:, n:] = 1.0, 0.0
+        thetas = np.hstack([rng.normal(size=(k, 1)), rng.normal(scale=0.5, size=(k, J - 2)),
+                            rng.normal(size=(k, d))])
+        ll, grad, hess = _cumlogit_derivs(thetas, y, X, W, J)
+        monkeypatch.setattr(models, "_gram", batched_gram)
+        ll_ref, grad_ref, hess_ref = _cumlogit_derivs(thetas, y, X, W, J)
+        assert np.array_equal(ll, ll_ref) and np.array_equal(grad, grad_ref)
+        assert_rows_close(hess, hess_ref)
+
+    @pytest.mark.parametrize("k", [1, 7, 100])
+    def test_logit_derivs_equal_the_batched_reference(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        n = 150
+        dlab = rng.integers(0, 2, size=n).astype(float)
+        M = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3))])
+        W = rng.integers(0, 3, size=(k, n)).astype(float)
+        W[:, 0] = 1.0
+        thetas = rng.normal(size=(k, 4))
+        ll, grad, hess = _logit_derivs(thetas, dlab, M, W)
+        monkeypatch.setattr(models, "_gram", batched_gram)
+        ll_ref, grad_ref, hess_ref = _logit_derivs(thetas, dlab, M, W)
+        assert np.array_equal(ll, ll_ref) and np.array_equal(grad, grad_ref)
+        assert_rows_close(hess, hess_ref)
+
+
 class TestStartRows:
     """A start only moves where Newton begins: every row of a warm-started
     stack ends at its own cold one-row fit."""
