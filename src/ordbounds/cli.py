@@ -259,21 +259,16 @@ def _seed(args) -> int:
     return seed
 
 
-def _interval_keys(lowers):
-    """(estimand, lower, label suffix) of each interval of a bootstrap with
-    the (lower, label suffix) pairs lowers."""
-    return [(estimand, lower, suffix) for estimand in ("tau", "eta") for lower, suffix in lowers]
-
-
-def _bootstrap_seed(args, estimator, lowers, **options) -> int:
-    """The seed of the bootstrap that args ask for, after the checks of all
-    of its arguments (n_boot, level, CI method and seed), which run before
-    the CSV is read or anything is fitted."""
+def _bootstrap_seed(args, estimator, **options) -> int:
+    """The seed of args after the checks of the bootstrap arguments, which
+    run before the CSV is read or anything is fitted: n_boot and the
+    estimator options when --bootstrap is given, then the level, CI method
+    and seed with or without it."""
     from .inference import _columns, _estimator
 
-    _estimator(estimator, args.bootstrap, options)
-    _columns([(e, lower) for e, lower, _ in _interval_keys(lowers)], args.alpha_level,
-             args.ci_method)
+    if args.bootstrap:
+        _estimator(estimator, args.bootstrap, options)
+    _columns((), args.alpha_level, args.ci_method)
     return _seed(args)
 
 
@@ -283,7 +278,7 @@ def _bootstrap_payload(args, seed, units, estimator, fit, lowers, **options) -> 
     from .inference import _bootstrap, _intervals
 
     reps = _bootstrap(units, estimator, fit, args.bootstrap, seed, **options)
-    keys = _interval_keys(lowers)
+    keys = [(e, lower, suffix) for e in ("tau", "eta") for lower, suffix in lowers]
     irs = _intervals(reps, [(e, lower) for e, lower, _ in keys], args.alpha_level, args.ci_method)
     ci = {e + s: {"low": ir.ci_low, "high": ir.ci_high} for (e, _, s), ir in zip(keys, irs)}
     return {"ci": ci, "n_boot": args.bootstrap, "level": args.alpha_level, "seed": reps.seed}
@@ -322,8 +317,7 @@ def cmd_analyze(args):
     from .inference import _ESTIMATORS
 
     options = {"strata": args.strata} if args.design == "adjusted" else {}
-    lowers = (("bound", ""), ("independent", "_independent"))
-    seed = _bootstrap_seed(args, args.design, lowers, **options) if args.bootstrap else None
+    seed = _bootstrap_seed(args, args.design, **options)
     units, covs = _read_unit_csv(args.data, args.categories)
     if args.design == "ipw" and not covs:
         raise OrdBoundsError("--design ipw needs covariate columns")
@@ -335,6 +329,7 @@ def cmd_analyze(args):
         **_report_payload(est.report),
     }
     if args.bootstrap:
+        lowers = (("bound", ""), ("independent", "_independent"))
         payload.update(_bootstrap_payload(args, seed, units, args.design, est, lowers, **options))
     _emit(payload, args)
 
@@ -347,9 +342,7 @@ def cmd_analyze_iv(args):
         moment_identify,
     )
 
-    lowers = (("bound", ""),)
-    seed = (_bootstrap_seed(args, "complier", lowers, monotonicity=args.monotonicity)
-            if args.bootstrap else None)
+    seed = _bootstrap_seed(args, "complier", monotonicity=args.monotonicity)
     units, covs = _read_unit_csv(args.data, args.categories)
     if units.d is None:
         raise OrdBoundsError("analyze-iv needs a 'd' column")
@@ -376,7 +369,7 @@ def cmd_analyze_iv(args):
     if args.bootstrap:
         # the bootstrap resamples the MLE, also under --moment
         mle = em_fit(units, **fit_args) if args.moment else strata
-        payload.update(_bootstrap_payload(args, seed, units, "complier", mle, lowers,
+        payload.update(_bootstrap_payload(args, seed, units, "complier", mle, (("bound", ""),),
                                           monotonicity=args.monotonicity))
     _emit(payload, args)
 
@@ -384,9 +377,10 @@ def cmd_analyze_iv(args):
 def cmd_simulate(args):
     from .simulation import StudySpec, run_study
 
+    seed = _seed(args)
     try:
         spec = StudySpec(study=args.study, case_id=args.case, n_units=args.n,
-                         n_reps=args.reps, n_boot=args.boot, seed=_seed(args))
+                         n_reps=args.reps, n_boot=args.boot, seed=seed)
     except ValueError as e:
         raise OrdBoundsError(str(e)) from None
     res = run_study(spec, adjusted=args.adjusted)
@@ -459,10 +453,12 @@ def _add_unit_analysis(p):
     p.add_argument("--bootstrap", type=int, default=0, metavar="N_BOOT",
                    help="bootstrap replicates for CIs (0 disables)")
     p.add_argument("--alpha-level", type=float, default=0.95,
-                   help="nominal CI coverage, strictly between 0 and 1")
+                   help="nominal CI coverage, strictly between 0 and 1 (checked with or "
+                        "without --bootstrap)")
     p.add_argument("--ci-method", choices=["percentile", "normal"], default="percentile")
     p.add_argument("--seed", type=int, default=None,
-                   help="bootstrap seed (default: ORDBOUNDS_SEED env var, then 0)")
+                   help="bootstrap seed (default: ORDBOUNDS_SEED env var, then 0; checked "
+                        "with or without --bootstrap)")
 
 
 def _add_margins(p):

@@ -336,8 +336,12 @@ class UnitColumns(NamedTuple):
         return int(self.y.max(initial=0)) + 1
 
     def categories(self, J: int | None = None) -> int:
-        """The J of every fit of these units: J, else self.J, and at least 2."""
-        return max(self.J if J is None else J, 2)
+        """The J of every fit of these units: J, else self.J, and at least 2.
+        OutOfRangeOutcome when an outcome is at or above it."""
+        fit_J = max(self.J if J is None else J, 2)
+        if self.J > fit_J:
+            raise OutOfRangeOutcome(f"outcome {self.y.max()} outside 0..{fit_J - 1}")
+        return fit_J
 
 
 def unit_columns(data) -> UnitColumns:
@@ -388,6 +392,11 @@ def _integers(values, what) -> np.ndarray:
     return v.astype(np.int64)
 
 
+def _arm_counts(cols: UnitColumns, J: int) -> np.ndarray:
+    """Within-arm outcome counts (2, J) of the units, control arm first."""
+    return np.bincount(cols.z * J + cols.y, minlength=2 * J).reshape(2, J)
+
+
 def _take(cols: UnitColumns, idx) -> UnitColumns:
     """The units of cols at idx; J follows their own outcomes."""
     return UnitColumns(*(None if v is None else v[idx] for v in cols))
@@ -405,14 +414,11 @@ def empirical_marginals(records, J: int | None = None) -> MarginalPair:
     """Within-arm relative frequencies of the observed outcomes.
 
     ``records`` is unit data as :func:`unit_columns` takes it.  J is
-    UnitColumns.categories: max(y)+1 unless supplied, and at least 2.
+    UnitColumns.categories: max(y)+1 unless supplied, and at least 2, and
+    OutOfRangeOutcome for an outcome at or above it.
     """
     cols = unit_columns(records)
-    z, y = cols.z, cols.y
-    J = cols.categories(J)
-    if (y >= J).any():
-        raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
-    counts = np.bincount(z * J + y, minlength=2 * J).reshape(2, J)
+    counts = _arm_counts(cols, cols.categories(J))
     n1, n0 = counts[1].sum(), counts[0].sum()
     if n1 == 0 or n0 == 0:
         raise EmptyArm("both treated and control units are required")

@@ -39,7 +39,6 @@ from .exceptions import (
     DimensionMismatch,
     EmptyArm,
     ExtremePropensity,
-    OutOfRangeOutcome,
     RankDeficient,
     StratumMissingArm,
     TooFewCategories,
@@ -108,13 +107,11 @@ def ipw_marginals(records, propensity=None, J: int | None = None, trim: float = 
     """Hajek-weighted marginal estimates under unconfoundedness.
 
     propensity: a float (known constant), a per-unit array, or None to fit a
-    logistic model of z on x.  J is UnitColumns.categories;
-    OutOfRangeOutcome for an outcome above J - 1.
+    logistic model of z on x.  J is UnitColumns.categories, which raises
+    OutOfRangeOutcome for an outcome at or above J.
     """
     cols = unit_columns(records)
     J = cols.categories(J)
-    if cols.J > J:
-        raise OutOfRangeOutcome(f"outcome {cols.y.max()} outside 0..{J - 1}")
     kernel = _ipw_kernel(cols, J, propensity, trim)
     _, p1, p0 = _full_sample(kernel, len(cols.z))
     return MarginalPair(MarginalDistribution(tuple(p1[0])), MarginalDistribution(tuple(p0[0])))
@@ -141,13 +138,11 @@ def estimate_adjusted(records: Sequence[UnitRecord], strata: str = "discrete",
     z = cols.z
     if z.all() or not z.any():
         raise EmptyArm("both arms required")
-    J = cols.categories(J)
     if strata == "discrete":
-        if cols.J > J:
-            raise OutOfRangeOutcome(f"outcome {cols.y.max()} outside 0..{J - 1}")
-        kernel = _discrete_kernel(cols, J)
+        kernel = _discrete_kernel(cols, cols.categories(J))
     elif strata == "model":
-        kernel = _model_kernel(cols, max(J, cols.J))
+        # the fits keep outcomes above a given J: J widens to the observed top
+        kernel = _model_kernel(cols, cols.categories(max(J or 0, cols.J)))
     else:
         raise ValueError(f"unknown strata mode {strata!r}")
     return _estimated(weighted_report(*_full_sample(kernel, len(z))), "adjusted", z)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import COLUMNS, bound_rows
-from .distributions import _take, unit_columns
+from .distributions import _arm_counts, _take, unit_columns
 from .estimation import (
     _discrete_kernel,
     _ipw_kernel,
@@ -135,11 +135,6 @@ def _arm_redraws(counts, n_boot, seed):
 # elements of one block of a stacked bootstrap: (replicates x units x
 # categories), or (data sets x replicates x arms x categories) of redraws
 _BLOCK = 2 ** 20
-
-
-def _arm_counts(cols, J):
-    """Within-arm outcome counts (2, J) of the units, control arm first."""
-    return np.bincount(cols.z * J + cols.y, minlength=2 * J).reshape(2, J)
 
 
 def _randomized_stack(counts, n_boot, seeds):
@@ -259,10 +254,15 @@ _ESTIMATORS = {
 }
 
 
-def _estimator(estimator, n_boot, options):
-    """The _ESTIMATORS pair of estimator, after the checks of its arguments."""
+def _check_n_boot(n_boot):
+    """ValueError for fewer than 100 bootstrap replicates."""
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
+
+
+def _estimator(estimator, n_boot, options):
+    """The _ESTIMATORS pair of estimator, after the checks of its arguments."""
+    _check_n_boot(n_boot)
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     inspect.signature(_ESTIMATORS[estimator][1]).bind(None, None, n_boot, None, **options)

@@ -36,7 +36,6 @@ from .exceptions import (
     InconsistentInputs,
     NoCompliers,
     NonConvergence,
-    OutOfRangeOutcome,
 )
 from .models import (
     CumulativeLogitModel,
@@ -137,14 +136,13 @@ def estimands_relation(population_value, pi_c, estimand: str = "tau"):
 
 def _cells(cols, J=None):
     """Counts n[z][d][y] of UnitColumns as a (2, 2, J) array, J =
-    cols.categories(J); EmptyArm if either assignment arm has no units (the
-    mixture subtraction divides by the arm sizes)."""
+    cols.categories(J), which rejects an outcome at or above J; EmptyArm if
+    either assignment arm has no units (the mixture subtraction divides by
+    the arm sizes)."""
     z, y, d, _ = cols
     if d is None:
         raise ValueError("records must carry the treatment-received field d")
     J = cols.categories(J)
-    if (y >= J).any():
-        raise OutOfRangeOutcome(f"outcome {y.max()} outside 0..{J - 1}")
     counts = np.bincount((2 * z + d) * J + y, minlength=4 * J).reshape(2, 2, J).astype(float)
     if not counts[0].any() or not counts[1].any():
         raise EmptyArm("both assignment arms (z=0 and z=1) are required")

@@ -43,11 +43,12 @@ from .distributions import (
     MarginalDistribution,
     MarginalPair,
     UnitColumns,
+    _arm_counts,
     estimands_of_joint,
 )
 from .estimation import UnitRecord
 from .exceptions import OddN, OrdBoundsError, ReplicateFailure
-from .inference import _ESTIMATORS, _arm_counts, _bootstrap, _intervals, _randomized_stack
+from .inference import _ESTIMATORS, _bootstrap, _check_n_boot, _intervals, _randomized_stack
 from .models import CumulativeLogitModel, MultinomialLogitModel
 
 
@@ -70,8 +71,7 @@ class StudySpec:
             raise ValueError(f"n_units must be positive and even, got {self.n_units}")
         if self.n_reps < 2:
             raise ValueError(f"n_reps must be at least 2 (standard errors), got {self.n_reps}")
-        if self.n_boot < 100:
-            raise ValueError("n_boot must be at least 100")
+        _check_n_boot(self.n_boot)
 
 
 # -- study 1 -----------------------------------------------------------------

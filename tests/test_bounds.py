@@ -63,6 +63,10 @@ class TestPointIdentification:
         assert not point_identified(taste_pair, "tau")
         assert not point_identified(taste_pair, "eta")
 
+    def test_unknown_estimand(self, taste_pair):
+        with pytest.raises(ValueError, match="unknown estimand 'alpha'"):
+            point_identified(taste_pair, "alpha")
+
     def test_identical_point_masses(self):
         m = frac_pair([(1, 1), (0, 1), (0, 1)], [(1, 1), (0, 1), (0, 1)])
         assert point_identified(m, "tau")

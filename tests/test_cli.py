@@ -403,7 +403,14 @@ class TestBootstrapArgumentsFirst:
          "--seed must be a non-negative integer, got -3"),
         (["--bootstrap", "100"], "abc", "ORDBOUNDS_SEED must be a non-negative integer, got 'abc'"),
         (["--bootstrap", "100"], "-1", "ORDBOUNDS_SEED must be a non-negative integer, got -1"),
-    ], ids=["n_boot 50", "n_boot -5", "level 2", "seed -3", "env abc", "env -1"])
+        # the level and the seed are checked without --bootstrap too
+        (["--alpha-level", "2"], None, "level must be strictly between 0 and 1, got 2.0"),
+        (["--seed", "-3"], None, "--seed must be a non-negative integer, got -3"),
+        ([], "abc", "ORDBOUNDS_SEED must be a non-negative integer, got 'abc'"),
+        ([], "-1", "ORDBOUNDS_SEED must be a non-negative integer, got -1"),
+    ], ids=["n_boot 50", "n_boot -5", "level 2", "seed -3", "env abc", "env -1",
+            "no bootstrap, level 2", "no bootstrap, seed -3", "no bootstrap, env abc",
+            "no bootstrap, env -1"])
     def test_exits_2_before_any_fit(self, capsys, tmp_path, nothing_runs, argv, extra, env,
                                     message):
         if env is not None:
@@ -515,19 +522,38 @@ class TestAnalyzeIV:
 
 
 class TestAnalyzeIVCovariates:
+    def write_study2(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        write_csv(path, [(r.z, r.d, r.y, *r.x) for r in ordbounds.generate_study2(4, 400, seed=0)],
+                  ("z", "d", "y", "x1", "x2"))
+        return path
+
     def test_reports_the_covariate_fit(self, capsys, tmp_path):
         from ordbounds import em_fit_with_covariates
         from ordbounds.cli import _report_payload
 
-        path = tmp_path / "cov.csv"
-        write_csv(path, [(r.z, r.d, r.y, *r.x) for r in ordbounds.generate_study2(4, 400, seed=0)],
-                  ("z", "d", "y", "x1", "x2"))
+        path = self.write_study2(tmp_path)
         code, out = run_cli(capsys, "analyze-iv", "--data", str(path), "--covariates")
         assert code == 0
         units, _ = _read_unit_csv(str(path), None)
         fit = em_fit_with_covariates(units)
         want = json.loads(_json(_report_payload(fit.complier_report(units.x))))
         assert json.loads(out)["complier_adjusted"] == want
+
+    def test_covariate_em_nonconvergence_exits_3(self, capsys, tmp_path, monkeypatch):
+        from functools import partial
+
+        from ordbounds import noncompliance
+
+        # cmd_analyze_iv imports the fit when it runs
+        monkeypatch.setattr(noncompliance, "em_fit_with_covariates",
+                            partial(noncompliance.em_fit_with_covariates, max_iter=1))
+        code = main(["analyze-iv", "--data", str(self.write_study2(tmp_path)), "--covariates"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: NonConvergence: covariate EM did not converge in 1 "
+                                "iterations\n")
 
 
 class TestSingleCategory:
@@ -1035,6 +1061,8 @@ class TestSimulateChecks:
         (("--reps", "1"), "at least 2"), (("--boot", "99"), "n_boot must be at least 100"),
         (("--adjusted",), "adjusted is for study 2"),
         (("--seed", "-3"), "--seed must be a non-negative integer, got -3"),
+        # the seed check is the one analyze and analyze-iv run, with its error type
+        (("--seed", "-3"), "error: ValueError: --seed must be a non-negative integer"),
     ])
     def test_invalid_spec_exits_2(self, capsys, extra, why):
         code = main(["simulate", "--study", "1", "--case", "1", "--reps", "2",

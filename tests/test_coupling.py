@@ -5,6 +5,7 @@ import pytest
 
 from ordbounds import (
     JointDistribution,
+    TriangularMatrix,
     estimands_of_joint,
     eta_bounds,
     extremal_coupling,
@@ -29,7 +30,23 @@ from conftest import frac_pair, random_pair
 F = Fraction
 
 
+class TestTriangularMatrix:
+    @pytest.mark.parametrize("matrix, orientation, error, message", [
+        (((1.0, 0.0),), "lower", LengthMismatch, "must be square"),
+        (((0.5, 0.0), (-0.1, 0.6)), "lower", ValueError, r"negative entry at \(1,0\)"),
+        (((0.5, 0.5), (0.0, 0.0)), "lower", ValueError, "outside lower triangle"),
+        (((0.5, 0.0), (0.5, 0.0)), "upper", ValueError, "outside upper triangle"),
+    ], ids=["not square", "negative", "above lower", "below upper"])
+    def test_invalid_matrix_rejected(self, matrix, orientation, error, message):
+        with pytest.raises(error, match=message):
+            TriangularMatrix(matrix, orientation)
+
+
 class TestTriangularTransport:
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant 'e'"):
+            triangular_transport((0.5, 0.5), (0.5, 0.5), "e")
+
     def test_single_entry_base_case(self):
         t = triangular_transport((0.7,), (0.5,), "a")
         assert t.orientation == "lower"

@@ -84,6 +84,14 @@ class TestJointDistribution:
         with pytest.raises(ValidationError):
             JointDistribution(((0.5, 0.5), (0.5, 0.5)))
 
+    @pytest.mark.parametrize("matrix, error", [
+        (((1.0,),), LengthTooShort), ((), LengthTooShort),
+        (((0.5, 0.25), (0.25,)), DimensionMismatch),
+    ], ids=["J=1", "empty", "not square"])
+    def test_invalid_shape(self, matrix, error):
+        with pytest.raises(error):
+            JointDistribution(matrix)
+
     def test_estimands_perfect_positive(self):
         P = JointDistribution(((F(1, 2), 0), (0, F(1, 2))))
         tau, eta, alpha = estimands_of_joint(P)

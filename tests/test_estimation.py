@@ -6,6 +6,7 @@ import pytest
 from ordbounds import (
     UnitRecord,
     adjusted_bounds_from_strata,
+    bradley_records,
     estimate_adjusted,
     estimate_ipw,
     estimate_randomized,
@@ -126,6 +127,11 @@ class TestAdjustedDiscrete:
         with pytest.raises(OutOfRangeOutcome, match="outcome 2 outside 0..1"):
             estimate_adjusted(recs, strata="discrete", J=2)
 
+    def test_unknown_strata_mode(self):
+        recs = make_records([1, 3, 1], [2, 1, 2], x1=("s0",), x0=("s0",))
+        with pytest.raises(ValueError, match="unknown strata mode 'bogus'"):
+            estimate_adjusted(recs, strata="bogus")
+
     def test_stratum_missing_arm(self):
         recs = make_records([1, 1], [1, 1], x1=("a",), x0=("b",))
         with pytest.raises(StratumMissingArm):
@@ -209,3 +215,10 @@ class TestAdjustedModel:
         ref = estimate_randomized(recs)
         for name in ("tau_L", "tau_I", "tau_U", "eta_L", "eta_I", "eta_U"):
             assert getattr(mod.report, name) == pytest.approx(getattr(ref.report, name), abs=1e-9)
+
+
+class TestBradleyRecords:
+    @pytest.mark.parametrize("treated, control", [("E", "E"), ("E", "X"), ("X", "C")])
+    def test_arms_must_be_distinct_members(self, treated, control):
+        with pytest.raises(ValueError, match="distinct members"):
+            bradley_records(treated, control)

@@ -19,6 +19,9 @@ from ordbounds.exceptions import (
     TooFewCategories,
 )
 from ordbounds.models import (
+    CumulativeLogitModel,
+    LogitModel,
+    MultinomialLogitModel,
     _ascent_direction,
     _cumlogit_derivs,
     _cumlogit_loglik_grad,
@@ -512,8 +515,17 @@ WEIGHTED_FITS = {
 }
 
 
+FIT_LABELS = [
+    (fit_logit, np.arange(20) % 2),
+    (fit_cumulative_logit, np.arange(20) % 3),
+    (fit_multinomial_logit, ["c", "a", "n", "a"] * 5),
+]
+FIT_IDS = ["logit", "cumulative", "multinomial"]
+
+
 class TestInputChecks:
-    """The three fitters check their weights and labels alike."""
+    """The three fitters check their weights, labels and covariates alike,
+    and the three models the covariates they predict at."""
 
     @pytest.mark.parametrize("fit", WEIGHTED_FITS)
     def test_negative_weights_rejected(self, fit):
@@ -526,16 +538,35 @@ class TestInputChecks:
         with pytest.raises(DimensionMismatch):
             WEIGHTED_FITS[fit](np.ones(n))
 
+    @pytest.mark.parametrize("fit, labels", FIT_LABELS, ids=FIT_IDS)
+    def test_covariate_vector_is_one_column(self, fit, labels):
+        assert fit(labels, X20[:, 0]) == fit(labels, X20)
+
+    @pytest.mark.parametrize("fit, labels", FIT_LABELS, ids=FIT_IDS)
+    def test_wrong_covariate_row_count_rejected(self, fit, labels):
+        with pytest.raises(DimensionMismatch, match="19 covariate rows for 20 outcomes"):
+            fit(labels, X20[:19])
+
+    @pytest.mark.parametrize("cutpoints", [(1.0, 0.0), (0.5, 0.5)], ids=["decreasing", "tied"])
+    def test_cutpoints_must_increase(self, cutpoints):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CumulativeLogitModel(cutpoints, ())
+
+    @pytest.mark.parametrize("model", [
+        CumulativeLogitModel((0.0,), (1.0,)), LogitModel((0.0, 1.0)),
+        MultinomialLogitModel(("c", "a"), ((0.0, 1.0),)),
+    ], ids=["cumulative", "logit", "multinomial"])
+    def test_predict_proba_checks_the_covariate_count(self, model):
+        model.predict_proba(np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            model.predict_proba(np.zeros((3, 2)))
+
     def test_unknown_label_named(self):
         with pytest.raises(ValueError, match="'b'"):
             fit_multinomial_logit(["c", "a", "b", "n"] * 5, X20, classes=("c", "a", "n"))
 
     @pytest.mark.parametrize("X", [X20, None], ids=["covariates", "intercept"])
-    @pytest.mark.parametrize("fit, labels", [
-        (fit_logit, np.arange(20) % 2),
-        (fit_cumulative_logit, np.arange(20) % 3),
-        (fit_multinomial_logit, ["c", "a", "n", "a"] * 5),
-    ], ids=["logit", "cumulative", "multinomial"])
+    @pytest.mark.parametrize("fit, labels", FIT_LABELS, ids=FIT_IDS)
     def test_all_zero_weights_rejected(self, fit, labels, X):
         with pytest.raises(ValueError, match="all zero"):
             fit(labels, X, weights=np.zeros(20))

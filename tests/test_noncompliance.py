@@ -113,6 +113,19 @@ class TestEstimandsRelation:
         with pytest.raises(NoCompliers):
             estimands_relation(0.5, 0.0, "tau")
 
+    def test_unknown_estimand(self):
+        with pytest.raises(ValueError, match="unknown estimand 'alpha'"):
+            estimands_relation(0.5, 0.5, "alpha")
+
+
+class TestStrataModel:
+    @pytest.mark.parametrize("pi, message", [
+        ((-0.1, 0.6, 0.5), "nonnegative"), ((0.2, 0.5, 0.2), "sum to 1"),
+    ], ids=["negative", "sum"])
+    def test_invalid_proportions_rejected(self, pi, message):
+        with pytest.raises(ValueError, match=message):
+            replace(TRUTH, pi_a=pi[0], pi_c=pi[1], pi_n=pi[2])
+
 
 class TestComplierBounds:
     def test_sharpening_formulas(self, taste_pair):
@@ -507,6 +520,11 @@ class TestCovariateEM:
         assert (np.diff(fit.loglik_trace) >= 0).all()
         X = np.array([r.x for r in recs])
         assert np.allclose(fit.pi(X).sum(axis=1), 1)
+
+    def test_iteration_limit(self):
+        # convergence compares two log-likelihoods, and one iteration gives one
+        with pytest.raises(NonConvergence, match="covariate EM did not converge in 1 iterations"):
+            em_fit_with_covariates(generate_study2(4, 400, seed=0), max_iter=1)
 
 
 def cold_cumlogit(y, X, w, J):
