@@ -1,16 +1,20 @@
 import csv
+import gzip
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import ordbounds
-from ordbounds import bootstrap_bounds_ci
+from ordbounds import bootstrap_bounds_ci, cli, generate_study2
 from ordbounds.cli import _COUNT_FIELDS, _json, _parse_vector, _read_unit_csv, build_parser, main
 from ordbounds.distributions import MarginalDistribution, MarginalPair, unit_columns
 from ordbounds.estimation import UnitRecord
@@ -140,6 +144,46 @@ class TestConstruct:
         assert "argument --target: invalid choice: 'tau_mid'" in captured.err
 
 
+def read_outcome(path):
+    """What _read_unit_csv makes of path: the dtype, shape and bytes of each
+    column and the covariate names, or the type and text of its error."""
+    try:
+        units, covs = _read_unit_csv(str(path), None)
+    except Exception as e:   # an error is an outcome to compare like any other
+        return type(e), str(e)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in units], covs
+
+
+@pytest.fixture(params=["file reader", "line reader"])
+def reader(request, monkeypatch):
+    """Runs a test with numpy's file reader offered every plain regular file
+    (no line threshold), then with the threshold as it is."""
+    if request.param == "file reader":
+        monkeypatch.setattr(cli, "_FILE_READER_LINES", 0)
+
+
+CSV_CHARS = "0123456789,\" \n\re.-"
+
+
+@st.composite
+def csv_texts(draw):
+    """Unit CSV texts: one of several headers, then rows of valid cells or
+    text drawn from CSV_CHARS, with a stray snippet of it in half of them."""
+    header = draw(st.sampled_from(["z,y", "z,d,y", "z,d,y,x1,x2", "x,z,y", '"z",y', '"a\nb",z,y']))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    if draw(st.booleans()):
+        body = draw(st.text(CSV_CHARS, max_size=80))
+    else:
+        cell = st.sampled_from(["0", "1", "1.0", " 1", "-0", "1e0", "1.5"])
+        row = st.lists(cell, min_size=header.count(",") + 1, max_size=header.count(",") + 1)
+        rows = draw(st.lists(row.map(",".join), min_size=1, max_size=20))
+        body = end.join(rows) + draw(st.sampled_from(["", end, end + end]))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(body)))
+            body = body[:k] + draw(st.text(CSV_CHARS, min_size=1, max_size=3)) + body[k:]
+    return header + end + body
+
+
 class TestAnalyze:
     def make_data(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -210,6 +254,7 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["j"] == 4
 
+    @pytest.mark.usefixtures("reader")
     @pytest.mark.parametrize("text, line", [
         ("z,y,x\n1,0,0.5\n0,1\n", 3),               # fewer fields than the header
         ("z,y,x\n1,0,0.5,99\n0,1,0.25\n", 2),      # more fields than the header
@@ -226,6 +271,7 @@ class TestAnalyze:
         assert code == 2
         assert f"{path}:{line}: bad row" in err
 
+    @pytest.mark.usefixtures("reader")
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     def test_bad_row_line_counts_every_line_ending(self, capsys, tmp_path, end):
         path = tmp_path / "ends.csv"
@@ -235,6 +281,7 @@ class TestAnalyze:
         assert code == 2
         assert f"{path}:5: bad row" in err and "column 'x'" in err
 
+    @pytest.mark.usefixtures("reader")
     def test_header_only_exits_2_without_warning(self, capsys, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("z,y,x\n\n")
@@ -244,6 +291,7 @@ class TestAnalyze:
         assert code == 2
         assert "no data rows" in err
 
+    @pytest.mark.usefixtures("reader")
     def test_integer_valued_floats_read_as_records(self, tmp_path):
         path = tmp_path / "units.csv"
         path.write_text("z,d,y,x\n1.0,0.0,2.0,0.5\n0,1.0,0,1\n")
@@ -253,6 +301,7 @@ class TestAnalyze:
         for a, b in zip(units, want):
             assert np.array_equal(a, b) and a.dtype == b.dtype
 
+    @pytest.mark.usefixtures("reader")
     def test_non_numeric_cell_exits_2_with_its_line(self, capsys, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("z,y,x\n1,0,0.5\n0,1,0.25\n1,1,n/a\n")
@@ -263,6 +312,7 @@ class TestAnalyze:
         assert "column 'x'" in err and "'n/a'" in err
         assert "row 0" not in err
 
+    @pytest.mark.usefixtures("reader")
     def test_reader_matches_dict_reader(self, tmp_path):
         rng = np.random.default_rng(5)
         rows = [(int(z), float(a), int(d), int(y), float(b))
@@ -284,6 +334,34 @@ class TestAnalyze:
         assert all(np.array_equal(a, b) for a, b in zip(units, want)) and len(units.z) == 52
         assert units.x.flags.c_contiguous and want.x.flags.c_contiguous
 
+    @pytest.mark.usefixtures("reader")
+    @pytest.mark.parametrize("name, data, line", [
+        ("units.csv.gz", gzip.compress(b"z,y\n1,0\n0,1\n"), 1),
+        ("units.csv", b"z,y\r\n1,0\r\n0,1\r\n1,\xff1\r\n", 4),
+        ("units.csv", b"z,y\r1,0\r0,\xe2\x82", 3),
+        ("units.csv", b"z,y\n" + b"1,0\n" * 3000 + b"0,\xff\n", 3002),   # past the first chunk
+    ], ids=["gzip", "stray byte CRLF", "cut character CR", "late"])
+    def test_undecodable_file_exits_2_with_its_line(self, capsys, tmp_path, name, data, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, err = run_cli_err(capsys, "analyze", "--data", str(path))
+        assert code == 2
+        assert err.startswith(f"error: OrdBoundsError: {path}:{line}: byte 0x") and " text: " in err
+        assert err.splitlines() == [err.strip()]
+
+    @seed(30)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_file_reader_matches_line_reader(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "units.csv"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for lines in (0, 10**9):
+            monkeypatch.setattr(cli, "_FILE_READER_LINES", lines)
+            outcomes.append(read_outcome(path))
+        assert outcomes[0] == outcomes[1]
+
     def test_categories_too_small_exits_2(self, capsys, tmp_path):
         path = tmp_path / "units.csv"
         write_csv(path, [(1, 3), (0, 0)], ("z", "y"))
@@ -291,6 +369,105 @@ class TestAnalyze:
             capsys, "analyze", "--data", str(path), "--categories", "2"
         )
         assert code == 2
+
+
+class TestFileReader:
+    """numpy's file reader parses a large regular file; a file it cannot read
+    as the line reader does goes to the line reader, as it did before."""
+
+    @staticmethod
+    def large_csv(path, n=cli._FILE_READER_LINES + 200):
+        write_csv(path, [(r.z, r.d, r.y, *r.x) for r in generate_study2(4, n, seed=0)],
+                  ("z", "d", "y", "x1", "x2"))
+        return path
+
+    def test_large_file_is_parsed_by_the_file_reader(self, tmp_path, monkeypatch):
+        path = self.large_csv(tmp_path / "units.csv")
+        tables, real = [], cli._file_table
+
+        def spy(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "_file_table", spy)
+        got = read_outcome(path)
+        assert len(tables) == 1 and tables[0].shape == (cli._FILE_READER_LINES + 200, 5)
+        monkeypatch.setattr(cli, "_FILE_READER_LINES", 10**9)
+        assert read_outcome(path) == got and len(tables) == 1
+
+    @staticmethod
+    def run(data, stdin_bytes=None):
+        """analyze-iv --data data in a fresh interpreter, warnings as errors."""
+        src = os.path.dirname(os.path.dirname(ordbounds.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-W", "error", "-m", "ordbounds.cli", "analyze-iv",
+                               "--data", data], input=stdin_bytes, capture_output=True, env=env,
+                              timeout=60)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin") or not hasattr(os, "mkfifo"),
+                        reason="no /dev/stdin or named pipes")
+    @pytest.mark.parametrize("source", ["stdin", "fifo"])
+    def test_pipe_gives_the_file_output(self, tmp_path, source):
+        # a pipe read to its end is empty when opened again, and a named
+        # pipe's second open waits for a writer that never comes
+        path = self.large_csv(tmp_path / "units.csv")
+        from_file = self.run(str(path))
+        if source == "stdin":
+            piped = self.run("/dev/stdin", path.read_bytes())
+        else:
+            fifo = tmp_path / "units.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+            writer.start()
+            piped = self.run(str(fifo))
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        assert (from_file.returncode, from_file.stderr) == (0, b"")
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, from_file.stdout, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_undecodable_pipe_exits_2_naming_it(self, tmp_path):
+        data = self.large_csv(tmp_path / "units.csv").read_bytes() + b"1,1,\xff,0,0\r\n"
+        proc = self.run("/dev/stdin", data)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: OrdBoundsError: /dev/stdin: byte 0xff is not ")
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compressed_name(self, tmp_path, suffix):
+        # numpy would open these names through their codec
+        plain = self.large_csv(tmp_path / "units.csv")
+        named = tmp_path / f"units.csv{suffix}"
+        named.write_bytes(plain.read_bytes())
+        assert read_outcome(named) == read_outcome(plain)
+
+    @pytest.mark.parametrize("change", ["size", "mtime", "inode", "emptied"])
+    def test_file_changed_during_the_parse(self, tmp_path, monkeypatch, change):
+        path = self.large_csv(tmp_path / "units.csv")
+        want = read_outcome(path)
+        opened = os.stat(path)
+        changed = path.read_bytes().replace(b"\r\n1,1,", b"\r\n0,1,", 5)
+        real = cli._parse_rows
+
+        def change_then_parse(source, **kwargs):
+            if isinstance(source, str):   # the file reader: the file changes as it opens it
+                if change == "size":
+                    path.write_bytes(changed + b"1,1,1,0.5,0.5\r\n")
+                elif change == "mtime":
+                    path.write_bytes(changed)
+                    os.utime(path, ns=(opened.st_atime_ns, opened.st_mtime_ns + 10**9))
+                elif change == "emptied":   # numpy finds no rows and warns
+                    path.write_bytes(b"z,d,y,x1,x2\r\n")
+                else:
+                    (tmp_path / "new.csv").write_bytes(changed)
+                    os.replace(tmp_path / "new.csv", path)
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(cli, "_parse_rows", change_then_parse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_outcome(path) == want   # the line reader's, of the text read before the change
+        assert caught == []
+        assert read_outcome(path) != want   # the change shows in the next read
 
 
 def covariate_csv(tmp_path, rows):
